@@ -76,6 +76,9 @@ def box_clip(a: np.ndarray, box: ParameterBox) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DykstraInfo:
+    """How a :func:`combined_prox` call ended: cycles run, whether the
+    change fell below ``tol``, and the last change."""
+
     iterations: int
     converged: bool
     change: float
@@ -97,6 +100,11 @@ def combined_prox(
     cycle ends on the clip, so the returned point is always feasible;
     non-convergence is reported through the info flag, with the best
     iterate returned.
+
+    The estimator's solver does not call this: it handles the nuclear norm
+    and the box as separate operators. It remains a standalone prox, e.g.
+    the exact minimizer of a known-sampling Gaussian fit under a uniform
+    scheme, which is ``combined_prox(y_sum / (n pi), lam / pi, box)``.
     """
     a = np.asarray(a, dtype=float)
     if tau == 0.0:

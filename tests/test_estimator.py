@@ -17,6 +17,7 @@ from expmc import (
     ParameterBox,
     Poisson,
     SolverConfig,
+    combined_prox,
     fit,
     gradient,
     neg_loglik,
@@ -26,6 +27,7 @@ from expmc import (
     theorem_lambda,
     uniform_scheme,
 )
+from expmc import estimator
 from expmc.bench import gen_truth, observe_every_entry, simulate
 
 BOX1 = ParameterBox.symmetric(1.0)
@@ -309,6 +311,108 @@ class TestFit:
         assert res.objective_trace[-1] <= prob.value + 1e-7
 
 
+class TestDavisYinSolver:
+    @staticmethod
+    def record(monkeypatch, problem):
+        """Log the step of every SVT the solver makes (its threshold is
+        step * lam) and every data-term evaluation outside the domain."""
+        events = []
+        svt, objective = estimator.svt, estimator.neg_loglik
+
+        def recording_svt(a, tau):
+            events.append(("svt", tau / problem.lam))
+            return svt(a, tau)
+
+        def recording_neg_loglik(p, x):
+            try:
+                return objective(p, x)
+            except DomainError:
+                events.append(("domain_error", None))
+                raise
+
+        monkeypatch.setattr(estimator, "svt", recording_svt)
+        monkeypatch.setattr(estimator, "neg_loglik", recording_neg_loglik)
+        return events
+
+    @staticmethod
+    def steps(events):
+        return [step for kind, step in events if kind == "svt"]
+
+    @staticmethod
+    def assert_sound(problem, res):
+        assert res.converged
+        assert problem.box.contains(res.x_hat, tol=0.0)
+        assert res.objective_trace[-1] <= res.objective_trace[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_known_sampling_reaches_the_combined_prox_optimum(self, seed):
+        # Under a uniform scheme the known-sampling objective is
+        # (pi/2) ||x - y_sum / (n pi)||^2 + lam ||x||_* + const on the box,
+        # so its minimizer is a single combined prox, solved here far past
+        # the solver tolerance.
+        fam = Gaussian(sigma=1.0)
+        scheme = uniform_scheme(20, 20)
+        rng = np.random.default_rng([77, seed])
+        truth = gen_truth(20, 20, 2, 1.0, fam, rng, style="flat")
+        obs = simulate(truth, fam, scheme, 3200, rng)
+        p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0, mode=KNOWN_SAMPLING, scheme=scheme)
+        p = p0.with_lambda(oracle_lambda(p0, truth.x_bar))
+        pi = scheme.pi[0, 0]
+        ref = combined_prox(p.y_sum / (p.obs.n * pi), p.lam / pi, BOX1, max_iters=200000, tol=1e-14)
+        f_ref = neg_loglik(p, ref) + p.lam * nuclear_norm(ref)
+        res = fit(p)
+        assert res.converged
+        assert res.objective_trace[-1] <= f_ref + 1e-8
+        assert np.abs(res.x_hat - ref).max() <= 3e-6
+
+    def test_backtracking_halves_the_step_when_svt_leaves_the_domain(self, monkeypatch):
+        # About two exponential draws per entry: an early SVT point leaves
+        # the domain x < 0 on an observed entry, which must fail the
+        # sufficient-decrease test and redo the SVT at half the step.
+        rng = np.random.default_rng(1)
+        rows, cols = uniform_scheme(8, 8).draw(128, rng)
+        obs = ObservationSet(m1=8, m2=8, rows=rows, cols=cols, ys=rng.exponential(2.5, 128))
+        p = CompletionProblem(obs=obs, family=Exponential(), box=ParameterBox(-2.0, -0.4), lam=0.01)
+        events = self.record(monkeypatch, p)
+        res = fit(p)
+        self.assert_sound(p, res)
+        errors = [i for i, (kind, _) in enumerate(events) if kind == "domain_error"]
+        assert errors
+        for i in errors:
+            before = [step for kind, step in events[:i] if kind == "svt"][-1]
+            after = [step for kind, step in events[i:] if kind == "svt"][0]
+            assert after == 0.5 * before
+        steps = self.steps(events)
+        assert len(steps) > res.iterations
+        assert np.all(np.diff(steps) <= 0.0)
+
+    def test_stall_halving_shrinks_below_the_safe_step(self, monkeypatch):
+        # Half the oracle penalty leaves the box active and stalls the
+        # iteration at its first steps. Backtracking alone stops above half
+        # of 1/L, so a smaller step shows the stall rule fired.
+        fam = Gaussian(sigma=1.0)
+        rng = np.random.default_rng([77, 0])
+        truth = gen_truth(20, 20, 2, 1.0, fam, rng, style="flat")
+        obs = simulate(truth, fam, uniform_scheme(20, 20), 3200, rng)
+        p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
+        p = p0.with_lambda(0.5 * oracle_lambda(p0, truth.x_bar))
+        events = self.record(monkeypatch, p)
+        res = fit(p)
+        self.assert_sound(p, res)
+        assert np.isclose(np.abs(res.x_hat), 1.0).any()
+        assert min(self.steps(events)) < 0.5 * obs.n / p.counts.max()  # 1/L for sigma = 1
+
+    def test_stall_with_a_free_iterate_keeps_the_step(self, monkeypatch):
+        # An unobserved entry makes the iteration slow but not box-bound;
+        # halving the step there would only slow it further.
+        p, _ = random_problem(np.random.default_rng(10), Gaussian(sigma=1.0), BOX1, lam=0.005)
+        assert (p.counts == 0).any()
+        events = self.record(monkeypatch, p)
+        res = fit(p)
+        self.assert_sound(p, res)
+        assert min(self.steps(events)) >= 0.5 * p.obs.n / p.counts.max()
+
+
 class TestConeConditions:
     def test_certified_run_satisfies_cone_inequalities(self):
         from expmc import proj_onto, proj_perp
@@ -336,7 +440,6 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.tol == 1e-9 and cfg.max_iters == 5000
-        assert cfg.dykstra_iters == 200 and cfg.dykstra_tol == 1e-10
         assert cfg.c_gamma == 1.0
         assert cfg.c_star == pytest.approx(1 + math.sqrt(3), rel=1e-12)
 
