@@ -11,9 +11,9 @@ Two estimation modes share one solver:
 
 The solver is relaxed Davis-Yin three-operator splitting of data term,
 nuclear norm and box indicator (Davis & Yin, Set-Valued Var. Anal. 2017)
-with a step that shrinks on failed sufficient decrease (Pedregosa &
-Gidel, ICML 2018) or on a stalled residual. The returned estimate is
-always box-feasible and the recorded objective trace is non-increasing.
+with Anderson extrapolation and a step that shrinks on failed sufficient
+decrease (Pedregosa & Gidel, ICML 2018). The returned estimate is always
+box-feasible and the recorded objective trace is non-increasing.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import matops  # fit calls matops.svt, so wrappers installed on matops see its SVTs
 from .families import DomainError, ExponentialFamily, ParameterBox
 # combined_prox is not used by the solver; perfbench/tracer.py counts its calls here.
-from .matops import box_clip, combined_prox, nuclear_norm, operator_norm, svt  # noqa: F401
+from .matops import box_clip, combined_prox, nuclear_norm, operator_norm  # noqa: F401
 from .sampling import ObservationSet, SamplingScheme
 
 __all__ = [
@@ -221,8 +222,16 @@ def _sufficient_decrease(problem: CompletionProblem, y, g, z, step: float) -> bo
 
 
 _RELAXATION = 1.35  # 0.9 x the Davis-Yin bound 2 - step L / 2 at step = 1/L
-_STALL_WINDOW = 20  # iterations the residual has to halve in before the step does
-_MAX_STALL_HALVINGS = 5
+_MEMORY = 5  # past moves each extrapolation combines
+
+
+def _extrapolate(w_next: np.ndarray, r: np.ndarray, history: list[np.ndarray]) -> np.ndarray:
+    """Anderson extrapolation of ``w -> w_next = w + r``: the affine combination
+    of recent ``w_next`` whose moves ``r`` combine least in norm, from their
+    differences in ``history`` (Walker & Ni, SIAM J. Numer. Anal. 2011)."""
+    gram = np.array([[np.vdot(a[1], b[1]) for b in history] for a in history])
+    coef = np.linalg.lstsq(gram, [np.vdot(d[1], r) for d in history], rcond=None)[0]
+    return w_next - sum(c * d[0] for c, d in zip(coef, history))
 
 
 def fit(
@@ -232,27 +241,25 @@ def fit(
 ) -> FitResult:
     """Solve the penalized completion problem by relaxed Davis-Yin splitting.
 
-    Each iteration takes one gradient at the box-feasible point ``y``, one
-    singular value thresholding and one clip; ``u`` is the box dual::
+    The iteration runs on ``w``, whose clip ``y`` is box-feasible and whose
+    overshoot ``(w - y) / step`` is the box dual. Each iteration takes one
+    gradient at ``y``, one singular value thresholding and one clip::
 
-        z = svt(y - step (u + grad f(y)), step lam)
-        z_rel = y + 1.35 (z - y)
-        y_next = clip(z_rel + step u)
-        u_next = u + (z_rel - y_next) / step
+        z = svt(2 y - w - step grad f(y), step lam)
+        w_next = w + 1.35 (z - y)
 
-    The step starts at ``1/L`` for the curvature bound over the box times
-    the mean per-entry weight ``1/(m1 m2)`` and only shrinks. While it
-    exceeds ``1/L`` at the heaviest weight it is halved until ``z`` passes
-    a sufficient-decrease test (a ``z`` outside the model domain fails).
-    It is also halved, at most 5 times, when the residual has not halved
-    within 20 iterations while the clip holds ``y`` to a move shorter than
-    ``||z - y||``: such a stall sits in the box dual, which a smaller step
-    speeds up, whereas a stall with ``y`` moving freely it would only slow.
+    and moves to the Anderson extrapolation of ``w_next`` over the last 5
+    moves, or to ``w_next`` itself when the extrapolated point turns out to
+    have a larger residual than the point it came from. The step starts at
+    ``1/L`` for the curvature bound over the box times the mean per-entry
+    weight ``1/(m1 m2)``. While it exceeds ``1/L`` at the heaviest weight it
+    is halved, keeping ``y`` and the box dual, until ``z`` passes a
+    sufficient-decrease test (a ``z`` outside the model domain fails).
 
     ``prox_residual`` is the last fixed-point residual ``||z - y|| / step``,
     zero exactly at a minimizer; ``converged`` means it reached ``tol``
-    within ``max_iters``. The estimate is the final ``y`` or the start
-    point, whichever has the lower objective; ``objective_trace`` holds the
+    within ``max_iters``. The estimate is the last ``y`` or the start point,
+    whichever has the lower objective; ``objective_trace`` holds the
     objectives of the start point and the estimate.
     """
     cfg = config or SolverConfig()
@@ -268,39 +275,36 @@ def fit(
         x0 = box_clip(init, box)
 
     sigma_hi_sq = problem.family.variance_bounds(box)[1]
-    if problem.mode == LIKELIHOOD:
-        max_weight = problem.counts.max() / problem.obs.n
-    else:
-        max_weight = problem.scheme.pi.max()
-    safe_step = 1.0 / (sigma_hi_sq * max_weight)
+    weight = problem.counts.max() / problem.obs.n if problem.mode == LIKELIHOOD else problem.scheme.pi.max()
+    safe_step = 1.0 / (sigma_hi_sq * weight)
     step = shape[0] * shape[1] / sigma_hi_sq
-    y, u = x0, np.zeros(shape)
-    residual = stall_residual = math.inf
-    stall_iteration = stall_halvings = iterations = 0
-    converged = False
+    y = w = x0
+    history, last = [], None  # differences of recent (w_next, r) at this step; the last pair
+    residual = last_residual = math.inf
+    iterations, converged = 0, False
 
     for iterations in range(1, cfg.max_iters + 1):
+        y = box_clip(w, box)
         g = gradient(problem, y)
-        z = svt(y - step * (u + g), step * lam)
+        z = matops.svt(2.0 * y - w - step * g, step * lam)
         while step > safe_step and not _sufficient_decrease(problem, y, g, z, step):
             step *= 0.5
-            z = svt(y - step * (u + g), step * lam)
-        gap = float(np.linalg.norm(z - y))
-        residual = gap / step
+            w, history, last = 0.5 * (y + w), [], None
+            z = matops.svt(2.0 * y - w - step * g, step * lam)
+        residual = float(np.linalg.norm(z - y)) / step
         if residual <= cfg.tol:
             converged = True
             break
-
-        z_rel = y + _RELAXATION * (z - y)
-        y, y_prev = box_clip(z_rel + step * u, box), y
-        u = u + (z_rel - y) / step
-        if residual <= 0.5 * stall_residual:
-            stall_residual, stall_iteration = residual, iterations
-        elif (iterations - stall_iteration >= _STALL_WINDOW and stall_halvings < _MAX_STALL_HALVINGS
-              and np.linalg.norm(y - y_prev) < gap):
-            step *= 0.5
-            stall_halvings += 1
-            stall_residual, stall_iteration = residual, iterations
+        if history and residual > last_residual:  # w was extrapolated: step from last w_next instead
+            w, history, last = last[0], [], None
+            continue
+        last_residual = residual
+        r = _RELAXATION * (z - y)
+        w_next = w + r
+        if last is not None:  # single precision: the differences only steer the extrapolation
+            history = history[1 - _MEMORY:] + [np.array([w_next - last[0], r - last[1]], np.float32)]
+        last = w_next, r
+        w = _extrapolate(w_next, r, history) if history else w_next
 
     f_start, f_end = _objective(problem, x0), _objective(problem, y)
     x_hat, f_hat = (y, f_end) if f_end <= f_start else (x0, f_start)
