@@ -147,6 +147,18 @@ class ExperimentConfig:
     def scheme(self) -> SamplingScheme:
         return scheme_from_config(self.sampling_spec, self.m1, self.m2)
 
+    def truth(self, rng: np.random.Generator) -> GroundTruth:
+        """A random truth of the configured size, rank, box and style."""
+        return gen_truth(
+            self.m1, self.m2, self.rank, self.gamma, self.family, rng, box=self.box, style=self.truth_style
+        )
+
+    def problem(self, obs: ObservationSet, scheme: SamplingScheme) -> CompletionProblem:
+        """The configured problem on ``obs`` at penalty level zero."""
+        return CompletionProblem(
+            obs=obs, family=self.family, box=self.box, lam=0.0, mode=self.mode, scheme=scheme
+        )
+
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -273,39 +285,35 @@ def observe_every_entry(
 
 
 def resolve_lambda(
-    cfg: ExperimentConfig,
-    consts,
-    scheme: SamplingScheme,
-    n: int,
-    obs: ObservationSet,
-    x_bar: np.ndarray,
+    cfg: ExperimentConfig, consts, probe: CompletionProblem, x_bar: np.ndarray | None
 ) -> float:
-    """Penalty level for one replicate according to the configured mode."""
+    """Penalty level for one replicate according to the configured mode.
+
+    ``probe`` is the replicate's problem at penalty level zero; its sample
+    size and scheme feed the prescribed levels. ``x_bar`` is read in
+    oracle mode only.
+    """
     if isinstance(cfg.lambda_mode, (int, float)):
         return float(cfg.lambda_mode)
     if cfg.lambda_mode == "oracle":
-        probe = CompletionProblem(
-            obs=obs, family=cfg.family, box=cfg.box, lam=0.0, mode=cfg.mode,
-            scheme=scheme if cfg.mode == KNOWN_SAMPLING else None,
-        )
         return max(oracle_lambda(probe, x_bar), _LAMBDA_FLOOR)
     which = LIKELIHOOD if cfg.lambda_mode == "theorem_likelihood" else KNOWN_SAMPLING
-    return theorem_lambda(which, consts, scheme, n, cfg.solver.c_gamma, cfg.solver.c_star)
+    return theorem_lambda(which, consts, probe.scheme, probe.obs.n, cfg.solver.c_gamma, cfg.solver.c_star)
 
 
-def _fit_replicate(cfg, scheme, consts, n, rng):
-    """Generate one synthetic problem, fit it, and return the pieces."""
-    truth = gen_truth(
-        cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.family, rng, box=cfg.box, style=cfg.truth_style
-    )
+def _simulate_replicate(cfg, scheme, n, rng, truth=None):
+    """Draw a truth (unless given) and n observations; return it with the problem at penalty zero."""
+    if truth is None:
+        truth = cfg.truth(rng)
     obs = simulate(truth, cfg.family, scheme, n, rng, noiseless=cfg.noiseless)
-    lam = resolve_lambda(cfg, consts, scheme, n, obs, truth.x_bar)
-    problem = CompletionProblem(
-        obs=obs, family=cfg.family, box=cfg.box, lam=lam, mode=cfg.mode,
-        scheme=scheme if cfg.mode == KNOWN_SAMPLING else None,
-    )
-    result = fit(problem, cfg.solver)
-    return truth, obs, problem, result
+    return truth, cfg.problem(obs, scheme)
+
+
+def _fit_replicate(cfg, scheme, consts, n, rng, truth=None):
+    """Simulate one replicate, resolve its penalty level and fit it."""
+    truth, probe = _simulate_replicate(cfg, scheme, n, rng, truth)
+    problem = probe.with_lambda(resolve_lambda(cfg, consts, probe, truth.x_bar))
+    return truth, problem, fit(problem, cfg.solver)
 
 
 RATE_SWEEP_HEADER = [
@@ -365,7 +373,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
         rad = rademacher_norm_estimate(scheme, n, cfg.rademacher_reps, rad_rng)
         for rep in range(cfg.replicates):
             rng = np.random.default_rng([seed, i_n, rep])
-            truth, obs, problem, result = _fit_replicate(cfg, scheme, consts, n, rng)
+            truth, problem, result = _fit_replicate(cfg, scheme, consts, n, rng)
             common = dict(
                 m1=cfg.m1, m2=cfg.m2, n=n, rank=cfg.rank, gamma=cfg.gamma,
                 mu=mu, nu=nu, lam=problem.lam,
@@ -374,13 +382,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
                 rademacher_norm=rad, nuclear_norm_bar=nuclear_norm(truth.x_bar),
             )
             bounds = {name: bound_value(name, **common) for name in BOUND_NAMES}
-            # Both branches of the penalty-explicit bound; the max is the bound.
-            bounds["likelihood_risk_main"] = (
-                mu**2 * cfg.m1 * cfg.m2 * cfg.rank
-                * (problem.lam**2 / consts.sigma_lo_sq**2 + rad**2)
-            )
-            bounds["likelihood_risk_edge"] = mu * cfg.gamma**2 * math.sqrt(log_d / n)
-            report = risk_report(cfg.family, scheme, obs, result.x_hat, truth.x_bar, bounds)
+            report = risk_report(cfg.family, scheme, problem.obs, result.x_hat, truth.x_bar, bounds)
             rows.append({
                 "config_hash": chash,
                 "family": cfg.family_label,
@@ -414,7 +416,6 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_rows_csv(out / "rate_sweep.csv", RATE_SWEEP_HEADER, rows)
         write_rows_csv(
             out / "rate_sweep_slope.csv",
@@ -462,19 +463,10 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
         thm = theorem_lambda(KNOWN_SAMPLING, consts, scheme, n, cfg.solver.c_gamma, cfg.solver.c_star)
         for rep in range(cfg.replicates):
             rng = np.random.default_rng([seed, i_n, rep])
-            truth = gen_truth(
-                cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.family, rng,
-                box=cfg.box, style=cfg.truth_style,
-            )
-            obs = simulate(truth, cfg.family, scheme, n, rng, noiseless=cfg.noiseless)
-            probe = CompletionProblem(
-                obs=obs, family=cfg.family, box=cfg.box, lam=0.0,
-                mode=KNOWN_SAMPLING, scheme=scheme,
-            )
+            truth, probe = _simulate_replicate(cfg, scheme, n, rng)
             required = oracle_lambda(probe, truth.x_bar)
             lam = max(required, thm)
-            problem = probe.with_lambda(lam)
-            result = fit(problem, cfg.solver)
+            result = fit(probe.with_lambda(lam), cfg.solver)
             candidates = [truth.x_bar, np.zeros_like(truth.x_bar)]
             candidates += _rank_truncations(truth.x_bar, cfg.rank)
             candidates = [c for c in candidates if cfg.box.contains(c, tol=1e-12)]
@@ -495,9 +487,7 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
 
     all_passed = all(row["passed_flat"] and row["passed_rank"] for row in rows)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_rows_csv(out / "oracle_check.csv", ORACLE_CHECK_HEADER, rows)
+        write_rows_csv(Path(out_dir) / "oracle_check.csv", ORACLE_CHECK_HEADER, rows)
     return OracleCheckResult(rows=rows, all_passed=all_passed)
 
 
@@ -545,8 +535,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
 
     lam_thm = theorem_lambda(LIKELIHOOD, consts, scheme, n, cfg.solver.c_gamma, cfg.solver.c_star)
     level = lam_thm / 2.0
-    truth = gen_truth(cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.family,
-                      np.random.default_rng([seed, 2]), box=cfg.box, style=cfg.truth_style)
+    truth = cfg.truth(np.random.default_rng([seed, 2]))
     exceed = 0
     grad_rng = np.random.default_rng([seed, 3])
     for rep in range(cfg.reps):
@@ -568,9 +557,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     })
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_rows_csv(out / "concentration.csv", CONCENTRATION_HEADER, rows)
+        write_rows_csv(Path(out_dir) / "concentration.csv", CONCENTRATION_HEADER, rows)
     return ConcentrationResult(
         rows=rows, rademacher_estimate=rad_est, rademacher_bound=rad_bound,
         exceedance_frequency=freq,
@@ -624,18 +611,12 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
         for j, member in enumerate(packing.members):
             mem_rng = np.random.default_rng([seed, 12, i_n, j])
             truth = GroundTruth(x_bar=member, r=cfg.rank, gamma=cfg.gamma)
-            obs = simulate(truth, cfg.family, scheme, n, mem_rng, noiseless=cfg.noiseless)
-            lam = resolve_lambda(cfg, consts, scheme, n, obs, member)
-            problem = CompletionProblem(
-                obs=obs, family=cfg.family, box=cfg.box, lam=lam, mode=cfg.mode,
-                scheme=scheme if cfg.mode == KNOWN_SAMPLING else None,
-            )
-            result = fit(problem, cfg.solver)
+            _, problem, result = _fit_replicate(cfg, scheme, consts, n, mem_rng, truth)
             risk = frobenius_risk(result.x_hat, member)
             if result.converged:
                 max_risk = max(max_risk, risk)
             member_rows.append({
-                "config_hash": chash, "n": n, "member": j, "lambda": lam,
+                "config_hash": chash, "n": n, "member": j, "lambda": problem.lam,
                 "converged": result.converged, "iterations": result.iterations,
                 "frob_risk": risk,
             })
@@ -657,7 +638,6 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_rows_csv(out / "lower_bound.csv", LOWER_BOUND_HEADER, member_rows)
         write_rows_csv(out / "lower_bound_summary.csv", LOWER_BOUND_SUMMARY_HEADER, summary_rows)
     return LowerBoundResult(member_rows=member_rows, summary_rows=summary_rows, reports=reports)

@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from . import bench
-from .estimator import KNOWN_SAMPLING, CompletionProblem, fit as solve
+from .estimator import fit as solve
 from .io import (
     load_matrix_csv,
     load_observations_csv,
@@ -24,15 +24,31 @@ from .io import (
 )
 
 
-def _load_cfg(config_path) -> bench.ExperimentConfig:
-    raw = json.loads(Path(config_path).read_text())
-    return bench.ExperimentConfig.from_dict(raw)
-
-
-def _prepare(out) -> Path:
+def _setup(config_path, out) -> tuple[bench.ExperimentConfig, Path]:
+    """Parse the config, then create the output directory."""
+    cfg = bench.ExperimentConfig.from_dict(json.loads(Path(config_path).read_text()))
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, out
+
+
+def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
+    """The truth at the config's ``truth_path``, or None when it has none."""
+    if "truth_path" not in cfg.raw:
+        return None
+    return bench.GroundTruth(x_bar=load_matrix_csv(cfg.raw["truth_path"]), r=cfg.rank, gamma=cfg.gamma)
+
+
+def _simulate_and_save(cfg: bench.ExperimentConfig, scheme, rng, out: Path):
+    """Draw ``n`` observations at the loaded truth (or at a new one, saved as
+    truth.csv) and save them as observations.csv."""
+    truth = _load_truth(cfg)
+    if truth is None:
+        truth = cfg.truth(rng)
+        save_matrix_csv(out / "truth.csv", truth.x_bar)
+    obs = bench.simulate(truth, cfg.family, scheme, cfg.n_single, rng, noiseless=cfg.noiseless)
+    save_observations_csv(out / "observations.csv", obs)
+    return truth, obs
 
 
 _shared = [
@@ -57,13 +73,8 @@ def main():
 @shared_options
 def gen(config_path, seed, out):
     """Generate a ground-truth matrix and write it as truth.csv."""
-    cfg = _load_cfg(config_path)
-    out = _prepare(out)
-    rng = np.random.default_rng([seed, 0])
-    truth = bench.gen_truth(
-        cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.family, rng, box=cfg.box, style=cfg.truth_style
-    )
-    save_matrix_csv(out / "truth.csv", truth.x_bar)
+    cfg, out = _setup(config_path, out)
+    save_matrix_csv(out / "truth.csv", cfg.truth(np.random.default_rng([seed, 0])).x_bar)
     write_manifest(out, "gen", cfg.raw, seed)
     click.echo(str(out / "truth.csv"))
 
@@ -72,19 +83,8 @@ def gen(config_path, seed, out):
 @shared_options
 def simulate(config_path, seed, out):
     """Draw observations from a truth matrix (generated unless truth_path is set)."""
-    cfg = _load_cfg(config_path)
-    out = _prepare(out)
-    rng = np.random.default_rng([seed, 0])
-    if "truth_path" in cfg.raw:
-        x_bar = load_matrix_csv(cfg.raw["truth_path"])
-        truth = bench.GroundTruth(x_bar=x_bar, r=cfg.rank, gamma=cfg.gamma)
-    else:
-        truth = bench.gen_truth(
-            cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.family, rng, box=cfg.box, style=cfg.truth_style
-        )
-        save_matrix_csv(out / "truth.csv", truth.x_bar)
-    obs = bench.simulate(truth, cfg.family, cfg.scheme(), cfg.n_single, rng, noiseless=cfg.noiseless)
-    save_observations_csv(out / "observations.csv", obs)
+    cfg, out = _setup(config_path, out)
+    _simulate_and_save(cfg, cfg.scheme(), np.random.default_rng([seed, 0]), out)
     write_manifest(out, "simulate", cfg.raw, seed)
     click.echo(str(out / "observations.csv"))
 
@@ -93,38 +93,21 @@ def simulate(config_path, seed, out):
 @shared_options
 def fit_cmd(config_path, seed, out):
     """Fit the penalized estimator on observations (observations_path or simulated)."""
-    cfg = _load_cfg(config_path)
-    out = _prepare(out)
+    cfg, out = _setup(config_path, out)
     rng = np.random.default_rng([seed, 0])
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)
-    n = cfg.n_single
-
-    truth = None
-    if "truth_path" in cfg.raw:
-        truth = bench.GroundTruth(
-            x_bar=load_matrix_csv(cfg.raw["truth_path"]), r=cfg.rank, gamma=cfg.gamma
-        )
     if "observations_path" in cfg.raw:
+        truth = _load_truth(cfg)
         obs = load_observations_csv(cfg.raw["observations_path"], cfg.m1, cfg.m2)
     else:
-        if truth is None:
-            truth = bench.gen_truth(
-                cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.family, rng,
-                box=cfg.box, style=cfg.truth_style,
-            )
-            save_matrix_csv(out / "truth.csv", truth.x_bar)
-        obs = bench.simulate(truth, cfg.family, scheme, n, rng, noiseless=cfg.noiseless)
-        save_observations_csv(out / "observations.csv", obs)
+        truth, obs = _simulate_and_save(cfg, scheme, rng, out)
 
     if cfg.lambda_mode == "oracle" and truth is None:
         raise click.UsageError("lambda_mode 'oracle' needs a truth_path")
-    lam = bench.resolve_lambda(cfg, consts, scheme, obs.n, obs, truth.x_bar if truth else None)
-    problem = CompletionProblem(
-        obs=obs, family=cfg.family, box=cfg.box, lam=lam, mode=cfg.mode,
-        scheme=scheme if cfg.mode == KNOWN_SAMPLING else None,
-    )
-    result = solve(problem, cfg.solver)
+    probe = cfg.problem(obs, scheme)
+    lam = bench.resolve_lambda(cfg, consts, probe, truth.x_bar if truth else None)
+    result = solve(probe.with_lambda(lam), cfg.solver)
     save_matrix_csv(out / "estimate.csv", result.x_hat)
     report = {
         "converged": result.converged,
@@ -143,8 +126,7 @@ def fit_cmd(config_path, seed, out):
 @shared_options
 def rate_sweep_cmd(config_path, seed, out):
     """Run the risk-versus-rate sweep and write rate_sweep.csv."""
-    cfg = _load_cfg(config_path)
-    out = _prepare(out)
+    cfg, out = _setup(config_path, out)
     result = bench.rate_sweep(cfg, seed, out_dir=out)
     write_manifest(out, "rate-sweep", cfg.raw, seed)
     click.echo(f"{out / 'rate_sweep.csv'} slope={result.slope!r}")
@@ -154,8 +136,7 @@ def rate_sweep_cmd(config_path, seed, out):
 @shared_options
 def oracle_check_cmd(config_path, seed, out):
     """Run oracle-inequality checks and write oracle_check.csv."""
-    cfg = _load_cfg(config_path)
-    out = _prepare(out)
+    cfg, out = _setup(config_path, out)
     result = bench.oracle_check(cfg, seed, out_dir=out)
     write_manifest(out, "oracle-check", cfg.raw, seed)
     click.echo(f"{out / 'oracle_check.csv'} all_passed={result.all_passed}")
@@ -165,8 +146,7 @@ def oracle_check_cmd(config_path, seed, out):
 @shared_options
 def concentration_cmd(config_path, seed, out):
     """Run concentration diagnostics and write concentration.csv."""
-    cfg = _load_cfg(config_path)
-    out = _prepare(out)
+    cfg, out = _setup(config_path, out)
     result = bench.concentration_check(cfg, seed, out_dir=out)
     write_manifest(out, "concentration", cfg.raw, seed)
     click.echo(
@@ -179,8 +159,7 @@ def concentration_cmd(config_path, seed, out):
 @shared_options
 def lower_bound_cmd(config_path, seed, out):
     """Build/verify a packing, fit its members, write lower_bound.csv."""
-    cfg = _load_cfg(config_path)
-    out = _prepare(out)
+    cfg, out = _setup(config_path, out)
     result = bench.lowerbound_run(cfg, seed, out_dir=out)
     write_manifest(out, "lower-bound", cfg.raw, seed)
     passed = all(row["conditions_passed"] for row in result.summary_rows)

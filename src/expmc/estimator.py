@@ -18,8 +18,9 @@ box-feasible and the recorded objective trace is non-increasing.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +75,8 @@ class CompletionProblem:
     """Observations plus model, box constraint and penalty level.
 
     ``scheme`` is required in ``known_sampling`` mode and must match the
-    observation dimensions.
+    observation dimensions; ``likelihood`` mode ignores it. Observations
+    outside the family's range are rejected.
     """
 
     obs: ObservationSet
@@ -99,6 +101,7 @@ class CompletionProblem:
             if (self.scheme.m1, self.scheme.m2) != (self.obs.m1, self.obs.m2):
                 raise ValueError("scheme dimensions do not match the observations")
         self.family.validate_box(self.box)
+        self.family.check_support(self.obs.ys)
         shape = (self.obs.m1, self.obs.m2)
         counts = np.zeros(shape)
         y_sum = np.zeros(shape)
@@ -115,7 +118,12 @@ class CompletionProblem:
         return self.obs.m1, self.obs.m2
 
     def with_lambda(self, lam: float) -> "CompletionProblem":
-        return replace(self, lam=lam)
+        """The same problem at another penalty level, sharing the sample summaries."""
+        if lam < 0:
+            raise ValueError("penalty level must be >= 0")
+        out = copy.copy(self)
+        out.lam = lam
+        return out
 
 
 def neg_loglik(problem: CompletionProblem, x: np.ndarray) -> float:

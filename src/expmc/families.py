@@ -7,14 +7,14 @@ Kullback-Leibler divergence between two members of the family.
 
 Supported models (natural parameter ``x``):
 
-====================  ================  =========================
-model                 natural domain    log-partition G(x)
-====================  ================  =========================
-gaussian (sigma)      all reals         sigma^2 x^2 / 2
-binomial (trials N)   all reals         N log(1 + e^x)
-poisson               all reals         e^x
-exponential           x < 0             -log(-x)
-====================  ================  =========================
+====================  ================  ===================  ==============
+model                 natural domain    log-partition G(x)   observations
+====================  ================  ===================  ==============
+gaussian (sigma)      all reals         sigma^2 x^2 / 2      all reals
+binomial (trials N)   all reals         N log(1 + e^x)       [0, N]
+poisson               all reals         e^x                  [0, inf)
+exponential           x < 0             -log(-x)             [0, inf)
+====================  ================  ===================  ==============
 
 A draw at parameter ``x`` has mean ``G'(x)`` and variance ``G''(x)``;
 in particular the Gaussian model produces ``Y ~ N(sigma^2 x, sigma^2)``
@@ -119,6 +119,9 @@ class ExponentialFamily:
     # Open natural-parameter domain (domain_lo, domain_hi).
     domain_lo: float = -math.inf
     domain_hi: float = math.inf
+    # Closed range [support_lo, support_hi] of a single observation.
+    support_lo: float = -math.inf
+    support_hi: float = math.inf
 
     # -- domain handling -------------------------------------------------
 
@@ -139,6 +142,15 @@ class ExponentialFamily:
             raise DomainError(
                 f"box [{box.lo}, {box.hi}] is not strictly inside the "
                 f"{self.name} domain ({self.domain_lo}, {self.domain_hi})"
+            )
+
+    def check_support(self, ys: np.ndarray):
+        """Reject observations outside the closed range a draw can take."""
+        ys = np.asarray(ys, dtype=float)
+        if not (ys.min() >= self.support_lo and ys.max() <= self.support_hi):
+            raise ValueError(
+                f"observations outside the range [{self.support_lo}, {self.support_hi}] "
+                f"of the {self.name} model"
             )
 
     # -- hooks implemented by subclasses ---------------------------------
@@ -315,10 +327,15 @@ class Binomial(ExponentialFamily):
 
     trials: int = 1
     name = "binomial"
+    support_lo = 0.0
 
     def __post_init__(self):
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ValueError("trials must be an integer >= 1")
+
+    @property
+    def support_hi(self) -> float:
+        return float(self.trials)
 
     def _g(self, x):
         return self.trials * np.logaddexp(0.0, x)
@@ -365,6 +382,7 @@ class Poisson(ExponentialFamily):
     """Poisson counts; x is the log-intensity."""
 
     name = "poisson"
+    support_lo = 0.0
 
     def _g(self, x):
         return np.exp(x)
@@ -418,6 +436,7 @@ class Exponential(ExponentialFamily):
 
     name = "exponential"
     domain_hi = 0.0
+    support_lo = 0.0
 
     def _g(self, x):
         return -np.log(-x)

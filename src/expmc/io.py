@@ -56,17 +56,28 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
 
 
+_OBS_HEADER = "i,row,col,y"
+
+
 def save_observations_csv(path, obs: ObservationSet) -> None:
-    lines = ["i,row,col,y"]
+    lines = [_OBS_HEADER]
     for i in range(obs.n):
         lines.append(f"{i + 1},{obs.rows[i] + 1},{obs.cols[i] + 1},{repr(float(obs.ys[i]))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
+    """Read an observations CSV; rejects a wrong header and fractional indices."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+    if header != _OBS_HEADER:
+        raise ValueError(f"observations CSV must have the header {_OBS_HEADER}, got {header!r}")
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
     if raw.shape[1] != 4:
-        raise ValueError("observations CSV must have columns i,row,col,y")
+        raise ValueError(f"observations CSV must have columns {_OBS_HEADER}")
+    idx = raw[:, 1:3]
+    if not np.all(idx == np.round(idx)):
+        raise ValueError("observation row/col indices must be integers")
     return ObservationSet(
         m1=m1,
         m2=m2,
@@ -77,11 +88,16 @@ def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
 
 
 def write_rows_csv(path, header: list[str], rows: list[dict]) -> None:
-    """Write dict rows under a fixed header; missing keys become empty cells."""
+    """Write dict rows under a fixed header; missing keys become empty cells.
+
+    Creates the parent directory if needed.
+    """
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt_value(row.get(col, "")) for col in header))
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def config_hash(config: dict) -> str:

@@ -127,7 +127,9 @@ def bound_value(which: str, **inputs) -> float:
     Supported names:
 
     * ``likelihood_risk`` — penalty-explicit bound for the likelihood
-      estimator (uses the random-sign norm estimate).
+      estimator (uses the random-sign norm estimate); the larger of
+      ``likelihood_risk_main`` and ``likelihood_risk_edge``, its two
+      branches.
     * ``likelihood_risk_subexp`` — same estimator at the prescribed
       penalty under sub-exponential noise.
     * ``known_sampling_risk`` — penalty-explicit bound for the
@@ -143,14 +145,20 @@ def bound_value(which: str, **inputs) -> float:
     n = inputs.get("n")
     big_m = max(m1, m2)
 
-    if which == "likelihood_risk":
+    if which in ("likelihood_risk", "likelihood_risk_main", "likelihood_risk_edge"):
         _require(inputs, ("mu", "rank", "lam", "sigma_lo_sq", "rademacher_norm", "gamma", "n"), which)
         mu = inputs["mu"]
         main = m1 * m2 * inputs["rank"] * (
             inputs["lam"] ** 2 / inputs["sigma_lo_sq"] ** 2 + inputs["rademacher_norm"] ** 2
         )
         edge = inputs["gamma"] ** 2 / mu * math.sqrt(_log_d(m1, m2) / n)
-        return constant * mu**2 * max(main, edge)
+        # Rounding is monotone, so the bound is exactly the larger branch.
+        branch = {
+            "likelihood_risk": max(main, edge),
+            "likelihood_risk_main": main,
+            "likelihood_risk_edge": edge,
+        }[which]
+        return constant * mu**2 * branch
 
     if which == "likelihood_risk_subexp":
         _require(inputs, ("mu", "nu", "rank", "sigma_lo_sq", "sigma_hi_sq", "gamma", "n"), which)
@@ -188,6 +196,8 @@ def bound_value(which: str, **inputs) -> float:
 
 BOUND_NAMES = (
     "likelihood_risk",
+    "likelihood_risk_main",
+    "likelihood_risk_edge",
     "likelihood_risk_subexp",
     "known_sampling_risk",
     "known_sampling_risk_uniform",

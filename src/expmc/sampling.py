@@ -122,6 +122,8 @@ class ObservationSet:
             raise ValueError("an observation set needs at least one sample")
         if rows.min() < 0 or rows.max() >= self.m1 or cols.min() < 0 or cols.max() >= self.m2:
             raise ValueError("observation indices out of range")
+        if not np.all(np.isfinite(ys)):
+            raise ValueError("observation values must be finite")
         for name, arr in (("rows", rows), ("cols", cols), ("ys", ys)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

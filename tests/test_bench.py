@@ -23,6 +23,7 @@ from expmc.bench import (
     resolve_lambda,
     simulate,
 )
+from expmc.io import save_matrix_csv
 
 
 def make_cfg(**overrides):
@@ -159,13 +160,15 @@ class TestConfig:
 class TestResolveLambda:
     def test_fixed_value(self):
         cfg = make_cfg(lambda_mode=0.125)
-        assert resolve_lambda(cfg, None, None, 100, None, None) == 0.125
+        assert resolve_lambda(cfg, None, None, None) == 0.125
 
     def test_theorem_modes(self):
         cfg = make_cfg(lambda_mode="theorem_likelihood")
         consts = cfg.family.interval_constants(cfg.box)
         scheme = cfg.scheme()
-        lam = resolve_lambda(cfg, consts, scheme, 400, None, None)
+        rng = np.random.default_rng(3)
+        probe = cfg.problem(simulate(cfg.truth(rng), cfg.family, scheme, 400, rng), scheme)
+        lam = resolve_lambda(cfg, consts, probe, None)
         assert lam == pytest.approx(2 * math.sqrt(2 * math.log(24) / (12 * 400)), rel=1e-12)
 
     def test_oracle_floor_positive_on_noiseless(self):
@@ -175,7 +178,7 @@ class TestResolveLambda:
         rng = np.random.default_rng(12)
         truth = gen_truth(12, 12, 2, 1.0, cfg.family, rng)
         obs = simulate(truth, cfg.family, scheme, 200, rng, noiseless=True)
-        lam = resolve_lambda(cfg, consts, scheme, 200, obs, truth.x_bar)
+        lam = resolve_lambda(cfg, consts, cfg.problem(obs, scheme), truth.x_bar)
         assert lam > 0
 
 
@@ -205,6 +208,19 @@ class TestRateSweep:
         assert (tmp_path / "rate_sweep.csv").exists()
         assert (tmp_path / "rate_sweep_slope.csv").exists()
         assert math.isfinite(res.slope)
+
+    def test_likelihood_bound_is_exactly_its_larger_branch(self, tmp_path):
+        # On a non-uniform table (mu != 1) the branches must be rounded the
+        # same way as the bound, not just agree with it to a tolerance.
+        pi = np.random.default_rng(0).random((20, 20)) + 0.5
+        save_matrix_csv(tmp_path / "pi.csv", pi / pi.sum())
+        cfg = make_cfg(m1=20, m2=20, n_grid=[800, 1600],
+                       sampling={"sampling": "table", "path": str(tmp_path / "pi.csv")})
+        assert cfg.scheme().mu_constant() != 1.0
+        for row in rate_sweep(cfg, seed=6).rows:
+            assert row["bound_likelihood_risk"] == max(
+                row["bound_likelihood_risk_main"], row["bound_likelihood_risk_edge"]
+            )
 
     def test_predictor_values(self):
         cfg = make_cfg()

@@ -71,17 +71,37 @@ class TestGenSimulateFit:
         assert report["objective_last"] <= report["objective_first"]
 
     def test_fit_oracle_mode_needs_truth(self, runner, tmp_path):
-        cfg = write_cfg(tmp_path, n=100, lambda_mode="oracle",
-                        observations_path="unused.csv")
-        # No truth_path plus an oracle penalty cannot work on file inputs.
-        obs_cfg = json.loads(cfg.read_text())
-        del obs_cfg["observations_path"]
-        cfg.write_text(json.dumps(obs_cfg))
-        out = tmp_path / "ofit"
+        # Simulating in-process generates the truth, so an oracle penalty works.
+        cfg = write_cfg(tmp_path, n=100, lambda_mode="oracle")
+        sim_out = tmp_path / "sim"
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(sim_out)])
+        assert (sim_out / "truth.csv").exists()
+
+        # Observations from a file without a truth_path cannot give one.
+        obs_cfg = write_cfg(tmp_path, name="obs.json", n=100, lambda_mode="oracle",
+                            observations_path=str(sim_out / "observations.csv"))
         result = runner.invoke(
-            main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+            main, ["fit", "--config", str(obs_cfg), "--seed", "1", "--out", str(tmp_path / "ofit")]
         )
-        assert result.exit_code == 0  # generated truth internally, oracle fine
+        assert result.exit_code == 2
+        assert "needs a truth_path" in result.output
+
+    def test_fit_from_files_matches_in_process_fit(self, runner, tmp_path):
+        spec = dict(family={"family": "poisson"}, m1=10, m2=10, n=600, lambda_mode="oracle")
+        cfg = write_cfg(tmp_path, **spec)
+        sim_out, direct_out, files_out = tmp_path / "sim", tmp_path / "direct", tmp_path / "files"
+        invoke(runner, ["simulate", "--config", str(cfg), "--seed", "4", "--out", str(sim_out)])
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "4", "--out", str(direct_out)])
+        files_cfg = write_cfg(
+            tmp_path, name="files.json", **spec,
+            observations_path=str(sim_out / "observations.csv"),
+            truth_path=str(sim_out / "truth.csv"),
+        )
+        invoke(runner, ["fit", "--config", str(files_cfg), "--seed", "4", "--out", str(files_out)])
+        for name in ("truth.csv", "observations.csv"):
+            assert (direct_out / name).read_bytes() == (sim_out / name).read_bytes()
+        for name in ("estimate.csv", "fit.json"):
+            assert (direct_out / name).read_bytes() == (files_out / name).read_bytes()
 
     def test_fit_with_truth_path_and_oracle(self, runner, tmp_path):
         cfg = write_cfg(tmp_path)

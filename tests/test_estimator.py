@@ -72,6 +72,38 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             CompletionProblem(obs=obs, family=Exponential(), box=BOX1, lam=0.0)
 
+    def test_with_lambda_keeps_the_sample_and_checks_the_level(self):
+        p = single_obs_problem(y=2.0)
+        q = p.with_lambda(0.5)
+        assert (q.lam, p.lam) == (0.5, 0.0)
+        assert q.y_sum is p.y_sum and q.obs is p.obs
+        with pytest.raises(ValueError):
+            p.with_lambda(-1.0)
+
+    @pytest.mark.parametrize(
+        "family, y", [(Poisson(), -2.0), (Binomial(trials=1), 3.0)], ids=["poisson", "binomial"]
+    )
+    def test_observations_outside_the_family_range_rejected(self, family, y):
+        obs = ObservationSet(m1=4, m2=4, rows=np.arange(4), cols=np.arange(4), ys=np.array([0.0, 1.0, y, 1.0]))
+        with pytest.raises(ValueError, match="outside the range"):
+            CompletionProblem(obs=obs, family=family, box=BOX1, lam=0.1)
+
+    @pytest.mark.parametrize("family, box, ys", [
+        (Gaussian(), BOX1, [-40.0, 40.0]),
+        (Binomial(trials=3), BOX1, [0.0, 3.0]),
+        (Poisson(), BOX1, [0.0, 1e6]),
+        (Exponential(), ParameterBox(-2.0, -0.4), [0.0, 1e6]),
+    ], ids=["gaussian", "binomial", "poisson", "exponential"])
+    def test_range_ends_accepted(self, family, box, ys):
+        obs = ObservationSet(m1=2, m2=2, rows=np.array([0, 1]), cols=np.array([0, 1]), ys=np.array(ys))
+        CompletionProblem(obs=obs, family=family, box=box, lam=0.0)
+
+    def test_noiseless_means_accepted(self, family_case):
+        family, box = family_case
+        x_bar = np.linspace(box.lo, box.hi, 12).reshape(3, 4)
+        obs = observe_every_entry(x_bar, family)
+        CompletionProblem(obs=obs, family=family, box=box, lam=0.0)
+
 
 class TestNegLoglik:
     def test_gaussian_single_observation(self):

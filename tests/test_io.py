@@ -1,0 +1,71 @@
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from expmc import ObservationSet
+from expmc.io import load_observations_csv, save_observations_csv
+
+M1, M2 = 5, 4
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+cells = st.lists(
+    st.tuples(st.integers(0, M1 - 1), st.integers(0, M2 - 1), finite), min_size=1, max_size=20
+)
+
+
+def write_obs(path, header, rows):
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(cells=cells)
+def test_round_trip_is_exact(tmp_path_factory, cells):
+    rows, cols, ys = (np.array(v) for v in zip(*cells))
+    obs = ObservationSet(m1=M1, m2=M2, rows=rows, cols=cols, ys=ys)
+    path = tmp_path_factory.mktemp("obs") / "observations.csv"
+    save_observations_csv(path, obs)
+    back = load_observations_csv(path, M1, M2)
+    assert np.array_equal(back.rows, obs.rows)
+    assert np.array_equal(back.cols, obs.cols)
+    assert np.array_equal(back.ys, obs.ys)
+
+
+@pytest.mark.parametrize("header", ["x,y,z,w", "row,col,i,y", "", "1,1,1,0.5"])
+def test_wrong_header_rejected(tmp_path, header):
+    path = tmp_path / "obs.csv"
+    write_obs(path, header, [(1, 1, 1, 0.5), (2, 2, 3, 1.5)])
+    with pytest.raises(ValueError, match="header"):
+        load_observations_csv(path, M1, M2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    which=st.sampled_from([1, 2]),
+    index=st.floats(0.0, 4.0).filter(lambda v: v != round(v)),
+)
+@example(which=1, index=2.7)  # truncation would read it as 0-based row 1
+def test_fractional_index_rejected(tmp_path_factory, which, index):
+    row = [1, 2, 3, 0.5]
+    row[which] = index
+    path = tmp_path_factory.mktemp("obs") / "obs.csv"
+    write_obs(path, "i,row,col,y", [(1, 1, 1, 0.25), tuple(row)])
+    with pytest.raises(ValueError, match="integers"):
+        load_observations_csv(path, M1, M2)
+
+
+@pytest.mark.parametrize("row, col", [(0, 1), (1, 0), (M1 + 1, 1), (1, M2 + 1)])
+def test_out_of_range_index_rejected(tmp_path, row, col):
+    path = tmp_path / "obs.csv"
+    write_obs(path, "i,row,col,y", [(1, row, col, 0.5)])
+    with pytest.raises(ValueError, match="out of range"):
+        load_observations_csv(path, M1, M2)
+
+
+@pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected(tmp_path, y):
+    path = tmp_path / "obs.csv"
+    write_obs(path, "i,row,col,y", [(1, 1, 1, y)])
+    with pytest.raises(ValueError, match="finite"):
+        load_observations_csv(path, M1, M2)

@@ -169,6 +169,11 @@ class TestObservationSet:
         obs = ObservationSet(m1=2, m2=3, rows=np.array([0, 1]), cols=np.array([2, 0]), ys=np.array([1.0, 2.0]))
         assert obs.n == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(m1=2, m2=2, rows=np.array([0, 1]), cols=np.array([0, 1]), ys=np.array([0.5, bad]))
+
 
 class TestConfig:
     def test_uniform_spec(self):
