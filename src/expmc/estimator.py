@@ -103,10 +103,11 @@ class CompletionProblem:
         self.family.validate_box(self.box)
         self.family.check_support(self.obs.ys)
         shape = (self.obs.m1, self.obs.m2)
-        counts = np.zeros(shape)
-        y_sum = np.zeros(shape)
-        np.add.at(counts, (self.obs.rows, self.obs.cols), 1.0)
-        np.add.at(y_sum, (self.obs.rows, self.obs.cols), self.obs.ys)
+        size = shape[0] * shape[1]
+        flat = np.ravel_multi_index((self.obs.rows, self.obs.cols), shape)
+        # bincount adds in sample order, as np.add.at did: the sums are bit-identical.
+        counts = np.bincount(flat, minlength=size).astype(float).reshape(shape)
+        y_sum = np.bincount(flat, weights=self.obs.ys, minlength=size).reshape(shape)
         self.counts = counts
         self.y_sum = y_sum
         self._sup = np.nonzero(counts)

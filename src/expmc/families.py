@@ -256,11 +256,18 @@ class ExponentialFamily:
     def _solve_delta(self, box, grid_points, bisect_iters, bracket) -> float:
         xs = np.linspace(box.lo, box.hi, grid_points)
         target = math.e
+        worst = 0  # grid index of the largest moment at the last full evaluation
 
         def feasible(scale: float) -> bool:
+            # The worst point moves little between scales: if it already
+            # exceeds the target the scale is infeasible and the grid is skipped.
+            nonlocal worst
             with np.errstate(over="ignore"):
+                if not self._centered_abs_exp_moment(xs[worst:worst + 1], scale)[0] <= target:
+                    return False
                 vals = self._centered_abs_exp_moment(xs, scale)
-            return bool(np.max(vals) <= target)
+            worst = int(np.argmax(vals))
+            return bool(vals[worst] <= target)
 
         lo, hi = bracket
         if not feasible(hi):

@@ -48,7 +48,7 @@ def save_matrix_csv(path, a: np.ndarray) -> None:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    lines = [",".join(repr(float(v)) for v in row) for row in a]
+    lines = [",".join(map(repr, row)) for row in a.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -61,13 +61,17 @@ _OBS_HEADER = "i,row,col,y"
 
 def save_observations_csv(path, obs: ObservationSet) -> None:
     lines = [_OBS_HEADER]
-    for i in range(obs.n):
-        lines.append(f"{i + 1},{obs.rows[i] + 1},{obs.cols[i] + 1},{repr(float(obs.ys[i]))}")
+    for i, (r, c, y) in enumerate(zip(obs.rows.tolist(), obs.cols.tolist(), obs.ys.tolist()), 1):
+        lines.append(f"{i},{r + 1},{c + 1},{y!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
-    """Read an observations CSV; rejects a wrong header and fractional indices."""
+    """Read an observations CSV.
+
+    Rejects a wrong header, fractional indices and an ``i`` column that is
+    not 1..n in order.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
     if header != _OBS_HEADER:
@@ -78,6 +82,8 @@ def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
     idx = raw[:, 1:3]
     if not np.all(idx == np.round(idx)):
         raise ValueError("observation row/col indices must be integers")
+    if not np.array_equal(raw[:, 0], np.arange(1, raw.shape[0] + 1)):
+        raise ValueError("observations CSV column i must count 1..n in order")
     return ObservationSet(
         m1=m1,
         m2=m2,

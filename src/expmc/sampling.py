@@ -8,10 +8,22 @@ an ``m1 x m2`` matrix. Two scalar summaries drive the risk bounds:
 * ``nu_constant`` — how far the largest row/column marginal exceeds the
   uniform marginal ``1/min(m1, m2)``.
 
-Index drawing uses inverse-CDF lookup on the flattened table with a
-precomputed cumulative array, so draws are exact and reproducible for a
-fixed generator. Schemes are immutable after construction; ``draw`` and
-``rademacher_norm_estimate`` mutate only the caller-supplied generator.
+Index drawing is inverse-CDF lookup on the flattened table: a uniform
+``u`` selects the first cell whose cumulative probability exceeds ``u``
+(the last cell if rounding leaves the total below ``u``). A guide table
+(Chen & Asau, 1974) with one bucket per cell stores, for the lower edge
+of each bucket of ``[0, 1)``, the first cell whose cumulative
+probability exceeds that edge. A draw starts at its bucket's entry and
+steps forward while the cumulative probability is still ``<= u``. The
+edges sit slightly below ``k / K``, so every ``u`` in bucket ``k`` is at
+or above its edge even after rounding; the start never passes the
+answer and the walk stops exactly at it. A draw still short of its cell
+after a few steps (behind a long run of zero or tiny cells) is finished
+by binary search. Draws are therefore the same cells
+``np.searchsorted(cdf, u, side="right")`` would pick, mostly in one step
+or none instead of a binary search. Schemes are immutable after
+construction; ``draw`` and ``rademacher_norm_estimate`` mutate only the
+caller-supplied generator.
 """
 
 from __future__ import annotations
@@ -31,6 +43,12 @@ __all__ = [
 ]
 
 _TABLE_TOL = 1e-12
+# Relative margin that keeps each guide-bucket edge below every u that
+# float rounding can place in its bucket (a few ulps would do).
+_EDGE_SLACK = 1e-15
+# Forward steps a draw may take from its guide entry before it is finished
+# by binary search.
+_MAX_WALK = 8
 
 
 class CoverageError(ValueError):
@@ -42,7 +60,10 @@ class SamplingScheme:
     """Probability table over the entries of an ``m1 x m2`` matrix."""
 
     pi: np.ndarray
-    _flat_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    # Flat CDF with a +inf sentinel, and per bucket of [0, 1) the first
+    # cell whose CDF exceeds the bucket's lower edge (see the module docstring).
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = np.array(self.pi, dtype=float)
@@ -54,7 +75,11 @@ class SamplingScheme:
             raise ValueError(f"pi must sum to 1 within {_TABLE_TOL:g}, got {pi.sum()!r}")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "_flat_cdf", np.cumsum(pi.reshape(-1)))
+        cdf = np.append(np.cumsum(pi.reshape(-1)), np.inf)
+        k = pi.size
+        edges = (np.arange(k) / k) * (1.0 - _EDGE_SLACK)
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_guide", np.searchsorted(cdf, edges, side="right"))
 
     @property
     def m1(self) -> int:
@@ -95,8 +120,21 @@ class SamplingScheme:
 
     def _draw_flat(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
-        idx = np.searchsorted(self._flat_cdf, u, side="right")
-        return np.minimum(idx, self.pi.size - 1)
+        k = self.pi.size
+        idx = (u * k).astype(np.intp)  # guide bucket of each draw
+        np.minimum(idx, k - 1, out=idx)
+        idx = self._guide[idx]
+        cdf = self._cdf
+        active = np.flatnonzero(cdf[idx] <= u)
+        for _ in range(_MAX_WALK):
+            if not active.size:
+                break
+            idx[active] += 1
+            active = active[cdf[idx[active]] <= u[active]]
+        # Draws still short of their cell sit behind a long run of zero or
+        # tiny cells inside one bucket; a binary search bounds their cost.
+        idx[active] = np.searchsorted(cdf, u[active], side="right")
+        return np.minimum(idx, k - 1, out=idx)
 
     def transpose(self) -> "SamplingScheme":
         return SamplingScheme(self.pi.T.copy())
@@ -189,7 +227,6 @@ def rademacher_norm_estimate(
     for _ in range(reps):
         flat_idx = scheme._draw_flat(n, rng)
         signs = rng.integers(0, 2, size=n) * 2 - 1
-        acc = np.zeros(scheme.pi.size)
-        np.add.at(acc, flat_idx, signs.astype(float))
+        acc = np.bincount(flat_idx, weights=signs.astype(float), minlength=scheme.pi.size)
         total += float(np.linalg.norm(acc.reshape(scheme.pi.shape) / n, ord=2))
     return total / reps

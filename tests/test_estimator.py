@@ -105,6 +105,29 @@ class TestProblemValidation:
         CompletionProblem(obs=obs, family=family, box=box, lam=0.0)
 
 
+class TestSampleSummaries:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 5), (40, 30)])
+    def test_counts_and_sums_match_add_at(self, seed, shape):
+        # Many repeats per cell with non-integer values: the sums depend on
+        # the order of the additions, which must be the sample order.
+        rng = np.random.default_rng(seed)
+        m1, m2 = shape
+        n = 50 * m1 * m2
+        rows, cols = uniform_scheme(m1, m2).draw(n, rng)
+        ys = rng.normal(0.3, 2.0, n)
+        p = CompletionProblem(
+            obs=ObservationSet(m1=m1, m2=m2, rows=rows, cols=cols, ys=ys),
+            family=Gaussian(), box=BOX1, lam=0.0,
+        )
+        counts = np.zeros(shape)
+        y_sum = np.zeros(shape)
+        np.add.at(counts, (rows, cols), 1.0)
+        np.add.at(y_sum, (rows, cols), ys)
+        assert np.array_equal(p.counts, counts)
+        assert np.array_equal(p.y_sum, y_sum)
+
+
 class TestNegLoglik:
     def test_gaussian_single_observation(self):
         p = single_obs_problem(y=2.0)

@@ -47,7 +47,7 @@ def test_wrong_header_rejected(tmp_path, header):
 )
 @example(which=1, index=2.7)  # truncation would read it as 0-based row 1
 def test_fractional_index_rejected(tmp_path_factory, which, index):
-    row = [1, 2, 3, 0.5]
+    row = [2, 2, 3, 0.5]
     row[which] = index
     path = tmp_path_factory.mktemp("obs") / "obs.csv"
     write_obs(path, "i,row,col,y", [(1, 1, 1, 0.25), tuple(row)])
@@ -61,6 +61,23 @@ def test_out_of_range_index_rejected(tmp_path, row, col):
     write_obs(path, "i,row,col,y", [(1, row, col, 0.5)])
     with pytest.raises(ValueError, match="out of range"):
         load_observations_csv(path, M1, M2)
+
+
+@pytest.mark.parametrize("i_col", [(7, 7), (1, 1), (2, 1), (0, 1), (1, 3), (1, 2.5)])
+def test_i_column_must_count_from_one(tmp_path, i_col):
+    path = tmp_path / "obs.csv"
+    write_obs(path, "i,row,col,y", [(i, 1, 2, 0.5) for i in i_col])
+    with pytest.raises(ValueError, match="column i"):
+        load_observations_csv(path, M1, M2)
+
+
+def test_hand_written_file_loads(tmp_path):
+    path = tmp_path / "obs.csv"
+    write_obs(path, "i,row,col,y", [(1, 1, 2, 0.5), (2, 5, 4, -1.25), (3, 1, 2, 3)])
+    obs = load_observations_csv(path, M1, M2)
+    assert obs.rows.tolist() == [0, 4, 0]
+    assert obs.cols.tolist() == [1, 3, 1]
+    assert obs.ys.tolist() == [0.5, -1.25, 3.0]
 
 
 @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmc import (
     CoverageError,
@@ -118,7 +120,124 @@ class TestDraw:
         assert np.mean(rows == 1) == pytest.approx(0.75, abs=0.01)
 
 
+def searchsorted_draw(pi, u):
+    """Reference inverse-CDF draw: binary search on the flat cumulative table."""
+    cdf = np.cumsum(np.asarray(pi, dtype=float).reshape(-1))
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+class FixedUniforms:
+    """Generator stand-in whose ``random(n)`` returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def bucket_floors(k):
+    """Smallest double u with int(u * k) == b, for each bucket b of k."""
+    b = np.arange(k)
+    u = b / k
+    while True:
+        down = np.nextafter(u, 0.0)
+        step = (b > 0) & ((down * k).astype(np.int64) >= b)
+        if not step.any():
+            return u
+        u = np.where(step, down, u)
+
+
+@st.composite
+def prob_tables(draw):
+    """Tables with zero cells, point masses, 1x1 and 1xm shapes, weights
+    spread over 15 orders of magnitude and totals of 1 +- 1e-13."""
+    m1 = draw(st.integers(1, 12))
+    m2 = draw(st.integers(1, 12))
+    cell = st.one_of(st.just(0.0), st.floats(-35.0, 0.0).map(math.exp))
+    w = np.array(draw(st.lists(cell, min_size=m1 * m2, max_size=m1 * m2)))
+    if draw(st.booleans()):
+        w[:] = 0.0
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, w.size - 1))] = 1.0
+    w = w / w.sum() * (1.0 + draw(st.sampled_from([-1e-13, 0.0, 1e-13])))
+    return w.reshape(m1, m2)
+
+
+class TestGuideTableDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(pi=prob_tables(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2000))
+    def test_equals_binary_search_on_the_same_stream(self, pi, seed, n):
+        flat = SamplingScheme(pi)._draw_flat(n, np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random(n)
+        assert np.array_equal(flat, searchsorted_draw(pi, u))
+
+    @pytest.mark.parametrize("name", ["uniform", "zero_runs", "point_last", "one_by_one",
+                                      "row", "sum_below_one", "sum_above_one"])
+    def test_edge_uniforms(self, name):
+        m1, m2 = {"one_by_one": (1, 1), "row": (1, 7), "point_last": (3, 3)}.get(name, (10, 10))
+        pi = np.full((m1, m2), 1.0 / (m1 * m2))
+        if name == "zero_runs":
+            # Runs of 40 and 25 zero cells: longer than any guide walk.
+            pi = np.ones(100)
+            pi[10:50] = 0.0
+            pi[70:95] = 0.0
+            pi = (pi / pi.sum()).reshape(10, 10)
+        elif name == "point_last":
+            pi = np.zeros((3, 3))
+            pi[2, 2] = 1.0
+        elif name == "sum_below_one":
+            pi = pi * (1.0 - 1e-13)
+        elif name == "sum_above_one":
+            pi = pi * (1.0 + 1e-13)
+        cdf = np.cumsum(pi.reshape(-1))
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            cdf[cdf < 1.0],
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 1.0)[cdf < 1.0],
+            bucket_floors(pi.size),
+            np.nextafter(bucket_floors(pi.size), 0.0),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        flat = SamplingScheme(pi)._draw_flat(u.size, FixedUniforms(u))
+        assert np.array_equal(flat, searchsorted_draw(pi, u))
+
+    @pytest.mark.parametrize("k", [6, 7, 49, 3600, 10000])
+    def test_bucket_floors_on_uniform_tables(self, k):
+        # Uniform CDF values sit on the bucket edges, so a guide edge above
+        # the smallest u of its bucket would start past the answer.
+        pi = np.full((1, k), 1.0 / k)
+        u = bucket_floors(k)
+        flat = SamplingScheme(pi)._draw_flat(k, FixedUniforms(u))
+        assert np.array_equal(flat, searchsorted_draw(pi, u))
+
+
 class TestRademacherNorm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("table", ["uniform", "product", "skewed"])
+    def test_matches_binary_search_and_add_at_loop(self, seed, table):
+        gen = np.random.default_rng([seed, 99])
+        pi = {
+            "uniform": np.full((9, 11), 1.0 / 99),
+            "product": np.outer(gen.random(9), gen.random(11)),
+            "skewed": gen.lognormal(0.0, 3.0, (9, 11)),
+        }[table]
+        pi = pi / pi.sum()
+        n, reps = 700, 5
+        rng = np.random.default_rng(seed)
+        total = 0.0
+        for _ in range(reps):
+            flat_idx = searchsorted_draw(pi, rng.random(n))
+            signs = rng.integers(0, 2, size=n) * 2 - 1
+            acc = np.zeros(pi.size)
+            np.add.at(acc, flat_idx, signs.astype(float))
+            total += float(np.linalg.norm(acc.reshape(pi.shape) / n, ord=2))
+        est = rademacher_norm_estimate(SamplingScheme(pi), n, reps, np.random.default_rng(seed))
+        assert est == total / reps
+
+
     def test_single_point_mass_is_one(self):
         pi = np.zeros((4, 4))
         pi[0, 0] = 1.0
