@@ -63,6 +63,7 @@ __all__ = [
 
 LAMBDA_MODES = ("oracle", "theorem_likelihood", "theorem_known_sampling")
 _LAMBDA_FLOOR = 1e-12  # keeps emitted penalty levels positive on noiseless data
+_RADEMACHER_REPS = 25  # random-sign draws behind each sweep row's norm estimate
 
 
 @dataclass(eq=False)
@@ -75,7 +76,6 @@ class ExperimentConfig:
     m1: int
     m2: int
     rank: int
-    gamma: float
     n_grid: list[int]
     n_single: int
     replicates: int
@@ -86,9 +86,6 @@ class ExperimentConfig:
     solver: SolverConfig
     alpha: float
     reps: int
-    rademacher_reps: int
-    max_cardinality: int
-    max_attempts: int
     raw: dict
 
     @classmethod
@@ -96,10 +93,11 @@ class ExperimentConfig:
         family = family_from_config(d["family"])
         if "box" in d:
             box = box_from_config(d["box"])
-            gamma = float(d.get("gamma", box.radius))
+            if "gamma" in d and float(d["gamma"]) != box.radius:
+                raise ValueError(f"gamma {d['gamma']} differs from the box radius {box.radius}")
         else:
-            gamma = float(d.get("gamma", 1.0))
-            box = ParameterBox.symmetric(gamma)
+            box = ParameterBox.symmetric(float(d.get("gamma", 1.0)))
+        family.validate_box(box)
         m1, m2 = int(d["m1"]), int(d["m2"])
         n_grid = [int(v) for v in d.get("n_grid", [d["n"]] if "n" in d else [])]
         if not n_grid:
@@ -117,6 +115,8 @@ class ExperimentConfig:
         if isinstance(lambda_mode, str) and lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be a number or one of {LAMBDA_MODES}")
         mode = d.get("mode", LIKELIHOOD)
+        if mode not in (LIKELIHOOD, KNOWN_SAMPLING):
+            raise ValueError(f"mode must be {LIKELIHOOD!r} or {KNOWN_SAMPLING!r}, got {mode!r}")
         truth_style = d.get("truth", "factor")
         if truth_style not in ("factor", "flat"):
             raise ValueError("truth must be 'factor' or 'flat'")
@@ -127,7 +127,6 @@ class ExperimentConfig:
             m1=m1,
             m2=m2,
             rank=rank,
-            gamma=gamma,
             n_grid=n_grid,
             n_single=n_single,
             replicates=replicates,
@@ -138,20 +137,20 @@ class ExperimentConfig:
             solver=SolverConfig.from_dict(d.get("solver")),
             alpha=float(d.get("alpha", 0.1)),
             reps=int(d.get("reps", 200)),
-            rademacher_reps=int(d.get("rademacher_reps", 25)),
-            max_cardinality=int(d.get("max_cardinality", 257)),
-            max_attempts=int(d.get("max_attempts", 200_000)),
             raw=d,
         )
+
+    @property
+    def gamma(self) -> float:
+        """Sup-norm radius of the box, the amplitude bound the risk bounds take."""
+        return self.box.radius
 
     def scheme(self) -> SamplingScheme:
         return scheme_from_config(self.sampling_spec, self.m1, self.m2)
 
     def truth(self, rng: np.random.Generator) -> GroundTruth:
         """A random truth of the configured size, rank, box and style."""
-        return gen_truth(
-            self.m1, self.m2, self.rank, self.gamma, self.family, rng, box=self.box, style=self.truth_style
-        )
+        return gen_truth(self.m1, self.m2, self.rank, self.box, rng, style=self.truth_style)
 
     def problem(self, obs: ObservationSet, scheme: SamplingScheme) -> CompletionProblem:
         """The configured problem on ``obs`` at penalty level zero."""
@@ -172,21 +171,17 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class GroundTruth:
-    """Low-rank parameter matrix inside the box, with its rank/amplitude budget."""
+    """Low-rank parameter matrix inside the box."""
 
     x_bar: np.ndarray
-    r: int
-    gamma: float
 
 
 def gen_truth(
     m1: int,
     m2: int,
     r: int,
-    gamma: float,
-    family: ExponentialFamily | None,
+    box: ParameterBox,
     rng: np.random.Generator,
-    box: ParameterBox | None = None,
     style: str = "factor",
 ) -> GroundTruth:
     """Random rank-<= r matrix with entries strictly inside the box.
@@ -209,10 +204,6 @@ def gen_truth(
     """
     if not 1 <= r <= min(m1, m2):
         raise ValueError("rank must satisfy 1 <= r <= min(m1, m2)")
-    if box is None:
-        box = ParameterBox.symmetric(gamma)
-    if family is not None:
-        family.validate_box(box)
 
     if style == "flat":
         if not box.lo < 0.0 < box.hi:
@@ -224,7 +215,7 @@ def gen_truth(
             u = rng.integers(0, 2, m1) * 2.0 - 1.0
             w = rng.integers(0, 2, edges[j + 1] - edges[j]) * 2.0 - 1.0
             x[:, edges[j] : edges[j + 1]] = np.outer(u, w)
-        return GroundTruth(x_bar=amp * x, r=r, gamma=box.radius)
+        return GroundTruth(x_bar=amp * x)
     if style != "factor":
         raise ValueError(f"unknown truth style {style!r}")
 
@@ -234,7 +225,7 @@ def gen_truth(
         x = a @ b.T
         target = 0.95 * min(-box.lo, box.hi)
         x *= target / max(float(np.abs(x).max()), 1e-300)
-        return GroundTruth(x_bar=x, r=r, gamma=box.radius)
+        return GroundTruth(x_bar=x)
 
     sign = 1.0 if box.lo > 0 else -1.0
     near = min(abs(box.lo), abs(box.hi))
@@ -242,12 +233,12 @@ def gen_truth(
     rho = math.sqrt(0.9 * far / near)
     if rho <= 1.001:
         x = np.full((m1, m2), 0.5 * (box.lo + box.hi))
-        return GroundTruth(x_bar=x, r=r, gamma=box.radius)
+        return GroundTruth(x_bar=x)
     a = rng.uniform(1.0, rho, (m1, r))
     b = rng.uniform(1.0, rho, (m2, r))
     p = a @ b.T
     x = sign * (0.95 * far / float(p.max())) * p
-    return GroundTruth(x_bar=x, r=r, gamma=box.radius)
+    return GroundTruth(x_bar=x)
 
 
 def simulate(
@@ -370,7 +361,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
     rows = []
     for i_n, n in enumerate(cfg.n_grid):
         rad_rng = np.random.default_rng([seed, 7001, i_n])
-        rad = rademacher_norm_estimate(scheme, n, cfg.rademacher_reps, rad_rng)
+        rad = rademacher_norm_estimate(scheme, n, _RADEMACHER_REPS, rad_rng)
         for rep in range(cfg.replicates):
             rng = np.random.default_rng([seed, i_n, rep])
             truth, problem, result = _fit_replicate(cfg, scheme, consts, n, rng)
@@ -382,7 +373,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
                 rademacher_norm=rad, nuclear_norm_bar=nuclear_norm(truth.x_bar),
             )
             bounds = {name: bound_value(name, **common) for name in BOUND_NAMES}
-            report = risk_report(cfg.family, scheme, problem.obs, result.x_hat, truth.x_bar, bounds)
+            report = risk_report(cfg.family, scheme, problem.obs, result.x_hat, truth.x_bar)
             rows.append({
                 "config_hash": chash,
                 "family": cfg.family_label,
@@ -397,7 +388,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
                 "kl_empirical": report.kl_empirical,
                 "rank_bar": report.rank_bar,
                 "predictor": big_m * cfg.rank * log_d / n,
-                **{f"bound_{name}": val for name, val in report.bound_values.items()},
+                **{f"bound_{name}": val for name, val in bounds.items()},
             })
 
     medians: dict[int, float] = {}
@@ -600,17 +591,14 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
     reports = []
     for i_n, n in enumerate(cfg.n_grid):
         rng = np.random.default_rng([seed, 11, i_n])
-        packing = build_packing(
-            cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.alpha, sigma_hi_sq, n, rng,
-            max_attempts=cfg.max_attempts, max_cardinality=cfg.max_cardinality,
-        )
+        packing = build_packing(cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.alpha, sigma_hi_sq, n, rng)
         report = verify_conditions(packing, cfg.family, scheme, n)
         reports.append(report)
 
         max_risk = 0.0
         for j, member in enumerate(packing.members):
             mem_rng = np.random.default_rng([seed, 12, i_n, j])
-            truth = GroundTruth(x_bar=member, r=cfg.rank, gamma=cfg.gamma)
+            truth = GroundTruth(x_bar=member)
             _, problem, result = _fit_replicate(cfg, scheme, consts, n, mem_rng, truth)
             risk = frobenius_risk(result.x_hat, member)
             if result.converged:

@@ -36,7 +36,7 @@ def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
     """The truth at the config's ``truth_path``, or None when it has none."""
     if "truth_path" not in cfg.raw:
         return None
-    return bench.GroundTruth(x_bar=load_matrix_csv(cfg.raw["truth_path"]), r=cfg.rank, gamma=cfg.gamma)
+    return bench.GroundTruth(x_bar=load_matrix_csv(cfg.raw["truth_path"]))
 
 
 def _simulate_and_save(cfg: bench.ExperimentConfig, scheme, rng, out: Path):

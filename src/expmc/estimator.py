@@ -243,16 +243,13 @@ def _extrapolate(w_next: np.ndarray, r: np.ndarray, history: list[np.ndarray]) -
     return w_next - sum(c * d[0] for c, d in zip(coef, history))
 
 
-def fit(
-    problem: CompletionProblem,
-    config: SolverConfig | None = None,
-    init: np.ndarray | None = None,
-) -> FitResult:
+def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitResult:
     """Solve the penalized completion problem by relaxed Davis-Yin splitting.
 
-    The iteration runs on ``w``, whose clip ``y`` is box-feasible and whose
-    overshoot ``(w - y) / step`` is the box dual. Each iteration takes one
-    gradient at ``y``, one singular value thresholding and one clip::
+    The iteration starts at the zero matrix clipped to the box and runs on
+    ``w``, whose clip ``y`` is box-feasible and whose overshoot
+    ``(w - y) / step`` is the box dual. Each iteration takes one gradient
+    at ``y``, one singular value thresholding and one clip::
 
         z = svt(2 y - w - step grad f(y), step lam)
         w_next = w + 1.35 (z - y)
@@ -273,15 +270,7 @@ def fit(
     """
     cfg = config or SolverConfig()
     box, lam, shape = problem.box, problem.lam, problem.shape
-    if init is None:
-        x0 = box_clip(np.zeros(shape), box)
-    else:
-        init = np.asarray(init, dtype=float)
-        if init.shape != shape:
-            raise ValueError("init shape does not match the problem")
-        if not box.contains(init, tol=1e-12):
-            raise ValueError("init must satisfy the box constraint")
-        x0 = box_clip(init, box)
+    x0 = box_clip(np.zeros(shape), box)
 
     sigma_hi_sq = problem.family.variance_bounds(box)[1]
     weight = problem.counts.max() / problem.obs.n if problem.mode == LIKELIHOOD else problem.scheme.pi.max()

@@ -48,7 +48,10 @@ __all__ = [
     "box_from_config",
 ]
 
+# delta_gamma search: bracket of scales, bisection steps, parameters on the box grid.
 _DELTA_BRACKET = (1e-6, 1e6)
+_DELTA_BISECT_ITERS = 60
+_DELTA_GRID_POINTS = 101
 
 
 class DomainError(ValueError):
@@ -125,12 +128,9 @@ class ExponentialFamily:
 
     # -- domain handling -------------------------------------------------
 
-    def in_domain(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(np.isfinite(x)) and np.all(x > self.domain_lo) and np.all(x < self.domain_hi))
-
     def _require_domain(self, x: np.ndarray):
-        if not self.in_domain(x):
+        x = np.asarray(x, dtype=float)
+        if not (np.all(np.isfinite(x)) and np.all(x > self.domain_lo) and np.all(x < self.domain_hi)):
             raise DomainError(
                 f"natural parameter outside the open domain "
                 f"({self.domain_lo}, {self.domain_hi}) of the {self.name} model"
@@ -230,31 +230,25 @@ class ExponentialFamily:
 
     # -- interval constants -----------------------------------------------
 
-    def interval_constants(
-        self,
-        box: ParameterBox,
-        grid_points: int = 101,
-        bisect_iters: int = 60,
-        bracket: tuple[float, float] = _DELTA_BRACKET,
-    ) -> IntervalConstants:
+    def interval_constants(self, box: ParameterBox) -> IntervalConstants:
         """Curvature bounds, mean-map bound and sub-exponential scale over a box.
 
         The variance bounds and ``sup |G'|`` are closed-form for every
         supported model. ``delta_gamma`` is found by bisection: the
-        smallest scale (within bracket resolution) at which
-        ``E[exp(|Y - G'(x)| / delta)] <= e`` holds on a uniform grid of
-        ``grid_points`` parameters spanning the box.
+        smallest scale in ``[1e-6, 1e6]`` (within bisection resolution) at
+        which ``E[exp(|Y - G'(x)| / delta)] <= e`` holds on a uniform grid of
+        101 parameters spanning the box.
         """
         self.validate_box(box)
         lo_sq, hi_sq = self._variance_bounds(box)
         l_gamma = self._mean_abs_max(box)
         if not (math.isfinite(lo_sq) and math.isfinite(hi_sq) and math.isfinite(l_gamma)) or lo_sq <= 0:
             raise ValueError(f"interval constants are not finite/positive for box [{box.lo}, {box.hi}]")
-        delta = self._solve_delta(box, grid_points, bisect_iters, bracket)
+        delta = self._solve_delta(box)
         return IntervalConstants(lo_sq, hi_sq, delta, l_gamma)
 
-    def _solve_delta(self, box, grid_points, bisect_iters, bracket) -> float:
-        xs = np.linspace(box.lo, box.hi, grid_points)
+    def _solve_delta(self, box) -> float:
+        xs = np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS)
         target = math.e
         worst = 0  # grid index of the largest moment at the last full evaluation
 
@@ -269,7 +263,7 @@ class ExponentialFamily:
             worst = int(np.argmax(vals))
             return bool(vals[worst] <= target)
 
-        lo, hi = bracket
+        lo, hi = _DELTA_BRACKET
         if not feasible(hi):
             raise ValueError(
                 f"sub-exponential scale exceeds {hi:g} for box [{box.lo}, {box.hi}]; "
@@ -277,7 +271,7 @@ class ExponentialFamily:
             )
         if feasible(lo):
             return lo
-        for _ in range(bisect_iters):
+        for _ in range(_DELTA_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             if feasible(mid):
                 hi = mid

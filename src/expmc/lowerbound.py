@@ -187,7 +187,6 @@ def verify_conditions(
     family: ExponentialFamily,
     scheme: SamplingScheme,
     n: int,
-    constant: float = 1.0,
 ) -> PackingReport:
     """Re-check separation, divergence budget and membership of a packing.
 
@@ -247,7 +246,7 @@ def verify_conditions(
         kl_budget=kl_budget,
         kl_member_cap=member_cap,
         delta_value=delta_probability(packing.alpha, big_m, r),
-        lower_bound_value=constant * min(gamma**2, packing.alpha * big_m * r / (n * sigma_hi_sq)),
+        lower_bound_value=min(gamma**2, packing.alpha * big_m * r / (n * sigma_hi_sq)),
         failures=failures,
     )
 

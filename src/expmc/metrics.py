@@ -7,7 +7,7 @@ Bregman average weighted by the sampling table (the Kullback-Leibler
 prediction risk for exponential-family noise).
 
 ``bound_value`` evaluates the closed-form risk-bound expressions with
-caller-supplied constants; the abstract numerical constants default to
+caller-supplied constants; the abstract numerical constants are taken at
 one, so comparisons against these values are scaling checks rather than
 sharp-constant checks.
 """
@@ -40,13 +40,12 @@ _HALF_ONE_PLUS_SQRT2_SQ = ((1.0 + math.sqrt(2.0)) / 2.0) ** 2
 
 @dataclass(eq=False)
 class RiskReport:
-    """Per-fit risk summary with the evaluated bound expressions."""
+    """Per-fit risk summary."""
 
     frob_risk: float
     kl_integrated: float
     kl_empirical: float
     rank_bar: int
-    bound_values: dict[str, float]
 
     def __post_init__(self):
         if self.frob_risk < 0 or self.kl_integrated < -1e-15 or self.kl_empirical < -1e-15:
@@ -59,15 +58,13 @@ def risk_report(
     obs: ObservationSet,
     x_hat: np.ndarray,
     x_bar: np.ndarray,
-    bound_values: dict[str, float] | None = None,
 ) -> RiskReport:
-    """Bundle the three risks, the truth's numerical rank and bound values."""
+    """Bundle the three risks and the truth's numerical rank."""
     return RiskReport(
         frob_risk=frobenius_risk(x_hat, x_bar),
         kl_integrated=bregman_integrated(family, scheme, x_hat, x_bar),
         kl_empirical=bregman_empirical(family, obs, x_hat, x_bar),
         rank_bar=numerical_rank(x_bar),
-        bound_values=dict(bound_values or {}),
     )
 
 
@@ -121,8 +118,7 @@ def bound_value(which: str, **inputs) -> float:
     balance constants ``mu``/``nu``, curvature bounds ``sigma_lo_sq`` /
     ``sigma_hi_sq``, mean-map bound ``l_gamma``, the ``c_gamma`` knob,
     a Monte-Carlo ``rademacher_norm`` estimate, and the truth's nuclear
-    norm ``nuclear_norm_bar``. The leading abstract factor ``constant``
-    defaults to 1.
+    norm ``nuclear_norm_bar``. The leading abstract factor is 1.
 
     Supported names:
 
@@ -138,7 +134,6 @@ def bound_value(which: str, **inputs) -> float:
       penalty under uniform sampling.
     * ``minimax_lower`` — the minimax lower-bound rate.
     """
-    constant = float(inputs.get("constant", 1.0))
     m1, m2 = inputs.get("m1"), inputs.get("m2")
     if m1 is None or m2 is None:
         raise ValueError(f"bound {which!r} is missing required inputs: ['m1', 'm2']")
@@ -158,7 +153,7 @@ def bound_value(which: str, **inputs) -> float:
             "likelihood_risk_main": main,
             "likelihood_risk_edge": edge,
         }[which]
-        return constant * mu**2 * branch
+        return mu**2 * branch
 
     if which == "likelihood_risk_subexp":
         _require(inputs, ("mu", "nu", "rank", "sigma_lo_sq", "sigma_hi_sq", "gamma", "n"), which)
@@ -169,7 +164,7 @@ def bound_value(which: str, **inputs) -> float:
             * inputs["nu"] * inputs["rank"] * big_m * _log_d(m1, m2) / n
         )
         edge = inputs["gamma"] ** 2 / mu * math.sqrt(_log_d(m1, m2) / n)
-        return constant * mu**2 * max(main, edge)
+        return mu**2 * max(main, edge)
 
     if which == "known_sampling_risk":
         _require(inputs, ("mu", "rank", "lam", "sigma_lo_sq", "nuclear_norm_bar"), which)
@@ -177,19 +172,17 @@ def bound_value(which: str, **inputs) -> float:
         lo_sq = inputs["sigma_lo_sq"]
         first = 2.0 * _HALF_ONE_PLUS_SQRT2_SQ * m1 * m2 / lo_sq**2 * inputs["lam"] ** 2 * inputs["rank"]
         second = 4.0 / (mu * lo_sq) * inputs["lam"] * inputs["nuclear_norm_bar"]
-        return constant * mu**2 * min(first, second)
+        return mu**2 * min(first, second)
 
     if which == "known_sampling_risk_uniform":
         _require(inputs, ("rank", "sigma_lo_sq", "sigma_hi_sq", "l_gamma", "n"), which)
         c_gamma = float(inputs.get("c_gamma", 1.0))
         core = (c_gamma * math.sqrt(inputs["sigma_hi_sq"]) + inputs["l_gamma"]) / inputs["sigma_lo_sq"]
-        return constant * core**2 * inputs["rank"] * big_m * _log_d(m1, m2) / n
+        return core**2 * inputs["rank"] * big_m * _log_d(m1, m2) / n
 
     if which == "minimax_lower":
         _require(inputs, ("gamma", "rank", "sigma_hi_sq", "n"), which)
-        return constant * min(
-            inputs["gamma"] ** 2, big_m * inputs["rank"] / (n * inputs["sigma_hi_sq"])
-        )
+        return min(inputs["gamma"] ** 2, big_m * inputs["rank"] / (n * inputs["sigma_hi_sq"]))
 
     raise ValueError(f"unknown bound name {which!r}")
 

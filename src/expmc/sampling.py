@@ -96,14 +96,15 @@ class SamplingScheme:
         return self.pi.sum(axis=0)
 
     def mu_constant(self) -> float:
-        """Coverage constant: 1 / (m1 m2 min pi); at least 1, equal to 1 for uniform."""
+        """Coverage constant ``(1 / (m1 m2)) / min pi``: at least 1, and exactly 1.0 on
+        every uniform table (``1 / (m1 m2 min pi)`` rounds to 1 + 2**-52 on 7x7)."""
         p_min = float(self.pi.min())
         if p_min <= 0.0:
             raise CoverageError(
                 "scheme has a zero-probability cell; downstream risk bounds "
                 "require every cell to have positive sampling probability"
             )
-        return 1.0 / (self.m1 * self.m2 * p_min)
+        return (1.0 / (self.m1 * self.m2)) / p_min
 
     def nu_constant(self) -> float:
         """Marginal-balance constant: min(m1, m2) times the largest row/column marginal."""

@@ -5,7 +5,7 @@ import pytest
 
 from expmc import (
     Binomial,
-    Exponential,
+    DomainError,
     Gaussian,
     ParameterBox,
     Poisson,
@@ -25,6 +25,8 @@ from expmc.bench import (
 )
 from expmc.io import save_matrix_csv
 
+BOX1 = ParameterBox.symmetric(1.0)
+
 
 def make_cfg(**overrides):
     base = {
@@ -43,66 +45,65 @@ def make_cfg(**overrides):
 
 class TestGenTruth:
     def test_one_by_one(self):
-        truth = gen_truth(1, 1, 1, 2.0, Gaussian(), np.random.default_rng(0))
+        truth = gen_truth(1, 1, 1, ParameterBox.symmetric(2.0), np.random.default_rng(0))
         assert abs(abs(truth.x_bar[0, 0]) - 0.95 * 2.0) < 1e-12
 
     def test_rank_bounded_over_seeds(self):
         for seed in range(100):
-            truth = gen_truth(8, 6, 3, 1.0, Gaussian(), np.random.default_rng(seed))
+            truth = gen_truth(8, 6, 3, BOX1, np.random.default_rng(seed))
             assert numerical_rank(truth.x_bar) <= 3
 
     def test_sup_norm_within_budget(self):
         for seed in range(20):
-            truth = gen_truth(10, 10, 2, 1.5, Poisson(), np.random.default_rng(seed))
+            truth = gen_truth(10, 10, 2, ParameterBox.symmetric(1.5), np.random.default_rng(seed))
             assert np.abs(truth.x_bar).max() <= 1.5
             assert np.abs(truth.x_bar).max() == pytest.approx(0.95 * 1.5, rel=1e-12)
 
     def test_exponential_box_respected(self):
         box = ParameterBox(-3.0, -0.3)
         for seed in range(20):
-            truth = gen_truth(7, 9, 2, 3.0, Exponential(), np.random.default_rng(seed), box=box)
+            truth = gen_truth(7, 9, 2, box, np.random.default_rng(seed))
             assert np.all(truth.x_bar >= box.lo) and np.all(truth.x_bar <= box.hi)
             assert numerical_rank(truth.x_bar) <= 2
 
     def test_thin_one_sided_box_falls_back_to_constant(self):
         box = ParameterBox(-1.05, -1.0)
-        truth = gen_truth(5, 5, 2, 1.05, Exponential(), np.random.default_rng(3), box=box)
+        truth = gen_truth(5, 5, 2, box, np.random.default_rng(3))
         assert np.allclose(truth.x_bar, -1.025)
         assert numerical_rank(truth.x_bar) == 1
 
     def test_flat_style(self):
-        truth = gen_truth(9, 8, 3, 1.0, Gaussian(), np.random.default_rng(4), style="flat")
+        truth = gen_truth(9, 8, 3, BOX1, np.random.default_rng(4), style="flat")
         assert numerical_rank(truth.x_bar) == 3
         assert np.all(np.isclose(np.abs(truth.x_bar), 0.95))
 
     def test_flat_style_needs_two_sided_box(self):
         with pytest.raises(ValueError):
-            gen_truth(5, 5, 1, 1.0, Exponential(), np.random.default_rng(0),
-                      box=ParameterBox(-2.0, -0.5), style="flat")
+            gen_truth(5, 5, 1, ParameterBox(-2.0, -0.5), np.random.default_rng(0), style="flat")
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):
-            gen_truth(5, 5, 1, 1.0, Gaussian(), np.random.default_rng(0), style="exotic")
+            gen_truth(5, 5, 1, BOX1, np.random.default_rng(0), style="exotic")
 
 
 class TestSimulate:
     def test_noiseless_equals_mean_map(self):
         fam = Binomial(trials=4)
-        truth = gen_truth(6, 6, 2, 1.0, fam, np.random.default_rng(5))
+        truth = gen_truth(6, 6, 2, BOX1, np.random.default_rng(5))
         obs = simulate(truth, fam, uniform_scheme(6, 6), 50, np.random.default_rng(6), noiseless=True)
         expected = fam.mean(truth.x_bar[obs.rows, obs.cols])
         assert np.allclose(obs.ys, expected)
 
     def test_reproducible(self):
         fam = Poisson()
-        truth = gen_truth(5, 5, 2, 1.0, fam, np.random.default_rng(7))
+        truth = gen_truth(5, 5, 2, BOX1, np.random.default_rng(7))
         a = simulate(truth, fam, uniform_scheme(5, 5), 40, np.random.default_rng(8))
         b = simulate(truth, fam, uniform_scheme(5, 5), 40, np.random.default_rng(8))
         assert np.array_equal(a.rows, b.rows) and np.array_equal(a.ys, b.ys)
 
     def test_single_cell_monte_carlo_mean(self):
         fam = Gaussian(sigma=1.0)
-        truth = gen_truth(3, 3, 1, 1.0, fam, np.random.default_rng(9))
+        truth = gen_truth(3, 3, 1, BOX1, np.random.default_rng(9))
         pi = np.zeros((3, 3))
         pi[1, 1] = 1.0
         from expmc import SamplingScheme
@@ -113,7 +114,7 @@ class TestSimulate:
 
     def test_observe_every_entry_covers_once(self):
         fam = Gaussian(sigma=1.0)
-        truth = gen_truth(4, 5, 2, 1.0, fam, np.random.default_rng(11))
+        truth = gen_truth(4, 5, 2, BOX1, np.random.default_rng(11))
         obs = observe_every_entry(truth.x_bar, fam)
         assert obs.n == 20
         counts = np.zeros((4, 5))
@@ -152,6 +153,23 @@ class TestConfig:
         assert make_cfg().hash == make_cfg().hash
         assert make_cfg().hash != make_cfg(rank=3).hash
 
+    def test_mode_validated(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            make_cfg(mode="known-sampling")
+
+    def test_gamma_must_match_box_radius(self):
+        spec = dict(family={"family": "exponential"}, box={"lo": -2.0, "hi": -0.5})
+        with pytest.raises(ValueError, match="box radius"):
+            make_cfg(gamma=1.0, **spec)
+        base = {"m1": 12, "m2": 12, "n_grid": [400], **spec}
+        assert ExperimentConfig.from_dict(base).gamma == 2.0
+
+    def test_box_outside_domain_rejected(self):
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_dict(
+                {"family": {"family": "exponential"}, "m1": 4, "m2": 4, "n": 100}
+            )
+
     def test_family_label(self):
         assert make_cfg().family_label == "gaussian(sigma=1.0)"
         assert make_cfg(family={"family": "poisson"}).family_label == "poisson"
@@ -176,7 +194,7 @@ class TestResolveLambda:
         consts = cfg.family.interval_constants(cfg.box)
         scheme = cfg.scheme()
         rng = np.random.default_rng(12)
-        truth = gen_truth(12, 12, 2, 1.0, cfg.family, rng)
+        truth = gen_truth(12, 12, 2, cfg.box, rng)
         obs = simulate(truth, cfg.family, scheme, 200, rng, noiseless=True)
         lam = resolve_lambda(cfg, consts, cfg.problem(obs, scheme), truth.x_bar)
         assert lam > 0
@@ -344,7 +362,7 @@ class TestLowerBoundRun:
 
     def test_exponential_family_rejected(self):
         cfg = make_cfg(
-            family={"family": "exponential"}, box={"lo": -2.0, "hi": -0.5}, truth="factor"
+            family={"family": "exponential"}, box={"lo": -2.0, "hi": -0.5}, gamma=2.0, truth="factor"
         )
         with pytest.raises(ValueError):
             lowerbound_run(cfg, seed=0)

@@ -103,6 +103,14 @@ class TestGenSimulateFit:
         for name in ("estimate.csv", "fit.json"):
             assert (direct_out / name).read_bytes() == (files_out / name).read_bytes()
 
+    @pytest.mark.parametrize("bad", [{"mode": "known-sampling"}, {"family": {"family": "exponential"}}])
+    def test_bad_config_rejected_before_any_output(self, runner, tmp_path, bad):
+        cfg = write_cfg(tmp_path, n=100, **bad)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert isinstance(result.exception, ValueError)
+        assert not out.exists()
+
     def test_fit_with_truth_path_and_oracle(self, runner, tmp_path):
         cfg = write_cfg(tmp_path)
         gen_out = tmp_path / "gen"

@@ -40,7 +40,7 @@ def single_obs_problem(y=2.0, lam=0.0, m1=2, m2=2):
 
 def random_problem(rng, family, box, mode=LIKELIHOOD, m1=6, m2=5, n=120, lam=0.01):
     scheme = uniform_scheme(m1, m2)
-    truth = gen_truth(m1, m2, 2, 0.9 * box.radius, family, rng, box=ParameterBox(box.lo * 0.9, box.hi * 0.9))
+    truth = gen_truth(m1, m2, 2, ParameterBox(box.lo * 0.9, box.hi * 0.9), rng)
     obs = simulate(truth, family, scheme, n, rng)
     problem = CompletionProblem(
         obs=obs, family=family, box=box, lam=lam, mode=mode,
@@ -149,7 +149,7 @@ class TestNegLoglik:
         # Uniform scheme, every entry observed exactly once, n = m1*m2.
         rng = np.random.default_rng(1)
         fam = Gaussian(sigma=1.0)
-        x_bar = gen_truth(2, 2, 1, 1.0, fam, rng).x_bar
+        x_bar = gen_truth(2, 2, 1, BOX1, rng).x_bar
         obs = observe_every_entry(x_bar, fam, rng, noiseless=False)
         scheme = uniform_scheme(2, 2)
         p_lik = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
@@ -175,8 +175,7 @@ class TestGradient:
         fam, box = family_case
         rng = np.random.default_rng(2)
         scheme = uniform_scheme(5, 4)
-        truth = gen_truth(5, 4, 2, 0.9 * box.radius, fam, rng,
-                          box=ParameterBox(box.lo * 0.9, box.hi * 0.9))
+        truth = gen_truth(5, 4, 2, ParameterBox(box.lo * 0.9, box.hi * 0.9), rng)
         obs = simulate(truth, fam, scheme, 200, rng, noiseless=True)
         p = CompletionProblem(obs=obs, family=fam, box=box, lam=0.0)
         g = gradient(p, truth.x_bar)
@@ -194,8 +193,7 @@ class TestGradient:
         fam, box = family_case
         rng = np.random.default_rng(3)
         p, _ = random_problem(rng, fam, box, mode=mode)
-        x = np.asarray(gen_truth(6, 5, 3, 0.8 * box.radius, fam, rng,
-                                 box=ParameterBox(box.lo * 0.8, box.hi * 0.8)).x_bar)
+        x = np.asarray(gen_truth(6, 5, 3, ParameterBox(box.lo * 0.8, box.hi * 0.8), rng).x_bar)
         g = gradient(p, x)
         h = 1e-5
         fd = np.zeros_like(g)
@@ -242,7 +240,7 @@ class TestOracleLambda:
     def test_zero_on_noiseless_likelihood(self):
         rng = np.random.default_rng(4)
         fam = Gaussian(sigma=1.0)
-        truth = gen_truth(5, 5, 2, 1.0, fam, rng)
+        truth = gen_truth(5, 5, 2, BOX1, rng)
         obs = simulate(truth, fam, uniform_scheme(5, 5), 100, rng, noiseless=True)
         p = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
         assert oracle_lambda(p, truth.x_bar) <= 1e-13
@@ -258,7 +256,7 @@ class TestOracleLambda:
         # The expectation under the table differs from the empirical average.
         rng = np.random.default_rng(6)
         fam = Gaussian(sigma=1.0)
-        truth = gen_truth(4, 4, 2, 1.0, fam, rng)
+        truth = gen_truth(4, 4, 2, BOX1, rng)
         scheme = uniform_scheme(4, 4)
         obs = simulate(truth, fam, scheme, 5, rng, noiseless=True)
         p = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0,
@@ -278,7 +276,7 @@ class TestFit:
     def test_exact_recovery_full_noiseless(self):
         rng = np.random.default_rng(8)
         fam = Gaussian(sigma=1.0)
-        truth = gen_truth(12, 10, 3, 1.0, fam, rng)
+        truth = gen_truth(12, 10, 3, BOX1, rng)
         obs = observe_every_entry(truth.x_bar, fam)
         p = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=1e-8)
         res = fit(p)
@@ -333,17 +331,6 @@ class TestFit:
         res = fit(p)
         assert res.converged
         assert np.isfinite(res.objective_trace[-1])
-
-    def test_infeasible_init_rejected(self):
-        p = single_obs_problem()
-        with pytest.raises(ValueError):
-            fit(p, init=np.full((2, 2), 99.0))
-
-    def test_feasible_init_used(self):
-        rng = np.random.default_rng(14)
-        p, truth = random_problem(rng, Gaussian(sigma=1.0), BOX1, lam=0.01)
-        res = fit(p, init=np.clip(truth.x_bar, -1.0, 1.0))
-        assert res.objective_trace[-1] <= res.objective_trace[0]
 
     def test_matches_cvxpy_on_small_gaussian_problem(self):
         cp = pytest.importorskip("cvxpy")
@@ -408,7 +395,7 @@ class TestDavisYinSolver:
         fam = Gaussian(sigma=1.0)
         scheme = uniform_scheme(20, 20)
         rng = np.random.default_rng([77, seed])
-        truth = gen_truth(20, 20, 2, 1.0, fam, rng, style="flat")
+        truth = gen_truth(20, 20, 2, BOX1, rng, style="flat")
         obs = simulate(truth, fam, scheme, 3200, rng)
         p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0, mode=KNOWN_SAMPLING, scheme=scheme)
         p = p0.with_lambda(oracle_lambda(p0, truth.x_bar))
@@ -480,7 +467,7 @@ class TestConeConditions:
         rng = np.random.default_rng(16)
         fam = Gaussian(sigma=1.0)
         scheme = uniform_scheme(12, 12)
-        truth = gen_truth(12, 12, 2, 1.0, fam, rng, style="flat")
+        truth = gen_truth(12, 12, 2, BOX1, rng, style="flat")
         obs = simulate(truth, fam, scheme, 600, rng)
         p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
         lam = 3.0 * operator_norm(gradient(p0, truth.x_bar))

@@ -224,7 +224,7 @@ class TestIntervalConstants:
 
     def test_exponential_box_near_boundary_rejected(self):
         with pytest.raises(ValueError):
-            Exponential().interval_constants(ParameterBox(-1.0, -1e-9), bracket=(1e-6, 1e3))
+            Exponential().interval_constants(ParameterBox(-1.0, -1e-9))
 
     def test_invalid_constants_rejected(self):
         with pytest.raises(ValueError):

@@ -161,7 +161,7 @@ class TestBoundValue:
 class TestRiskReport:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            RiskReport(frob_risk=-1.0, kl_integrated=0.0, kl_empirical=0.0, rank_bar=1, bound_values={})
+            RiskReport(frob_risk=-1.0, kl_integrated=0.0, kl_empirical=0.0, rank_bar=1)
 
     def test_compiled_report(self):
         from expmc import ObservationSet, risk_report
@@ -173,12 +173,11 @@ class TestRiskReport:
         x_hat = x_bar + 0.1
         obs = ObservationSet(m1=3, m2=3, rows=np.array([0, 2]), cols=np.array([1, 2]),
                              ys=np.array([0.3, -0.2]))
-        report = risk_report(fam, scheme, obs, x_hat, x_bar, {"minimax_lower": 0.5})
+        report = risk_report(fam, scheme, obs, x_hat, x_bar)
         assert report.frob_risk == pytest.approx(0.01, rel=1e-12)
         assert report.kl_integrated == pytest.approx(0.005, rel=1e-12)
         assert report.kl_empirical == pytest.approx(0.005, rel=1e-12)
         assert report.rank_bar == 1
-        assert report.bound_values == {"minimax_lower": 0.5}
 
 
 class TestOracleInequalityCheck:

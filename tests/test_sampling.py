@@ -53,6 +53,12 @@ class TestMuConstant:
     def test_uniform(self):
         assert uniform_scheme(10, 10).mu_constant() == pytest.approx(1.0)
 
+    def test_exactly_one_on_every_uniform_table(self):
+        # 1 / (m1 m2 min pi) rounds off 1 on 344 of these sizes (7x7, 1x49, 3x79, ...).
+        off = [(m1, m2) for m1 in range(1, 80) for m2 in range(1, 80)
+               if uniform_scheme(m1, m2).mu_constant() != 1.0]
+        assert off == []
+
     def test_definition_inversion(self):
         # Smallest cell at half the uniform probability gives mu = 2.
         m1, m2 = 4, 5
