@@ -64,6 +64,12 @@ __all__ = [
 LAMBDA_MODES = ("oracle", "theorem_likelihood", "theorem_known_sampling")
 _LAMBDA_FLOOR = 1e-12  # keeps emitted penalty levels positive on noiseless data
 _RADEMACHER_REPS = 25  # random-sign draws behind each sweep row's norm estimate
+# Every top-level key some command reads; any other key is a mistake.
+_CONFIG_KEYS = frozenset({
+    "family", "sampling", "m1", "m2", "rank", "gamma", "box", "n_grid", "n",
+    "replicates", "lambda_mode", "mode", "noiseless", "truth", "solver",
+    "alpha", "reps", "truth_path", "observations_path",
+})
 
 
 @dataclass(eq=False)
@@ -90,6 +96,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = set(d) - _CONFIG_KEYS
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         family = family_from_config(d["family"])
         if "box" in d:
             box = box_from_config(d["box"])

@@ -57,13 +57,18 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 _OBS_HEADER = "i,row,col,y"
+_OBS_BLOCK = 8192  # rows formatted per write, so no copy of the whole file is held
 
 
 def save_observations_csv(path, obs: ObservationSet) -> None:
-    lines = [_OBS_HEADER]
-    for i, (r, c, y) in enumerate(zip(obs.rows.tolist(), obs.cols.tolist(), obs.ys.tolist()), 1):
-        lines.append(f"{i},{r + 1},{c + 1},{y!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(_OBS_HEADER + "\n")
+        for start in range(0, obs.n, _OBS_BLOCK):
+            block = slice(start, start + _OBS_BLOCK)
+            rows, cols, ys = obs.rows[block].tolist(), obs.cols[block].tolist(), obs.ys[block].tolist()
+            fh.write("".join(
+                f"{i},{r + 1},{c + 1},{y!r}\n" for i, r, c, y in zip(range(start + 1, obs.n + 1), rows, cols, ys)
+            ))
 
 
 def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:

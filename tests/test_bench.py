@@ -157,6 +157,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="mode must be"):
             make_cfg(mode="known-sampling")
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['max_cardinality', 'replicate'\]"):
+            make_cfg(replicate=5, max_cardinality=3)
+        paths = make_cfg(truth_path="truth.csv", observations_path="obs.csv", reps=10, alpha=0.2)
+        assert paths.raw["truth_path"] == "truth.csv"
+
     def test_gamma_must_match_box_radius(self):
         spec = dict(family={"family": "exponential"}, box={"lo": -2.0, "hi": -0.5})
         with pytest.raises(ValueError, match="box radius"):

@@ -332,6 +332,23 @@ class TestFit:
         assert res.converged
         assert np.isfinite(res.objective_trace[-1])
 
+    def test_transposed_data_gives_the_transposed_fit(self):
+        # The 30x80 fit thresholds wide matrices and the 80x30 fit tall
+        # ones, so the two take opposite orientations inside svt.
+        rng = np.random.default_rng(14)
+        fam = Binomial(trials=1)
+        truth = gen_truth(30, 80, 2, BOX1, rng, style="flat")
+        obs = simulate(truth, fam, uniform_scheme(30, 80), 4800, rng)
+        p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
+        p = p0.with_lambda(oracle_lambda(p0, truth.x_bar))
+        obs_t = ObservationSet(m1=80, m2=30, rows=obs.cols, cols=obs.rows, ys=obs.ys)
+        p_t = CompletionProblem(obs=obs_t, family=fam, box=BOX1, lam=p.lam)
+        res, res_t = fit(p), fit(p_t)
+        assert res.converged and res_t.converged
+        assert res.x_hat.shape == (30, 80) and res_t.x_hat.shape == (80, 30)
+        assert res.objective_trace[-1] == pytest.approx(res_t.objective_trace[-1], rel=0.0, abs=1e-10)
+        assert np.abs(res.x_hat - res_t.x_hat.T).max() <= 1e-8
+
     def test_matches_cvxpy_on_small_gaussian_problem(self):
         cp = pytest.importorskip("cvxpy")
         rng = np.random.default_rng(15)

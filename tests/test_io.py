@@ -32,6 +32,27 @@ def test_round_trip_is_exact(tmp_path_factory, cells):
     assert np.array_equal(back.ys, obs.ys)
 
 
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 2 * 8192 + 5])
+def test_written_in_blocks_like_one_string(tmp_path, n):
+    # The writer formats blocks of rows; the file must not show where a
+    # block ends.
+    rng = np.random.default_rng(n)
+    obs = ObservationSet(
+        m1=M1, m2=M2, rows=rng.integers(0, M1, n), cols=rng.integers(0, M2, n), ys=rng.standard_normal(n)
+    )
+    path = tmp_path / "observations.csv"
+    save_observations_csv(path, obs)
+    expected = ["i,row,col,y"] + [
+        f"{i},{r + 1},{c + 1},{y!r}" for i, (r, c, y) in enumerate(zip(obs.rows, obs.cols, obs.ys.tolist()), 1)
+    ]
+    written = path.read_text()
+    # One boolean, not a == inside the assert: pytest's diff of two 100 kB
+    # strings takes minutes.
+    same = written == "\n".join(expected) + "\n"
+    first = next((k for k, (w, e) in enumerate(zip(written.split("\n"), expected)) if w != e), None)
+    assert same, f"first differing line: {first}"
+
+
 @pytest.mark.parametrize("header", ["x,y,z,w", "row,col,i,y", "", "1,1,1,0.5"])
 def test_wrong_header_rejected(tmp_path, header):
     path = tmp_path / "obs.csv"

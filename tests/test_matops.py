@@ -25,6 +25,18 @@ def prox_objective(z, a, tau):
     return 0.5 * np.linalg.norm(z - a) ** 2 + tau * nuclear_norm(z)
 
 
+def with_singular_values(rng, m1, m2, s):
+    """An m1 x m2 matrix with singular values ``s`` and random singular vectors."""
+    u, _ = np.linalg.qr(rng.standard_normal((m1, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((m2, len(s))))
+    return (u * s) @ v.T
+
+
+def svd_threshold(a, tau):
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
 class TestSchattenNorm:
     def test_diagonal_examples(self):
         a = np.diag([3.0, 4.0])
@@ -96,6 +108,69 @@ class TestSVT:
             svt(np.array([[np.nan, 0.0]]), 1.0)
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
+
+    @staticmethod
+    def count_svds(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    @pytest.mark.parametrize("shape", [(40, 40), (40, 25), (25, 40)], ids=["square", "tall", "wide"])
+    @pytest.mark.parametrize("kept", ["none", "one", "half", "all"])
+    def test_gram_route_matches_svd(self, monkeypatch, shape, kept):
+        rng = np.random.default_rng([6, *shape])
+        tau = 0.7
+        n = min(shape)
+        k = {"none": 0, "one": 1, "half": n // 2, "all": n}[kept]
+        s = tau * np.concatenate([np.linspace(3.0, 1.1, k), rng.uniform(0.0, 0.9, n - k)])
+        a = with_singular_values(rng, *shape, s)
+        ref = svd_threshold(a, tau)
+        calls = self.count_svds(monkeypatch)
+        out = svt(a, tau)
+        assert not calls
+        assert out.shape == shape
+        if k == 0:
+            assert np.array_equal(out, np.zeros(shape))
+        else:
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_zero_output_below_the_threshold(self, monkeypatch):
+        a = with_singular_values(np.random.default_rng(7), 30, 20, [2.0, 1.0, 0.5])
+        calls = self.count_svds(monkeypatch)
+        assert np.array_equal(svt(a, 2.5), np.zeros((30, 20)))
+        assert np.array_equal(svt(a.T, 2.0 * (1.0 + 1e-9)), np.zeros((20, 30)))
+        assert np.array_equal(svt(np.zeros((30, 20)), 1.0), np.zeros((30, 20)))
+        assert not calls
+
+    @pytest.mark.parametrize("shape", [(30, 30), (30, 20), (20, 30)], ids=["square", "tall", "wide"])
+    def test_pair_straddling_the_threshold(self, shape):
+        # Singular values tau (1 +- 5e-9): only the upper one survives, as a
+        # direction of length 5e-9 tau that the reference keeps too.
+        tau = 1.3
+        s = tau * np.array([3.0, 2.0, 1.0 + 5e-9, 1.0 - 5e-9, 0.5, 0.2])
+        a = with_singular_values(np.random.default_rng(8), *shape, s)
+        ref = svd_threshold(a, tau)
+        out = svt(a, tau)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        kept = np.linalg.svd(out, compute_uv=False)
+        assert np.allclose(kept[:4], tau * np.array([2.0, 1.0, 5e-9, 0.0]), rtol=0.0, atol=1e-13)
+
+    def test_full_svd_only_above_the_guard(self, monkeypatch):
+        # ||a||_F is exactly 100: at tau = 1 the Gram route applies, one
+        # double below it the full SVD does.
+        a = np.array([[60.0, 0.0], [0.0, 80.0], [0.0, 0.0]])
+        calls = self.count_svds(monkeypatch)
+        assert np.allclose(svt(a, 1.0), np.maximum(a - 1.0, 0.0), rtol=0.0, atol=1e-12)
+        assert len(calls) == 0
+        tau = np.nextafter(1.0, 0.0)
+        assert np.allclose(svt(a, tau), np.maximum(a - tau, 0.0), rtol=0.0, atol=1e-12)
+        assert len(calls) == 1
 
 
 class TestBoxClip:
