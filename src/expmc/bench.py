@@ -25,15 +25,16 @@ from .estimator import (
     theorem_lambda,
 )
 from .families import (
-    Exponential,
     ExponentialFamily,
     ParameterBox,
     box_from_config,
+    check_config_keys,
     family_from_config,
     family_to_config,
+    int_from_config,
 )
 from .io import config_hash, write_rows_csv
-from .lowerbound import build_packing, save_packing, verify_conditions
+from .lowerbound import build_packing, kappa, save_packing, verify_conditions
 from .matops import nuclear_norm, operator_norm
 from .metrics import (
     BOUND_NAMES,
@@ -96,9 +97,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_config_keys(d, "config", {"family", "m1", "m2"}, _CONFIG_KEYS)
         family = family_from_config(d["family"])
         if "box" in d:
             box = box_from_config(d["box"])
@@ -107,17 +106,17 @@ class ExperimentConfig:
         else:
             box = ParameterBox.symmetric(float(d.get("gamma", 1.0)))
         family.validate_box(box)
-        m1, m2 = int(d["m1"]), int(d["m2"])
-        n_grid = [int(v) for v in d.get("n_grid", [d["n"]] if "n" in d else [])]
+        m1, m2 = int_from_config(d["m1"], "m1"), int_from_config(d["m2"], "m2")
+        n_single = int_from_config(d["n"], "n") if "n" in d else None
+        n_grid = [int_from_config(v, "n_grid") for v in d.get("n_grid", [n_single] if "n" in d else [])]
         if not n_grid:
             raise ValueError("config needs an n_grid (or a single n)")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        n_single = int(d["n"]) if "n" in d else n_grid[0]
-        replicates = int(d.get("replicates", 1))
+        replicates = int_from_config(d.get("replicates", 1), "replicates")
         if replicates < 1:
             raise ValueError("replicates must be >= 1")
-        rank = int(d.get("rank", 1))
+        rank = int_from_config(d.get("rank", 1), "rank")
         if not 1 <= rank <= min(m1, m2):
             raise ValueError("rank must satisfy 1 <= rank <= min(m1, m2)")
         lambda_mode = d.get("lambda_mode", "oracle")
@@ -137,7 +136,7 @@ class ExperimentConfig:
             m2=m2,
             rank=rank,
             n_grid=n_grid,
-            n_single=n_single,
+            n_single=n_grid[0] if n_single is None else n_single,
             replicates=replicates,
             lambda_mode=lambda_mode,
             mode=mode,
@@ -145,7 +144,7 @@ class ExperimentConfig:
             truth_style=truth_style,
             solver=SolverConfig.from_dict(d.get("solver")),
             alpha=float(d.get("alpha", 0.1)),
-            reps=int(d.get("reps", 200)),
+            reps=int_from_config(d.get("reps", 200), "reps"),
             raw=d,
         )
 
@@ -586,14 +585,16 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
 
     Reports the max-over-members Frobenius risk next to the lower-bound
     rate value, demonstrating that achievable risk sits above the rate at
-    matched scale. Models whose domain excludes zero are rejected.
+    matched scale. The packing's entries are 0 and ``kappa * gamma``, so a
+    box that does not contain both, at every n, is rejected before any fit.
     """
-    if isinstance(cfg.family, Exponential):
-        raise ValueError("lower-bound runs need the zero matrix inside the model domain")
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)
     sigma_hi_sq = consts.sigma_hi_sq
     chash = cfg.hash
+    amps = [kappa(cfg.alpha, cfg.m1, cfg.rank, cfg.gamma, sigma_hi_sq, n) * cfg.gamma for n in cfg.n_grid]
+    if not cfg.box.contains([0.0, *amps]):
+        raise ValueError(f"box [{cfg.box.lo}, {cfg.box.hi}] excludes a packing entry among 0 and {amps}")
 
     member_rows = []
     summary_rows = []
@@ -601,7 +602,7 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
     for i_n, n in enumerate(cfg.n_grid):
         rng = np.random.default_rng([seed, 11, i_n])
         packing = build_packing(cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.alpha, sigma_hi_sq, n, rng)
-        report = verify_conditions(packing, cfg.family, scheme, n)
+        report = verify_conditions(packing, cfg.family, scheme, n, cfg.box)
         reports.append(report)
 
         max_risk = 0.0

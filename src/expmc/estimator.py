@@ -1,13 +1,15 @@
 """Penalized maximum-likelihood matrix completion.
 
-Two estimation modes share one solver:
+Both estimation modes minimize one data term
+``f(x) = (sum_c w_c G(x_c) - sum_c t_c x_c) / d`` plus a nuclear-norm
+penalty, subject to an entrywise box constraint. They differ only in the
+cells ``c`` the data term reads and how each one is weighted:
 
-* ``likelihood`` — minimize the averaged negative log-likelihood of the
-  observed entries plus a nuclear-norm penalty, subject to an entrywise
-  box constraint;
-* ``known_sampling`` — when the entry-sampling distribution is known,
-  replace the empirical log-partition average with its expectation under
-  the sampling table (the data term keeps the empirical average).
+* ``likelihood`` — the observed cells, ``w`` their counts, ``t`` the sums
+  of their observations and ``d = n``: the averaged negative log-likelihood;
+* ``known_sampling`` — every cell, ``w`` the known sampling table,
+  ``t = y_sum / n`` and ``d = 1``: the empirical log-partition average is
+  replaced by its expectation under the table.
 
 The solver is relaxed Davis-Yin three-operator splitting of data term,
 nuclear norm and box indicator (Davis & Yin, Set-Valued Var. Anal. 2017)
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matops  # fit calls matops.svt, so wrappers installed on matops see its SVTs
-from .families import DomainError, ExponentialFamily, ParameterBox
+from .families import DomainError, ExponentialFamily, ParameterBox, check_config_keys, int_from_config
 # combined_prox is not used by the solver; perfbench/tracer.py counts its calls here.
 from .matops import box_clip, combined_prox, nuclear_norm, operator_norm  # noqa: F401
 from .sampling import ObservationSet, SamplingScheme
@@ -60,13 +62,10 @@ class SolverConfig:
     def from_dict(cls, d: dict | None) -> "SolverConfig":
         if not d:
             return cls()
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown solver config keys: {sorted(extra)}")
+        check_config_keys(d, "solver config", optional=cls.__dataclass_fields__)
         kwargs = dict(d)
         if "max_iters" in kwargs:
-            kwargs["max_iters"] = int(kwargs["max_iters"])
+            kwargs["max_iters"] = int_from_config(kwargs["max_iters"], "max_iters")
         return cls(**kwargs)
 
 
@@ -76,7 +75,9 @@ class CompletionProblem:
 
     ``scheme`` is required in ``known_sampling`` mode and must match the
     observation dimensions; ``likelihood`` mode ignores it. Observations
-    outside the family's range are rejected.
+    outside the family's range are rejected. The mode is read once, here:
+    it fixes the cells, weights, targets and divisor of the data term (see
+    the module docstring), and only the cells read must lie in the domain.
     """
 
     obs: ObservationSet
@@ -102,17 +103,22 @@ class CompletionProblem:
                 raise ValueError("scheme dimensions do not match the observations")
         self.family.validate_box(self.box)
         self.family.check_support(self.obs.ys)
-        shape = (self.obs.m1, self.obs.m2)
+        shape, n = (self.obs.m1, self.obs.m2), self.obs.n
         size = shape[0] * shape[1]
         flat = np.ravel_multi_index((self.obs.rows, self.obs.cols), shape)
         # bincount adds in sample order, as np.add.at did: the sums are bit-identical.
-        counts = np.bincount(flat, minlength=size).astype(float).reshape(shape)
-        y_sum = np.bincount(flat, weights=self.obs.ys, minlength=size).reshape(shape)
-        self.counts = counts
-        self.y_sum = y_sum
-        self._sup = np.nonzero(counts)
-        self._sup_counts = counts[self._sup]
-        self._sup_ysum = y_sum[self._sup]
+        self.counts = np.bincount(flat, minlength=size).astype(float).reshape(shape)
+        self.y_sum = np.bincount(flat, weights=self.obs.ys, minlength=size).reshape(shape)
+        # n stays out of the known-sampling weights: fit's step bound reads max(w) / d,
+        # and (n pi).max() / n can round above pi.max().
+        if self.mode == LIKELIHOOD:
+            self._cells = np.flatnonzero(self.counts)
+            self._weights = self.counts.reshape(-1)[self._cells]
+            self._targets, self._divisor = self.y_sum.reshape(-1)[self._cells], n
+        else:
+            self._cells = slice(None)
+            self._weights = self.scheme.pi.reshape(-1)
+            self._targets, self._divisor = self.y_sum.reshape(-1) / n, 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -127,44 +133,30 @@ class CompletionProblem:
         return out
 
 
-def neg_loglik(problem: CompletionProblem, x: np.ndarray) -> float:
-    """Data-fit term of the objective (base-measure constant dropped).
-
-    ``likelihood`` mode averages ``G(x) - x y`` over the sample; entries
-    never observed do not enter. ``known_sampling`` mode replaces the
-    empirical log-partition average by its expectation under the scheme,
-    so the whole matrix must lie in the model domain.
-    """
+def _data_cells(problem: CompletionProblem, x) -> np.ndarray:
+    """The entries of ``x`` the data term reads, in row-major order."""
     x = np.asarray(x, dtype=float)
     if x.shape != problem.shape:
         raise ValueError("matrix shape does not match the observations")
-    fam = problem.family
-    n = problem.obs.n
-    if problem.mode == LIKELIHOOD:
-        vals = x[problem._sup]
-        fam._require_domain(vals)
-        return float((problem._sup_counts * fam._g(vals) - problem._sup_ysum * vals).sum() / n)
-    fam._require_domain(x)
-    data = float((x[problem._sup] * problem._sup_ysum).sum() / n)
-    return float((problem.scheme.pi * fam._g(x)).sum()) - data
+    return x.reshape(-1)[problem._cells]
+
+
+def neg_loglik(problem: CompletionProblem, x: np.ndarray) -> float:
+    """The data term ``(sum_c w_c G(x_c) - sum_c t_c x_c) / d`` of the objective, with
+    the base-measure constant dropped; only the cells it reads must lie in the domain."""
+    v = _data_cells(problem, x)
+    g = problem.family.log_partition(v)
+    return float((problem._weights * g - problem._targets * v).sum() / problem._divisor)
 
 
 def gradient(problem: CompletionProblem, x: np.ndarray) -> np.ndarray:
     """Gradient of :func:`neg_loglik` at ``x``; vanishes entrywise at the
     noiseless truth in ``likelihood`` mode."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != problem.shape:
-        raise ValueError("matrix shape does not match the observations")
-    fam = problem.family
-    n = problem.obs.n
-    if problem.mode == LIKELIHOOD:
-        vals = x[problem._sup]
-        fam._require_domain(vals)
-        grad = np.zeros(problem.shape)
-        grad[problem._sup] = (problem._sup_counts * fam._g1(vals) - problem._sup_ysum) / n
-        return grad
-    fam._require_domain(x)
-    return problem.scheme.pi * fam._g1(x) - problem.y_sum / n
+    v = _data_cells(problem, x)
+    grad = np.zeros(problem.shape)
+    g1 = problem.family.mean(v)
+    grad.reshape(-1)[problem._cells] = (problem._weights * g1 - problem._targets) / problem._divisor
+    return grad
 
 
 def theorem_lambda(
@@ -273,7 +265,7 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     x0 = box_clip(np.zeros(shape), box)
 
     sigma_hi_sq = problem.family.variance_bounds(box)[1]
-    weight = problem.counts.max() / problem.obs.n if problem.mode == LIKELIHOOD else problem.scheme.pi.max()
+    weight = problem._weights.max() / problem._divisor  # the heaviest per-entry weight
     safe_step = 1.0 / (sigma_hi_sq * weight)
     step = shape[0] * shape[1] / sigma_hi_sq
     y = w = x0

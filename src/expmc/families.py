@@ -29,6 +29,7 @@ every likelihood only as an additive constant, so all objectives in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +112,6 @@ class IntervalConstants:
             raise ValueError("l_gamma must be nonnegative")
 
 
-def _maybe_scalar(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
-
-
 class ExponentialFamily:
     """Base class; concrete models implement the log-partition hooks."""
 
@@ -128,13 +125,19 @@ class ExponentialFamily:
 
     # -- domain handling -------------------------------------------------
 
-    def _require_domain(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if not (np.all(np.isfinite(x)) and np.all(x > self.domain_lo) and np.all(x < self.domain_hi)):
-            raise DomainError(
-                f"natural parameter outside the open domain "
-                f"({self.domain_lo}, {self.domain_hi}) of the {self.name} model"
-            )
+    def _checked(self, hook, *params):
+        """``hook`` at the natural parameters ``params`` once each lies in the
+        open domain, else :class:`DomainError`; a float for scalar parameters."""
+        scalar = all(np.isscalar(p) for p in params)
+        params = [np.asarray(p, dtype=float) for p in params]
+        for p in params:
+            if not (np.all(np.isfinite(p)) and np.all(p > self.domain_lo) and np.all(p < self.domain_hi)):
+                raise DomainError(
+                    f"natural parameter outside the open domain "
+                    f"({self.domain_lo}, {self.domain_hi}) of the {self.name} model"
+                )
+        out = hook(*params)
+        return float(out) if scalar else out
 
     def validate_box(self, box: ParameterBox):
         """Reject boxes that are not strictly inside the domain."""
@@ -165,8 +168,7 @@ class ExponentialFamily:
         raise NotImplementedError
 
     def _bregman(self, x: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
-        # Generic fallback; subclasses override with cancellation-safe forms.
-        return self._g(x) - self._g(x_ref) - self._g1(x_ref) * (x - x_ref)
+        raise NotImplementedError
 
     def _sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -184,24 +186,15 @@ class ExponentialFamily:
     # -- public vectorized operations ------------------------------------
 
     def log_partition(self, x):
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=float)
-        self._require_domain(x)
-        return _maybe_scalar(self._g(x), scalar)
+        return self._checked(self._g, x)
 
     def mean(self, x):
         """Mean map G'(x) of an observation at natural parameter x."""
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=float)
-        self._require_domain(x)
-        return _maybe_scalar(self._g1(x), scalar)
+        return self._checked(self._g1, x)
 
     def variance(self, x):
         """Variance map G''(x); strictly positive on the domain."""
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=float)
-        self._require_domain(x)
-        return _maybe_scalar(self._g2(x), scalar)
+        return self._checked(self._g2, x)
 
     def bregman(self, x, x_ref):
         """Bregman divergence G(x) - G(x_ref) - G'(x_ref) (x - x_ref).
@@ -209,19 +202,11 @@ class ExponentialFamily:
         Nonnegative, zero exactly at ``x == x_ref``; equals the
         Kullback-Leibler divergence KL(P_{x_ref} || P_x).
         """
-        scalar = np.isscalar(x) and np.isscalar(x_ref)
-        x = np.asarray(x, dtype=float)
-        x_ref = np.asarray(x_ref, dtype=float)
-        self._require_domain(x)
-        self._require_domain(x_ref)
-        return _maybe_scalar(self._bregman(x, x_ref), scalar)
+        return self._checked(self._bregman, x, x_ref)
 
     def sample(self, x, rng: np.random.Generator):
         """One draw per natural parameter, using the caller-supplied generator."""
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=float)
-        self._require_domain(x)
-        return _maybe_scalar(np.asarray(self._sample(x, rng), dtype=float), scalar)
+        return self._checked(lambda v: np.asarray(self._sample(v, rng), dtype=float), x)
 
     def variance_bounds(self, box: ParameterBox) -> tuple[float, float]:
         """Closed-form (min, max) of the variance map G'' over the box."""
@@ -473,31 +458,49 @@ class Exponential(ExponentialFamily):
         return out
 
 
-_FAMILY_BUILDERS = {
-    "gaussian": lambda d: Gaussian(sigma=float(d.get("sigma", 1.0))),
-    "binomial": lambda d: Binomial(trials=int(d.get("trials", 1))),
-    "poisson": lambda d: Poisson(),
-    "exponential": lambda d: Exponential(),
+def int_from_config(value, key: str) -> int:
+    """An integer config value; a bool or a non-integral number is a ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_config_keys(spec: dict, what: str, required=(), optional=()) -> None:
+    """Reject a ``what`` that lacks a ``required`` key or has a key that is
+    neither required nor ``optional``, naming the key."""
+    missing = set(required) - set(spec)
+    if missing:
+        raise ValueError(f"{what} is missing keys: {sorted(missing)}")
+    unknown = set(spec) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+# Config-file form of each model: its class and the fields it reads, with their parsers.
+_FAMILY_CONFIG = {
+    "gaussian": (Gaussian, {"sigma": lambda v, key: float(v)}),
+    "binomial": (Binomial, {"trials": int_from_config}),
+    "poisson": (Poisson, {}),
+    "exponential": (Exponential, {}),
 }
 
 
 def family_from_config(spec: dict) -> ExponentialFamily:
     """Build a model from its config-file form, e.g. ``{"family": "gaussian", "sigma": 1.0}``."""
     name = spec.get("family")
-    if name not in _FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_BUILDERS)}")
-    return _FAMILY_BUILDERS[name](spec)
+    if name not in _FAMILY_CONFIG:
+        raise ValueError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_CONFIG)}")
+    cls, fields = _FAMILY_CONFIG[name]
+    check_config_keys(spec, f"{name} config", {"family"}, fields)
+    return cls(**{key: parse(spec[key], key) for key, parse in fields.items() if key in spec})
 
 
 def family_to_config(family: ExponentialFamily) -> dict:
-    spec = {"family": family.name}
-    if isinstance(family, Gaussian):
-        spec["sigma"] = family.sigma
-    elif isinstance(family, Binomial):
-        spec["trials"] = family.trials
-    return spec
+    fields = _FAMILY_CONFIG[family.name][1]
+    return {"family": family.name, **{key: getattr(family, key) for key in fields}}
 
 
 def box_from_config(spec: dict) -> ParameterBox:
     """Build a box from its config-file form ``{"lo": -1.0, "hi": 1.0}``."""
+    check_config_keys(spec, "box config", {"lo", "hi"})
     return ParameterBox(float(spec["lo"]), float(spec["hi"]))

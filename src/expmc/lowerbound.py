@@ -25,6 +25,7 @@ import numpy as np
 
 from .families import ExponentialFamily, ParameterBox
 from .matops import numerical_rank
+from .metrics import bregman_integrated
 from .sampling import SamplingScheme
 
 __all__ = [
@@ -148,11 +149,7 @@ def kl_to_null(family: ExponentialFamily, scheme: SamplingScheme, x: np.ndarray,
     matrix from ``x``; models whose domain excludes zero (exponential)
     are rejected with a :class:`~expmc.families.DomainError`.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != scheme.pi.shape:
-        raise ValueError("shape mismatch with the sampling table")
-    divergences = family.bregman(np.zeros_like(x), x)
-    return float(n * (scheme.pi * divergences).sum())
+    return n * bregman_integrated(family, scheme, np.zeros(np.shape(x)), x)
 
 
 def delta_probability(alpha: float, big_m: int, r: int) -> float:
@@ -187,12 +184,15 @@ def verify_conditions(
     family: ExponentialFamily,
     scheme: SamplingScheme,
     n: int,
+    box: ParameterBox,
 ) -> PackingReport:
     """Re-check separation, divergence budget and membership of a packing.
 
-    The average divergence over nonzero members must stay below
-    ``alpha * log(cardinality - 1)``; each member's divergence is also
-    compared against the curvature cap ``n sigma_hi^2 (kappa gamma)^2 / 2``.
+    Every member must lie entrywise in ``box``. The average divergence over
+    nonzero members must stay below ``alpha * log(cardinality - 1)``; each
+    member's divergence is also compared against the curvature cap
+    ``n sigma_hi^2 (kappa gamma)^2 / 2``, with ``sigma_hi^2`` the largest
+    variance over ``box``.
     """
     m1, m2, r, gamma, kap = packing.m1, packing.m2, packing.r, packing.gamma, packing.kappa
     failures: list[str] = []
@@ -202,7 +202,7 @@ def verify_conditions(
     if card < packing.cardinality_target:
         failures.append("cardinality")
 
-    # Entry values, sup-norm and rank membership.
+    # Entry values, box and rank membership.
     amplitude = kap * gamma
     for mat in members:
         near_zero = np.abs(mat) <= 1e-12
@@ -210,7 +210,7 @@ def verify_conditions(
         if not np.all(near_zero | near_amp):
             failures.append("entry_values")
             break
-    if any(float(np.abs(mat).max()) > gamma + 1e-12 for mat in members):
+    if not all(box.contains(mat, tol=1e-12) for mat in members):
         failures.append("sup_norm")
     if any(numerical_rank(mat) > r for mat in members):
         failures.append("rank")
@@ -230,7 +230,7 @@ def verify_conditions(
     if kl_average > kl_budget + 1e-12:
         failures.append("kl_average")
 
-    sigma_hi_sq = family.variance_bounds(ParameterBox.symmetric(gamma))[1]
+    sigma_hi_sq = family.variance_bounds(box)[1]
     member_cap = n * sigma_hi_sq * (kap * gamma) ** 2 / 2.0
     if kl_values and max(kl_values) > member_cap * (1.0 + 1e-9) + 1e-12:
         failures.append("kl_member_cap")

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .families import check_config_keys
+
 __all__ = [
     "CoverageError",
     "SamplingScheme",
@@ -199,12 +201,14 @@ def scheme_from_config(spec: dict, m1: int | None = None, m2: int | None = None)
     """
     kind = spec.get("sampling", "uniform")
     if kind == "uniform":
+        check_config_keys(spec, "uniform sampling config", optional={"sampling"})
         if m1 is None or m2 is None:
             raise ValueError("uniform scheme needs explicit dimensions")
         return uniform_scheme(m1, m2)
     if kind == "table":
         from .io import load_matrix_csv
 
+        check_config_keys(spec, "table sampling config", {"path"}, {"sampling"})
         pi = load_matrix_csv(spec["path"])
         return SamplingScheme(pi)
     raise ValueError(f"unknown sampling spec {kind!r}")

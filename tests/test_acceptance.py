@@ -224,7 +224,7 @@ def test_08_lower_bound_construction():
             16, 16, 2, gamma=1.0, alpha=0.1, sigma_hi_sq=1.0, n=n,
             rng=np.random.default_rng([808, seed]),
         )
-        report = verify_conditions(packing, fam, scheme, n)
+        report = verify_conditions(packing, fam, scheme, n, ParameterBox.symmetric(1.0))
         if packing.cardinality < 2**4 + 1 or not report.passed:
             all_ok = False
             details.append(f"seed {seed}: {report.failures}")

@@ -163,6 +163,41 @@ class TestConfig:
         paths = make_cfg(truth_path="truth.csv", observations_path="obs.csv", reps=10, alpha=0.2)
         assert paths.raw["truth_path"] == "truth.csv"
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("m1", {"m1": 10.7}),
+        ("m2", {"m2": True}),
+        ("rank", {"rank": 1.5}),
+        ("n", {"n": 500.9}),
+        ("n", {"n": True}),
+        ("n_grid", {"n_grid": [400, 800.5]}),
+        ("replicates", {"replicates": 1.5}),
+        ("reps", {"reps": 3.2}),
+        ("trials", {"family": {"family": "binomial", "trials": 2.5}}),
+        ("max_iters", {"solver": {"max_iters": 10.5}}),
+    ])
+    def test_fractional_integer_values_rejected(self, key, overrides):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            make_cfg(**overrides)
+
+    def test_integral_floats_accepted(self):
+        cfg = make_cfg(m1=12.0, n=400.0, solver={"max_iters": 50.0})
+        assert (cfg.m1, cfg.n_single, cfg.solver.max_iters) == (12, 400, 50)
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("trial", {"family": {"family": "binomial", "trial": 5}}),
+        ("sigma", {"family": {"family": "poisson", "sigma": 3}}),
+        ("radius", {"box": {"lo": -1.0, "hi": 1.0, "radius": 1.0}}),
+        ("path", {"sampling": {"sampling": "table"}}),
+        ("pi", {"sampling": {"sampling": "uniform", "pi": "pi.csv"}}),
+    ])
+    def test_bad_nested_keys_rejected(self, key, overrides):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            make_cfg(**overrides).scheme()
+
+    def test_missing_required_key_named(self):
+        with pytest.raises(ValueError, match="'family'"):
+            ExperimentConfig.from_dict({"m1": 4, "m2": 4, "n": 100})
+
     def test_gamma_must_match_box_radius(self):
         spec = dict(family={"family": "exponential"}, box={"lo": -2.0, "hi": -0.5})
         with pytest.raises(ValueError, match="box radius"):
@@ -365,6 +400,14 @@ class TestLowerBoundRun:
         assert (tmp_path / "lower_bound_summary.csv").exists()
         assert (tmp_path / "packing_n600" / "manifest.json").exists()
         assert len(res.member_rows) == summary["cardinality"]
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.5), (-1.0, 0.01)])
+    def test_box_without_zero_or_the_amplitude_rejected(self, lo, hi):
+        # [0.5, 1.5] excludes the zero member, [-1, 0.01] the amplitude kappa * gamma = 0.026.
+        box = {"lo": lo, "hi": hi}
+        cfg = make_cfg(m1=8, m2=8, rank=2, n_grid=[600], replicates=1, alpha=0.1, box=box, gamma=max(-lo, hi))
+        with pytest.raises(ValueError, match="excludes a packing entry"):
+            lowerbound_run(cfg, seed=1)
 
     def test_exponential_family_rejected(self):
         cfg = make_cfg(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import power_iteration_norm
+from conftest import FAMILY_CASES, power_iteration_norm
 
 from expmc import (
     KNOWN_SAMPLING,
@@ -24,6 +24,7 @@ from expmc import (
     nuclear_norm,
     operator_norm,
     oracle_lambda,
+    product_scheme,
     theorem_lambda,
     uniform_scheme,
 )
@@ -168,6 +169,48 @@ class TestNegLoglik:
         x[0, 0] = 5.0
         with pytest.raises(DomainError):
             neg_loglik(p, x)
+
+
+class TestDataTermDefinition:
+    """neg_loglik and gradient against a per-observation loop over the paper's definitions."""
+
+    @pytest.mark.parametrize("mode", [LIKELIHOOD, KNOWN_SAMPLING])
+    @pytest.mark.parametrize("fam, box", FAMILY_CASES, ids=lambda c: getattr(c, "name", None))
+    def test_matches_the_definition(self, fam, box, mode):
+        rng = np.random.default_rng(17)
+        scheme = product_scheme([1.0, 2.0, 0.5, 3.0, 1.5], [0.2, 1.0, 2.5, 1.0, 0.7, 1.8])
+        rows = np.array([0, 0, 0, 1, 2, 2, 3, 4, 4, 4, 1, 3])  # cells (0, 1) and (4, 5) repeat
+        cols = np.array([1, 1, 3, 0, 2, 5, 4, 5, 5, 0, 2, 3])  # most cells stay unobserved
+        x = rng.uniform(box.lo, box.hi, (5, 6))
+        ys = fam.sample(x[rows, cols], rng)
+        obs = ObservationSet(m1=5, m2=6, rows=rows, cols=cols, ys=ys)
+        p = CompletionProblem(obs=obs, family=fam, box=box, lam=0.0, mode=mode, scheme=scheme)
+        assert p.counts.max() >= 2 and (p.counts == 0).any()
+
+        n = obs.n
+        data = sum(y * x[r, c] for r, c, y in zip(rows, cols, ys)) / n
+        grad = np.zeros((5, 6))
+        for r, c, y in zip(rows, cols, ys):
+            grad[r, c] -= y / n
+        if mode == LIKELIHOOD:
+            f = sum(fam.log_partition(x[r, c]) for r, c in zip(rows, cols)) / n - data
+            for r, c in zip(rows, cols):
+                grad[r, c] += fam.mean(x[r, c]) / n
+        else:
+            f = sum(scheme.pi[k, l] * fam.log_partition(x[k, l]) for k in range(5) for l in range(6)) - data
+            grad += np.array([[scheme.pi[k, l] * fam.mean(x[k, l]) for l in range(6)] for k in range(5)])
+        assert neg_loglik(p, x) == pytest.approx(f, rel=1e-12)
+        assert np.linalg.norm(gradient(p, x) - grad) <= 1e-12 * np.linalg.norm(grad)
+
+        if fam.name == "exponential":  # an unobserved cell outside the domain
+            x[0, 0] = 1.0
+            if mode == LIKELIHOOD:
+                assert math.isfinite(neg_loglik(p, x)) and np.all(np.isfinite(gradient(p, x)))
+            else:
+                with pytest.raises(DomainError):
+                    neg_loglik(p, x)
+                with pytest.raises(DomainError):
+                    gradient(p, x)
 
 
 class TestGradient:

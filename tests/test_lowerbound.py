@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from expmc import (
     Exponential,
     Gaussian,
     PackingError,
+    PackingSet,
+    ParameterBox,
     Poisson,
     build_packing,
     delta_probability,
@@ -138,15 +141,14 @@ class TestKlToNull:
 class TestVerifyConditions:
     def make(self, n, seed=3, family=None, m1=16, m2=16, r=2):
         family = family or Gaussian(sigma=1.0)
-        sigma_hi_sq = family.variance_bounds(
-            __import__("expmc").ParameterBox.symmetric(1.0)
-        )[1]
+        box = ParameterBox.symmetric(1.0)
+        sigma_hi_sq = family.variance_bounds(box)[1]
         packing = build_packing(
             m1, m2, r, gamma=1.0, alpha=0.1, sigma_hi_sq=sigma_hi_sq, n=n,
             rng=np.random.default_rng(seed),
         )
         scheme = uniform_scheme(m1, m2)
-        return packing, verify_conditions(packing, family, scheme, n)
+        return packing, verify_conditions(packing, family, scheme, n, box)
 
     def test_gaussian_16x16_passes(self):
         _, report = self.make(n=2000)
@@ -169,6 +171,56 @@ class TestVerifyConditions:
     def test_delta_probability_limit(self):
         assert delta_probability(1e-9, 400, 3) == pytest.approx(1.0, abs=1e-3)
         assert delta_probability(0.1, 16, 2) < 1.0
+
+    def test_box_excluding_the_amplitude_is_a_membership_failure(self):
+        packing, _ = self.make(n=1000)
+        amplitude = packing.kappa * packing.gamma
+        report = verify_conditions(
+            packing, Gaussian(sigma=1.0), uniform_scheme(16, 16), 1000, ParameterBox(-1.0, 0.5 * amplitude)
+        )
+        assert "sup_norm" in report.failures and not report.passed
+
+    def test_member_cap_takes_the_variance_bound_of_the_box(self):
+        packing, _ = self.make(n=1000, family=Poisson())
+        report = verify_conditions(packing, Poisson(), uniform_scheme(16, 16), 1000, ParameterBox(-1.0, 0.5))
+        amplitude = packing.kappa * packing.gamma
+        assert report.kl_member_cap == pytest.approx(1000 * math.exp(0.5) * amplitude**2 / 2, rel=1e-12)
+        assert report.passed, report.failures
+
+    @staticmethod
+    def _break(name: str, base: PackingSet) -> PackingSet:
+        """``base`` with one packing condition broken by hand."""
+        amp = base.kappa * base.gamma
+        members = base.members
+        if name == "cardinality":
+            return dataclasses.replace(base, cardinality_target=base.cardinality + 1)
+        if name == "entry_values":
+            return dataclasses.replace(base, members=members[:-1] + [0.5 * members[-1]])
+        if name == "sup_norm":  # entries 0 and 1.5 against the box [-1, 1]
+            return dataclasses.replace(base, kappa=1.5, members=[m * (1.5 / amp) for m in members])
+        if name == "rank":
+            return dataclasses.replace(base, members=members[:-1] + [amp * np.eye(base.m1)])
+        if name == "separation":
+            return dataclasses.replace(base, members=members + [members[-1].copy()])
+        if name == "kl_average":
+            return dataclasses.replace(base, alpha=1e-9)
+        if name == "kl_member_cap":  # the cap reads kappa, a full member sits at twice it
+            full = np.full_like(members[0], amp)
+            return dataclasses.replace(base, kappa=0.5 * base.kappa, members=members + [full])
+        raise AssertionError(name)
+
+    @pytest.mark.parametrize(
+        "name", ["cardinality", "entry_values", "sup_norm", "rank", "separation", "kl_average", "kl_member_cap"]
+    )
+    def test_each_broken_condition_is_reported(self, name):
+        base = build_packing(
+            8, 8, 2, gamma=1.0, alpha=0.1, sigma_hi_sq=1.0, n=300, rng=np.random.default_rng(5)
+        )
+        args = (Gaussian(sigma=1.0), uniform_scheme(8, 8), 300, ParameterBox.symmetric(1.0))
+        assert verify_conditions(base, *args).passed
+        report = verify_conditions(self._break(name, base), *args)
+        assert name in report.failures
+        assert not report.passed
 
     def test_report_values_populated(self):
         packing, report = self.make(n=1000)
