@@ -31,18 +31,13 @@ from .families import (
     check_config_keys,
     family_from_config,
     family_to_config,
+    float_from_config,
     int_from_config,
 )
 from .io import config_hash, write_rows_csv
 from .lowerbound import build_packing, kappa, save_packing, verify_conditions
 from .matops import nuclear_norm, operator_norm
-from .metrics import (
-    BOUND_NAMES,
-    bound_value,
-    frobenius_risk,
-    oracle_inequality_check,
-    risk_report,
-)
+from .metrics import bound_value, frobenius_risk, oracle_inequality_check, risk_report
 from .sampling import ObservationSet, SamplingScheme, rademacher_norm_estimate, scheme_from_config
 
 __all__ = [
@@ -101,10 +96,10 @@ class ExperimentConfig:
         family = family_from_config(d["family"])
         if "box" in d:
             box = box_from_config(d["box"])
-            if "gamma" in d and float(d["gamma"]) != box.radius:
+            if "gamma" in d and float_from_config(d["gamma"], "gamma") != box.radius:
                 raise ValueError(f"gamma {d['gamma']} differs from the box radius {box.radius}")
         else:
-            box = ParameterBox.symmetric(float(d.get("gamma", 1.0)))
+            box = ParameterBox.symmetric(float_from_config(d.get("gamma", 1.0), "gamma"))
         family.validate_box(box)
         m1, m2 = int_from_config(d["m1"], "m1"), int_from_config(d["m2"], "m2")
         n_single = int_from_config(d["n"], "n") if "n" in d else None
@@ -120,8 +115,13 @@ class ExperimentConfig:
         if not 1 <= rank <= min(m1, m2):
             raise ValueError("rank must satisfy 1 <= rank <= min(m1, m2)")
         lambda_mode = d.get("lambda_mode", "oracle")
-        if isinstance(lambda_mode, str) and lambda_mode not in LAMBDA_MODES:
+        if not isinstance(lambda_mode, str):
+            lambda_mode = float_from_config(lambda_mode, "lambda_mode")
+        elif lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be a number or one of {LAMBDA_MODES}")
+        noiseless = d.get("noiseless", False)
+        if not isinstance(noiseless, bool):
+            raise ValueError(f"config key 'noiseless' must be true or false, got {noiseless!r}")
         mode = d.get("mode", LIKELIHOOD)
         if mode not in (LIKELIHOOD, KNOWN_SAMPLING):
             raise ValueError(f"mode must be {LIKELIHOOD!r} or {KNOWN_SAMPLING!r}, got {mode!r}")
@@ -140,10 +140,10 @@ class ExperimentConfig:
             replicates=replicates,
             lambda_mode=lambda_mode,
             mode=mode,
-            noiseless=bool(d.get("noiseless", False)),
+            noiseless=noiseless,
             truth_style=truth_style,
             solver=SolverConfig.from_dict(d.get("solver")),
-            alpha=float(d.get("alpha", 0.1)),
+            alpha=float_from_config(d.get("alpha", 0.1), "alpha"),
             reps=int_from_config(d.get("reps", 200), "reps"),
             raw=d,
         )
@@ -315,16 +315,6 @@ def _fit_replicate(cfg, scheme, consts, n, rng, truth=None):
     return truth, problem, fit(problem, cfg.solver)
 
 
-RATE_SWEEP_HEADER = [
-    "config_hash", "family", "mode", "m1", "m2", "rank", "gamma", "n", "replicate",
-    "lambda_mode", "lambda", "converged", "iterations", "n_condition_ok",
-    "frob_risk", "kl_integrated", "kl_empirical", "rank_bar", "predictor",
-    "bound_likelihood_risk", "bound_likelihood_risk_main", "bound_likelihood_risk_edge",
-    "bound_likelihood_risk_subexp", "bound_known_sampling_risk",
-    "bound_known_sampling_risk_uniform", "bound_minimax_lower",
-]
-
-
 def sample_size_threshold(consts, scheme: SamplingScheme) -> float:
     """Sample size above which the prescribed likelihood penalty level is valid.
 
@@ -373,14 +363,13 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
         for rep in range(cfg.replicates):
             rng = np.random.default_rng([seed, i_n, rep])
             truth, problem, result = _fit_replicate(cfg, scheme, consts, n, rng)
-            common = dict(
+            bounds = bound_value(
                 m1=cfg.m1, m2=cfg.m2, n=n, rank=cfg.rank, gamma=cfg.gamma,
                 mu=mu, nu=nu, lam=problem.lam,
                 sigma_lo_sq=consts.sigma_lo_sq, sigma_hi_sq=consts.sigma_hi_sq,
                 l_gamma=consts.l_gamma, c_gamma=cfg.solver.c_gamma,
                 rademacher_norm=rad, nuclear_norm_bar=nuclear_norm(truth.x_bar),
             )
-            bounds = {name: bound_value(name, **common) for name in BOUND_NAMES}
             report = risk_report(cfg.family, scheme, problem.obs, result.x_hat, truth.x_bar)
             rows.append({
                 "config_hash": chash,
@@ -415,20 +404,12 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
 
     if out_dir is not None:
         out = Path(out_dir)
-        write_rows_csv(out / "rate_sweep.csv", RATE_SWEEP_HEADER, rows)
+        write_rows_csv(out / "rate_sweep.csv", rows)
         write_rows_csv(
             out / "rate_sweep_slope.csv",
-            ["config_hash", "slope", "intercept", "n_points"],
             [{"config_hash": chash, "slope": slope, "intercept": intercept, "n_points": len(medians)}],
         )
     return RateSweepResult(rows=rows, medians=medians, predictors=predictors, slope=slope, intercept=intercept)
-
-
-ORACLE_CHECK_HEADER = [
-    "config_hash", "family", "m1", "m2", "rank", "n", "replicate", "lambda",
-    "required_lambda", "applicable", "converged", "lhs", "margin_flat", "margin_rank",
-    "passed_flat", "passed_rank", "n_candidates",
-]
 
 
 @dataclass(eq=False)
@@ -486,14 +467,8 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
 
     all_passed = all(row["passed_flat"] and row["passed_rank"] for row in rows)
     if out_dir is not None:
-        write_rows_csv(Path(out_dir) / "oracle_check.csv", ORACLE_CHECK_HEADER, rows)
+        write_rows_csv(Path(out_dir) / "oracle_check.csv", rows)
     return OracleCheckResult(rows=rows, all_passed=all_passed)
-
-
-CONCENTRATION_HEADER = [
-    "config_hash", "metric", "replicate", "n", "value", "reference_value",
-    "satisfied", "precondition_ok",
-]
 
 
 @dataclass(eq=False)
@@ -556,21 +531,11 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     })
 
     if out_dir is not None:
-        write_rows_csv(Path(out_dir) / "concentration.csv", CONCENTRATION_HEADER, rows)
+        write_rows_csv(Path(out_dir) / "concentration.csv", rows)
     return ConcentrationResult(
         rows=rows, rademacher_estimate=rad_est, rademacher_bound=rad_bound,
         exceedance_frequency=freq,
     )
-
-
-LOWER_BOUND_HEADER = [
-    "config_hash", "n", "member", "lambda", "converged", "iterations", "frob_risk",
-]
-LOWER_BOUND_SUMMARY_HEADER = [
-    "config_hash", "n", "kappa", "cardinality", "cardinality_target", "max_frob_risk",
-    "lower_bound_value", "delta_value", "separation_ok", "kl_ok", "membership_ok",
-    "conditions_passed",
-]
 
 
 @dataclass(eq=False)
@@ -636,6 +601,6 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
 
     if out_dir is not None:
         out = Path(out_dir)
-        write_rows_csv(out / "lower_bound.csv", LOWER_BOUND_HEADER, member_rows)
-        write_rows_csv(out / "lower_bound_summary.csv", LOWER_BOUND_SUMMARY_HEADER, summary_rows)
+        write_rows_csv(out / "lower_bound.csv", member_rows)
+        write_rows_csv(out / "lower_bound_summary.csv", summary_rows)
     return LowerBoundResult(member_rows=member_rows, summary_rows=summary_rows, reports=reports)

@@ -33,10 +33,13 @@ def _setup(config_path, out) -> tuple[bench.ExperimentConfig, Path]:
 
 
 def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
-    """The truth at the config's ``truth_path``, or None when it has none."""
+    """The truth at the config's ``truth_path``, or None when it has none; it must be ``m1 x m2``."""
     if "truth_path" not in cfg.raw:
         return None
-    return bench.GroundTruth(x_bar=load_matrix_csv(cfg.raw["truth_path"]))
+    x_bar = load_matrix_csv(cfg.raw["truth_path"])
+    if x_bar.shape != (cfg.m1, cfg.m2):
+        raise ValueError(f"truth {cfg.raw['truth_path']} has shape {x_bar.shape}, expected {(cfg.m1, cfg.m2)}")
+    return bench.GroundTruth(x_bar=x_bar)
 
 
 def _simulate_and_save(cfg: bench.ExperimentConfig, scheme, rng, out: Path):

@@ -27,7 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matops  # fit calls matops.svt, so wrappers installed on matops see its SVTs
-from .families import DomainError, ExponentialFamily, ParameterBox, check_config_keys, int_from_config
+from .families import (
+    DomainError,
+    ExponentialFamily,
+    ParameterBox,
+    check_config_keys,
+    float_from_config,
+    int_from_config,
+)
 # combined_prox is not used by the solver; perfbench/tracer.py counts its calls here.
 from .matops import box_clip, combined_prox, nuclear_norm, operator_norm  # noqa: F401
 from .sampling import ObservationSet, SamplingScheme
@@ -63,10 +70,13 @@ class SolverConfig:
         if not d:
             return cls()
         check_config_keys(d, "solver config", optional=cls.__dataclass_fields__)
-        kwargs = dict(d)
-        if "max_iters" in kwargs:
-            kwargs["max_iters"] = int_from_config(kwargs["max_iters"], "max_iters")
-        return cls(**kwargs)
+        parse = {"max_iters": int_from_config}
+        return cls(**{key: parse.get(key, float_from_config)(value, key) for key, value in d.items()})
+
+
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"penalty level must be finite and >= 0, got {lam!r}")
 
 
 @dataclass(eq=False)
@@ -92,8 +102,7 @@ class CompletionProblem:
     y_sum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("penalty level must be >= 0")
+        _check_lambda(self.lam)
         if self.mode not in (LIKELIHOOD, KNOWN_SAMPLING):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == KNOWN_SAMPLING:
@@ -126,8 +135,7 @@ class CompletionProblem:
 
     def with_lambda(self, lam: float) -> "CompletionProblem":
         """The same problem at another penalty level, sharing the sample summaries."""
-        if lam < 0:
-            raise ValueError("penalty level must be >= 0")
+        _check_lambda(lam)
         out = copy.copy(self)
         out.lam = lam
         return out

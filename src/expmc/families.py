@@ -465,6 +465,13 @@ def int_from_config(value, key: str) -> int:
     return int(value)
 
 
+def float_from_config(value, key: str) -> float:
+    """A real config value; a bool, a non-number or a non-finite number is a ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def check_config_keys(spec: dict, what: str, required=(), optional=()) -> None:
     """Reject a ``what`` that lacks a ``required`` key or has a key that is
     neither required nor ``optional``, naming the key."""
@@ -478,7 +485,7 @@ def check_config_keys(spec: dict, what: str, required=(), optional=()) -> None:
 
 # Config-file form of each model: its class and the fields it reads, with their parsers.
 _FAMILY_CONFIG = {
-    "gaussian": (Gaussian, {"sigma": lambda v, key: float(v)}),
+    "gaussian": (Gaussian, {"sigma": float_from_config}),
     "binomial": (Binomial, {"trials": int_from_config}),
     "poisson": (Poisson, {}),
     "exponential": (Exponential, {}),
@@ -503,4 +510,4 @@ def family_to_config(family: ExponentialFamily) -> dict:
 def box_from_config(spec: dict) -> ParameterBox:
     """Build a box from its config-file form ``{"lo": -1.0, "hi": 1.0}``."""
     check_config_keys(spec, "box config", {"lo", "hi"})
-    return ParameterBox(float(spec["lo"]), float(spec["hi"]))
+    return ParameterBox(float_from_config(spec["lo"], "lo"), float_from_config(spec["hi"], "hi"))

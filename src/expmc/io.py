@@ -6,7 +6,8 @@ Formats:
   round-trip decimal representation (bit-exact float64 round trips);
 * observations — CSV with header ``i,row,col,y``; ``i`` and the cell
   indices are 1-based on disk, converted to 0-based arrays in memory;
-* result tables — CSV with named header columns;
+* result tables — CSV whose header is the first row's keys, which
+  every row must repeat in the same order;
 * manifests — sorted-key JSON recording config, seed, config hash and
   library versions (no timestamps, so reruns are reproducible).
 """
@@ -98,14 +99,20 @@ def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
     )
 
 
-def write_rows_csv(path, header: list[str], rows: list[dict]) -> None:
-    """Write dict rows under a fixed header; missing keys become empty cells.
+def write_rows_csv(path, rows: list[dict]) -> None:
+    """Write dict rows under the first row's keys as the header.
 
+    Every row must have exactly those keys in that order, else ValueError.
     Creates the parent directory if needed.
     """
+    if not rows:
+        raise ValueError("no rows to write")
+    header = list(rows[0])
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_value(row.get(col, "")) for col in header))
+    for k, row in enumerate(rows):
+        if list(row) != header:
+            raise ValueError(f"row {k} has keys {list(row)}, the header is {header}")
+        lines.append(",".join(map(fmt_value, row.values())))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")

@@ -6,9 +6,10 @@ empirical Bregman average over the observed cells and the integrated
 Bregman average weighted by the sampling table (the Kullback-Leibler
 prediction risk for exponential-family noise).
 
-``bound_value`` evaluates the closed-form risk-bound expressions with
-caller-supplied constants; the abstract numerical constants are taken at
-one, so comparisons against these values are scaling checks rather than
+``bound_value`` evaluates every closed-form risk-bound expression of one
+fit in a single call and returns them keyed by name, in the order of
+their result columns; the abstract numerical constants are taken at one,
+so comparisons against these values are scaling checks rather than
 sharp-constant checks.
 """
 
@@ -30,7 +31,6 @@ __all__ = [
     "bregman_empirical",
     "bregman_integrated",
     "bound_value",
-    "BOUND_NAMES",
     "OracleInequalityReport",
     "oracle_inequality_check",
 ]
@@ -100,32 +100,23 @@ def bregman_integrated(
     return float((scheme.pi * family.bregman(x1, x2)).sum())
 
 
-def _log_d(m1: int, m2: int) -> float:
-    return math.log(m1 + m2)
+def bound_value(
+    *, m1, m2, n, rank, gamma, mu, nu, lam, sigma_lo_sq, sigma_hi_sq, l_gamma, c_gamma,
+    rademacher_norm, nuclear_norm_bar,
+) -> dict[str, float]:
+    """Every closed-form risk bound of one fit, keyed by name in column order.
 
-
-def _require(inputs: dict, keys: tuple[str, ...], which: str) -> None:
-    missing = [k for k in keys if inputs.get(k) is None]
-    if missing:
-        raise ValueError(f"bound {which!r} is missing required inputs: {missing}")
-
-
-def bound_value(which: str, **inputs) -> float:
-    """Evaluate a named closed-form risk-bound expression.
-
-    Common inputs: dimensions ``m1``/``m2``, sample size ``n``, truth
-    rank ``rank``, box radius ``gamma``, penalty ``lam``, coverage and
-    balance constants ``mu``/``nu``, curvature bounds ``sigma_lo_sq`` /
-    ``sigma_hi_sq``, mean-map bound ``l_gamma``, the ``c_gamma`` knob,
-    a Monte-Carlo ``rademacher_norm`` estimate, and the truth's nuclear
-    norm ``nuclear_norm_bar``. The leading abstract factor is 1.
-
-    Supported names:
+    Inputs: dimensions ``m1``/``m2``, sample size ``n``, truth rank
+    ``rank``, box radius ``gamma``, coverage and balance constants
+    ``mu``/``nu``, penalty ``lam``, curvature bounds ``sigma_lo_sq`` /
+    ``sigma_hi_sq``, mean-map bound ``l_gamma``, the ``c_gamma`` knob, a
+    Monte-Carlo ``rademacher_norm`` estimate and the truth's nuclear norm
+    ``nuclear_norm_bar``. The leading abstract factor is 1.
 
     * ``likelihood_risk`` — penalty-explicit bound for the likelihood
-      estimator (uses the random-sign norm estimate); the larger of
-      ``likelihood_risk_main`` and ``likelihood_risk_edge``, its two
-      branches.
+      estimator (uses the random-sign norm estimate); exactly the larger
+      of ``likelihood_risk_main`` and ``likelihood_risk_edge``, its two
+      branches, because rounding is monotone.
     * ``likelihood_risk_subexp`` — same estimator at the prescribed
       penalty under sub-exponential noise.
     * ``known_sampling_risk`` — penalty-explicit bound for the
@@ -134,68 +125,23 @@ def bound_value(which: str, **inputs) -> float:
       penalty under uniform sampling.
     * ``minimax_lower`` — the minimax lower-bound rate.
     """
-    m1, m2 = inputs.get("m1"), inputs.get("m2")
-    if m1 is None or m2 is None:
-        raise ValueError(f"bound {which!r} is missing required inputs: ['m1', 'm2']")
-    n = inputs.get("n")
     big_m = max(m1, m2)
-
-    if which in ("likelihood_risk", "likelihood_risk_main", "likelihood_risk_edge"):
-        _require(inputs, ("mu", "rank", "lam", "sigma_lo_sq", "rademacher_norm", "gamma", "n"), which)
-        mu = inputs["mu"]
-        main = m1 * m2 * inputs["rank"] * (
-            inputs["lam"] ** 2 / inputs["sigma_lo_sq"] ** 2 + inputs["rademacher_norm"] ** 2
-        )
-        edge = inputs["gamma"] ** 2 / mu * math.sqrt(_log_d(m1, m2) / n)
-        # Rounding is monotone, so the bound is exactly the larger branch.
-        branch = {
-            "likelihood_risk": max(main, edge),
-            "likelihood_risk_main": main,
-            "likelihood_risk_edge": edge,
-        }[which]
-        return mu**2 * branch
-
-    if which == "likelihood_risk_subexp":
-        _require(inputs, ("mu", "nu", "rank", "sigma_lo_sq", "sigma_hi_sq", "gamma", "n"), which)
-        mu = inputs["mu"]
-        c_gamma = float(inputs.get("c_gamma", 1.0))
-        main = (
-            (c_gamma * inputs["sigma_hi_sq"] / inputs["sigma_lo_sq"] ** 2 + 1.0)
-            * inputs["nu"] * inputs["rank"] * big_m * _log_d(m1, m2) / n
-        )
-        edge = inputs["gamma"] ** 2 / mu * math.sqrt(_log_d(m1, m2) / n)
-        return mu**2 * max(main, edge)
-
-    if which == "known_sampling_risk":
-        _require(inputs, ("mu", "rank", "lam", "sigma_lo_sq", "nuclear_norm_bar"), which)
-        mu = inputs["mu"]
-        lo_sq = inputs["sigma_lo_sq"]
-        first = 2.0 * _HALF_ONE_PLUS_SQRT2_SQ * m1 * m2 / lo_sq**2 * inputs["lam"] ** 2 * inputs["rank"]
-        second = 4.0 / (mu * lo_sq) * inputs["lam"] * inputs["nuclear_norm_bar"]
-        return mu**2 * min(first, second)
-
-    if which == "known_sampling_risk_uniform":
-        _require(inputs, ("rank", "sigma_lo_sq", "sigma_hi_sq", "l_gamma", "n"), which)
-        c_gamma = float(inputs.get("c_gamma", 1.0))
-        core = (c_gamma * math.sqrt(inputs["sigma_hi_sq"]) + inputs["l_gamma"]) / inputs["sigma_lo_sq"]
-        return core**2 * inputs["rank"] * big_m * _log_d(m1, m2) / n
-
-    if which == "minimax_lower":
-        _require(inputs, ("gamma", "rank", "sigma_hi_sq", "n"), which)
-        return min(inputs["gamma"] ** 2, big_m * inputs["rank"] / (n * inputs["sigma_hi_sq"]))
-
-    raise ValueError(f"unknown bound name {which!r}")
-
-
-BOUND_NAMES = (
-    "likelihood_risk",
-    "likelihood_risk_main",
-    "likelihood_risk_edge",
-    "likelihood_risk_subexp",
-    "known_sampling_risk",
-    "known_sampling_risk_uniform",
-    "minimax_lower",
-)
+    log_d = math.log(m1 + m2)
+    main = m1 * m2 * rank * (lam**2 / sigma_lo_sq**2 + rademacher_norm**2)
+    edge = gamma**2 / mu * math.sqrt(log_d / n)
+    subexp = (c_gamma * sigma_hi_sq / sigma_lo_sq**2 + 1.0) * nu * rank * big_m * log_d / n
+    ks_first = 2.0 * _HALF_ONE_PLUS_SQRT2_SQ * m1 * m2 / sigma_lo_sq**2 * lam**2 * rank
+    ks_second = 4.0 / (mu * sigma_lo_sq) * lam * nuclear_norm_bar
+    core = (c_gamma * math.sqrt(sigma_hi_sq) + l_gamma) / sigma_lo_sq
+    return {
+        "likelihood_risk": mu**2 * max(main, edge),
+        "likelihood_risk_main": mu**2 * main,
+        "likelihood_risk_edge": mu**2 * edge,
+        "likelihood_risk_subexp": mu**2 * max(subexp, edge),
+        "known_sampling_risk": mu**2 * min(ks_first, ks_second),
+        "known_sampling_risk_uniform": core**2 * rank * big_m * log_d / n,
+        "minimax_lower": min(gamma**2, big_m * rank / (n * sigma_hi_sq)),
+    }
 
 
 @dataclass(eq=False)

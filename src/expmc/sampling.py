@@ -193,23 +193,24 @@ def product_scheme(row_weights, col_weights) -> SamplingScheme:
     return SamplingScheme(pi / pi.sum())
 
 
-def scheme_from_config(spec: dict, m1: int | None = None, m2: int | None = None) -> SamplingScheme:
-    """Build a scheme from its config-file form.
+def scheme_from_config(spec: dict, m1: int, m2: int) -> SamplingScheme:
+    """Build the ``m1 x m2`` scheme of a config file.
 
-    ``{"sampling": "uniform"}`` needs the dimensions; ``{"sampling":
-    "table", "path": "pi.csv"}`` loads a headerless CSV table.
+    ``{"sampling": "uniform"}`` is the uniform table; ``{"sampling":
+    "table", "path": "pi.csv"}`` loads a headerless CSV table, which must
+    have shape ``(m1, m2)``.
     """
     kind = spec.get("sampling", "uniform")
     if kind == "uniform":
         check_config_keys(spec, "uniform sampling config", optional={"sampling"})
-        if m1 is None or m2 is None:
-            raise ValueError("uniform scheme needs explicit dimensions")
         return uniform_scheme(m1, m2)
     if kind == "table":
         from .io import load_matrix_csv
 
         check_config_keys(spec, "table sampling config", {"path"}, {"sampling"})
         pi = load_matrix_csv(spec["path"])
+        if pi.shape != (m1, m2):
+            raise ValueError(f"sampling table {spec['path']} has shape {pi.shape}, expected {(m1, m2)}")
         return SamplingScheme(pi)
     raise ValueError(f"unknown sampling spec {kind!r}")
 

@@ -179,6 +179,37 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"'{key}'"):
             make_cfg(**overrides)
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("noiseless", {"noiseless": "false"}),
+        ("noiseless", {"noiseless": 0}),
+        ("lambda_mode", {"lambda_mode": True}),
+        ("lambda_mode", {"lambda_mode": math.nan}),
+        ("lambda_mode", {"lambda_mode": -math.inf}),
+        ("lambda_mode", {"lambda_mode": None}),
+        ("sigma", {"family": {"family": "gaussian", "sigma": True}}),
+        ("sigma", {"family": {"family": "gaussian", "sigma": "1.0"}}),
+        ("gamma", {"gamma": "1.0"}),
+        ("gamma", {"gamma": math.inf}),
+        ("gamma", {"gamma": True, "box": {"lo": -1.0, "hi": 1.0}}),
+        ("lo", {"box": {"lo": "-1", "hi": 1.0}}),
+        ("hi", {"box": {"lo": -1.0, "hi": math.nan}}),
+        ("alpha", {"alpha": [0.1]}),
+        ("alpha", {"alpha": math.nan}),
+        ("tol", {"solver": {"tol": "1e-9"}}),
+        ("c_gamma", {"solver": {"c_gamma": math.inf}}),
+        ("c_star", {"solver": {"c_star": False}}),
+    ])
+    def test_non_numeric_bool_and_non_finite_values_rejected(self, key, overrides):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            make_cfg(**overrides)
+
+    def test_integers_accepted_as_reals(self):
+        cfg = make_cfg(gamma=2, lambda_mode=1, alpha=0, family={"family": "gaussian", "sigma": 2},
+                       solver={"tol": 0, "c_gamma": 3})
+        values = (cfg.gamma, cfg.lambda_mode, cfg.alpha, cfg.family.sigma, cfg.solver.tol, cfg.solver.c_gamma)
+        assert values == (2.0, 1.0, 0.0, 2.0, 0.0, 3.0)
+        assert all(type(v) is float for v in values)
+
     def test_integral_floats_accepted(self):
         cfg = make_cfg(m1=12.0, n=400.0, solver={"max_iters": 50.0})
         assert (cfg.m1, cfg.n_single, cfg.solver.max_iters) == (12, 400, 50)

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from expmc.cli import main
-from expmc.io import load_matrix_csv, load_observations_csv
+from expmc.io import load_matrix_csv, load_observations_csv, save_matrix_csv
 
 
 @pytest.fixture
@@ -111,6 +111,28 @@ class TestGenSimulateFit:
         assert isinstance(result.exception, ValueError)
         assert not out.exists()
 
+    @pytest.mark.parametrize("truth_shape, m", [((5, 5), 8), ((5, 5), 4), ((8, 7), 8)])
+    def test_truth_of_another_shape_rejected(self, runner, tmp_path, truth_shape, m):
+        save_matrix_csv(tmp_path / "truth.csv", np.full(truth_shape, 0.5))
+        cfg = write_cfg(tmp_path, m1=m, m2=m, n=100, lambda_mode=0.1, truth_path=str(tmp_path / "truth.csv"))
+        for command in ("simulate", "fit"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+            assert isinstance(result.exception, ValueError)
+            assert f"has shape {truth_shape}, expected ({m}, {m})" in str(result.exception)
+            assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("mode", ["likelihood", "known_sampling"])
+    def test_sampling_table_of_another_shape_rejected(self, runner, tmp_path, mode):
+        save_matrix_csv(tmp_path / "pi.csv", np.full((5, 5), 1 / 25))
+        cfg = write_cfg(tmp_path, n=100, mode=mode, lambda_mode=0.1,
+                        sampling={"sampling": "table", "path": str(tmp_path / "pi.csv")})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert isinstance(result.exception, ValueError)
+        assert "has shape (5, 5), expected (8, 8)" in str(result.exception)
+        assert not any(out.iterdir())
+
     def test_fit_with_truth_path_and_oracle(self, runner, tmp_path):
         cfg = write_cfg(tmp_path)
         gen_out = tmp_path / "gen"
@@ -167,3 +189,45 @@ class TestHarnessCommands:
         out = tmp_path / "tbl"
         invoke(runner, ["rate-sweep", "--config", str(cfg), "--seed", "4", "--out", str(out)])
         assert (out / "rate_sweep.csv").exists()
+
+
+# The result tables by file, with the full header line each must have.
+RESULT_HEADERS = {
+    "rate_sweep.csv": "config_hash,family,mode,m1,m2,rank,gamma,n,replicate,lambda_mode,lambda,"
+    "converged,iterations,n_condition_ok,frob_risk,kl_integrated,kl_empirical,rank_bar,predictor,"
+    "bound_likelihood_risk,bound_likelihood_risk_main,bound_likelihood_risk_edge,"
+    "bound_likelihood_risk_subexp,bound_known_sampling_risk,bound_known_sampling_risk_uniform,"
+    "bound_minimax_lower",
+    "rate_sweep_slope.csv": "config_hash,slope,intercept,n_points",
+    "oracle_check.csv": "config_hash,family,m1,m2,rank,n,replicate,lambda,required_lambda,applicable,"
+    "converged,lhs,margin_flat,margin_rank,passed_flat,passed_rank,n_candidates",
+    "concentration.csv": "config_hash,metric,replicate,n,value,reference_value,satisfied,precondition_ok",
+    "lower_bound.csv": "config_hash,n,member,lambda,converged,iterations,frob_risk",
+    "lower_bound_summary.csv": "config_hash,n,kappa,cardinality,cardinality_target,max_frob_risk,"
+    "lower_bound_value,delta_value,separation_ok,kl_ok,membership_ok,conditions_passed",
+}
+
+
+@pytest.fixture(scope="module")
+def result_tables(tmp_path_factory):
+    """One small run of each harness command, all writing into one directory."""
+    tmp = tmp_path_factory.mktemp("tables")
+    out = tmp / "out"
+    runs = [
+        ("rate-sweep", {}),
+        ("oracle-check", {"mode": "known_sampling", "n_grid": [250], "replicates": 1}),
+        ("concentration", {"n_grid": [300], "reps": 5}),
+        ("lower-bound", {"n_grid": [500], "replicates": 1}),
+    ]
+    for command, overrides in runs:
+        cfg = write_cfg(tmp, name=f"{command}.json", **overrides)
+        invoke(CliRunner(), [command, "--config", str(cfg), "--seed", "3", "--out", str(out)])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_HEADERS))
+def test_result_table_header(result_tables, name):
+    lines = (result_tables / name).read_text().splitlines()
+    assert lines[0] == RESULT_HEADERS[name]
+    assert len(lines) > 1
+    assert all(line.count(",") == lines[0].count(",") for line in lines)

@@ -55,6 +55,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             single_obs_problem(lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_penalty_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            single_obs_problem(lam=lam)
+        with pytest.raises(ValueError, match="finite"):
+            single_obs_problem().with_lambda(lam)
+
     def test_known_sampling_needs_scheme(self):
         obs = ObservationSet(m1=2, m2=2, rows=np.array([0]), cols=np.array([0]), ys=np.array([0.5]))
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expmc import ObservationSet
-from expmc.io import load_observations_csv, save_observations_csv
+from expmc.io import load_observations_csv, save_observations_csv, write_rows_csv
 
 M1, M2 = 5, 4
 
@@ -107,3 +107,27 @@ def test_non_finite_value_rejected(tmp_path, y):
     write_obs(path, "i,row,col,y", [(1, 1, 1, y)])
     with pytest.raises(ValueError, match="finite"):
         load_observations_csv(path, M1, M2)
+
+
+def test_rows_written_under_the_first_rows_keys(tmp_path):
+    path = tmp_path / "sub" / "rows.csv"
+    write_rows_csv(path, [{"a": 1, "b": 0.5, "c": True}, {"a": -2, "b": 1e-300, "c": False}])
+    assert path.read_text() == "a,b,c\n1,0.5,true\n-2,1e-300,false\n"
+
+
+@pytest.mark.parametrize("second", [
+    {"a": 1},
+    {"a": 1, "b": 2, "c": 3},
+    {"b": 2, "a": 1},
+    {"a": 1, "c": 2},
+], ids=["missing", "extra", "reordered", "renamed"])
+def test_rows_whose_keys_differ_from_the_header_rejected(tmp_path, second):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match=r"row 1 has keys .* the header is \['a', 'b'\]"):
+        write_rows_csv(path, [{"a": 0, "b": 0}, second])
+    assert not path.exists()
+
+
+def test_no_rows_rejected(tmp_path):
+    with pytest.raises(ValueError, match="no rows"):
+        write_rows_csv(tmp_path / "rows.csv", [])

@@ -17,7 +17,7 @@ from expmc import (
     oracle_inequality_check,
     uniform_scheme,
 )
-from expmc.metrics import BOUND_NAMES, RiskReport
+from expmc.metrics import RiskReport
 
 
 class TestFrobeniusRisk:
@@ -86,64 +86,60 @@ class TestBregmanRisks:
         assert np.all(2 * d <= hi_sq * gap + 1e-12)
 
 
+# Inputs of bound_value; each test overrides the ones its formula reads.
+BOUND_INPUTS = dict(
+    m1=10, m2=10, n=100, rank=1, gamma=1.0, mu=1.0, nu=1.0, lam=0.0,
+    sigma_lo_sq=1.0, sigma_hi_sq=1.0, l_gamma=1.0, c_gamma=1.0,
+    rademacher_norm=0.0, nuclear_norm_bar=1.0,
+)
+
+
+def bounds(**overrides):
+    return bound_value(**{**BOUND_INPUTS, **overrides})
+
+
 class TestBoundValue:
+    def test_every_bound_in_column_order(self):
+        assert list(bounds()) == [
+            "likelihood_risk", "likelihood_risk_main", "likelihood_risk_edge",
+            "likelihood_risk_subexp", "known_sampling_risk",
+            "known_sampling_risk_uniform", "minimax_lower",
+        ]
+
     def test_known_sampling_risk_vanishes_without_penalty(self):
-        val = bound_value(
-            "known_sampling_risk", m1=50, m2=50, mu=1.0, rank=2, lam=0.0,
-            sigma_lo_sq=1.0, nuclear_norm_bar=10.0,
-        )
+        val = bounds(m1=50, m2=50, rank=2, lam=0.0, nuclear_norm_bar=10.0)["known_sampling_risk"]
         assert val == 0.0
 
     def test_minimax_lower_example(self):
-        val = bound_value("minimax_lower", m1=100, m2=100, gamma=1.0, rank=3, n=10**6, sigma_hi_sq=1.0)
+        val = bounds(m1=100, m2=100, rank=3, n=10**6)["minimax_lower"]
         assert val == pytest.approx(3e-4, rel=1e-12)
 
     def test_known_sampling_risk_penalty_branch(self):
         # First branch: ((1+sqrt(2))^2 / 2) * m1 m2 lam^2 rank / sigma_lo^4.
-        val = bound_value(
-            "known_sampling_risk", m1=50, m2=50, mu=1.0, rank=2, lam=0.01,
-            sigma_lo_sq=1.0, nuclear_norm_bar=1e9,
-        )
+        val = bounds(m1=50, m2=50, rank=2, lam=0.01, nuclear_norm_bar=1e9)["known_sampling_risk"]
         assert val == pytest.approx(1.4571067811865475, rel=1e-12)
 
     def test_likelihood_risk_hand_arithmetic(self):
-        val = bound_value(
-            "likelihood_risk", m1=10, m2=10, n=100, mu=2.0, rank=1, lam=0.1,
-            sigma_lo_sq=1.0, rademacher_norm=0.0, gamma=1.0,
-        )
+        b = bounds(mu=2.0, lam=0.1)
         # max(100 * 1 * 0.01, (1/2) sqrt(log(20)/100)) = 1.0, times mu^2 = 4.
-        assert val == pytest.approx(4.0, rel=1e-12)
+        assert b["likelihood_risk"] == pytest.approx(4.0, rel=1e-12)
+        assert b["likelihood_risk"] == b["likelihood_risk_main"]
 
     def test_likelihood_risk_edge_branch(self):
-        val = bound_value(
-            "likelihood_risk", m1=10, m2=10, n=100, mu=2.0, rank=1, lam=0.0,
-            sigma_lo_sq=1.0, rademacher_norm=0.0, gamma=1.0,
-        )
-        assert val == pytest.approx(4.0 * 0.5 * math.sqrt(math.log(20) / 100), rel=1e-12)
+        b = bounds(mu=2.0, lam=0.0)
+        assert b["likelihood_risk"] == pytest.approx(4.0 * 0.5 * math.sqrt(math.log(20) / 100), rel=1e-12)
+        assert b["likelihood_risk"] == b["likelihood_risk_edge"]
+        assert b["likelihood_risk_main"] == 0.0
 
     def test_subexp_formula(self):
-        val = bound_value(
-            "likelihood_risk_subexp", m1=20, m2=30, n=5000, mu=1.0, nu=1.0,
-            rank=2, sigma_lo_sq=1.0, sigma_hi_sq=1.0, gamma=1.0, c_gamma=1.0,
-        )
+        val = bounds(m1=20, m2=30, n=5000, rank=2)["likelihood_risk_subexp"]
         main = 2.0 * 2 * 30 * math.log(50) / 5000
         edge = math.sqrt(math.log(50) / 5000)
         assert val == pytest.approx(max(main, edge), rel=1e-12)
 
     def test_known_sampling_uniform_formula(self):
-        val = bound_value(
-            "known_sampling_risk_uniform", m1=40, m2=40, n=3200, rank=2,
-            sigma_lo_sq=1.0, sigma_hi_sq=1.0, l_gamma=1.0, c_gamma=1.0,
-        )
+        val = bounds(m1=40, m2=40, n=3200, rank=2)["known_sampling_risk_uniform"]
         assert val == pytest.approx(4.0 * 2 * 40 * math.log(80) / 3200, rel=1e-12)
-
-    def test_missing_inputs_reported(self):
-        with pytest.raises(ValueError, match="missing"):
-            bound_value("minimax_lower", m1=10, m2=10, gamma=1.0, rank=1, n=100)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown bound"):
-            bound_value("bogus", m1=2, m2=2)
 
     def test_nonnegative_and_monotone_in_n(self):
         base = dict(
@@ -151,8 +147,9 @@ class TestBoundValue:
             sigma_lo_sq=0.8, sigma_hi_sq=1.5, l_gamma=1.0, rademacher_norm=0.01,
             nuclear_norm_bar=12.0, c_gamma=1.0,
         )
-        for which in BOUND_NAMES:
-            vals = [bound_value(which, n=n, **base) for n in (100, 1000, 10000)]
+        runs = [bounds(n=n, **base) for n in (100, 1000, 10000)]
+        for which in runs[0]:
+            vals = [b[which] for b in runs]
             assert all(v >= 0 for v in vals)
             if which != "known_sampling_risk":  # only bound without n dependence
                 assert vals[0] >= vals[1] >= vals[2]
@@ -214,10 +211,7 @@ class TestOracleInequalityCheck:
             sigma_lo_sq=1.0, candidates=[self.x_bar],
         )
         rank = np.linalg.matrix_rank(self.x_bar)
-        frob_bound = bound_value(
-            "known_sampling_risk", m1=4, m2=4, mu=mu, rank=rank, lam=lam,
-            sigma_lo_sq=1.0, nuclear_norm_bar=1e9,
-        )
+        frob_bound = bounds(m1=4, m2=4, mu=mu, rank=rank, lam=lam, nuclear_norm_bar=1e9)["known_sampling_risk"]
         converted = (2.0 * mu / 1.0) * report.rhs_rank[0]
         assert converted == pytest.approx(frob_bound, rel=1e-12)
 

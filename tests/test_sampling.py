@@ -309,8 +309,15 @@ class TestConfig:
         pi = np.array([[0.1, 0.2], [0.3, 0.4]])
         path = tmp_path / "pi.csv"
         save_matrix_csv(path, pi)
-        s = scheme_from_config({"sampling": "table", "path": str(path)})
+        s = scheme_from_config({"sampling": "table", "path": str(path)}, 2, 2)
         assert np.array_equal(s.pi, pi)
+
+    @pytest.mark.parametrize("m1, m2", [(3, 3), (2, 3), (3, 2), (1, 4)])
+    def test_table_of_another_shape_rejected(self, tmp_path, m1, m2):
+        path = tmp_path / "pi.csv"
+        save_matrix_csv(path, np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match=rf"shape \(2, 2\), expected \({m1}, {m2}\)"):
+            scheme_from_config({"sampling": "table", "path": str(path)}, m1, m2)
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
