@@ -73,7 +73,6 @@ from .lowerbound import (
     delta_probability,
     kappa,
     kl_to_null,
-    load_packing,
     save_packing,
     verify_conditions,
 )

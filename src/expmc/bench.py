@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import (
+    C_STAR,
     KNOWN_SAMPLING,
     LIKELIHOOD,
     CompletionProblem,
@@ -68,6 +69,15 @@ _CONFIG_KEYS = frozenset({
 })
 
 
+def _count_from_config(value, key: str) -> int:
+    """An integer config value of at least 1, such as a sample size; anything
+    else is a ValueError naming ``key``."""
+    count = int_from_config(value, key)
+    if count < 1:
+        raise ValueError(f"config key {key!r} must be >= 1, got {value!r}")
+    return count
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     """Parsed experiment description; ``raw`` keeps the config as loaded for hashing."""
@@ -102,15 +112,13 @@ class ExperimentConfig:
             box = ParameterBox.symmetric(float_from_config(d.get("gamma", 1.0), "gamma"))
         family.validate_box(box)
         m1, m2 = int_from_config(d["m1"], "m1"), int_from_config(d["m2"], "m2")
-        n_single = int_from_config(d["n"], "n") if "n" in d else None
-        n_grid = [int_from_config(v, "n_grid") for v in d.get("n_grid", [n_single] if "n" in d else [])]
+        n_single = _count_from_config(d["n"], "n") if "n" in d else None
+        n_grid = [_count_from_config(v, "n_grid") for v in d.get("n_grid", [n_single] if "n" in d else [])]
         if not n_grid:
             raise ValueError("config needs an n_grid (or a single n)")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        replicates = int_from_config(d.get("replicates", 1), "replicates")
-        if replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        replicates = _count_from_config(d.get("replicates", 1), "replicates")
         rank = int_from_config(d.get("rank", 1), "rank")
         if not 1 <= rank <= min(m1, m2):
             raise ValueError("rank must satisfy 1 <= rank <= min(m1, m2)")
@@ -144,7 +152,7 @@ class ExperimentConfig:
             truth_style=truth_style,
             solver=SolverConfig.from_dict(d.get("solver")),
             alpha=float_from_config(d.get("alpha", 0.1), "alpha"),
-            reps=int_from_config(d.get("reps", 200), "reps"),
+            reps=_count_from_config(d.get("reps", 200), "reps"),
             raw=d,
         )
 
@@ -297,7 +305,7 @@ def resolve_lambda(
     if cfg.lambda_mode == "oracle":
         return max(oracle_lambda(probe, x_bar), _LAMBDA_FLOOR)
     which = LIKELIHOOD if cfg.lambda_mode == "theorem_likelihood" else KNOWN_SAMPLING
-    return theorem_lambda(which, consts, probe.scheme, probe.obs.n, cfg.solver.c_gamma, cfg.solver.c_star)
+    return theorem_lambda(which, consts, probe.scheme, probe.obs.n, cfg.solver.c_gamma)
 
 
 def _simulate_replicate(cfg, scheme, n, rng, truth=None):
@@ -334,7 +342,6 @@ def sample_size_threshold(consts, scheme: SamplingScheme) -> float:
 class RateSweepResult:
     rows: list[dict]
     medians: dict[int, float]
-    predictors: dict[int, float]
     slope: float
     intercept: float
 
@@ -389,14 +396,12 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
             })
 
     medians: dict[int, float] = {}
-    predictors: dict[int, float] = {}
     for n in cfg.n_grid:
         risks = [row["frob_risk"] for row in rows if row["n"] == n and row["converged"]]
         if risks:
             medians[n] = float(np.median(risks))
-            predictors[n] = big_m * cfg.rank * log_d / n
     if len(medians) >= 2 and all(v > 0 for v in medians.values()):
-        xs = np.log([predictors[n] for n in medians])
+        xs = np.log([big_m * cfg.rank * log_d / n for n in medians])
         ys = np.log([medians[n] for n in medians])
         slope, intercept = (float(v) for v in np.polyfit(xs, ys, 1))
     else:
@@ -409,7 +414,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
             out / "rate_sweep_slope.csv",
             [{"config_hash": chash, "slope": slope, "intercept": intercept, "n_points": len(medians)}],
         )
-    return RateSweepResult(rows=rows, medians=medians, predictors=predictors, slope=slope, intercept=intercept)
+    return RateSweepResult(rows=rows, medians=medians, slope=slope, intercept=intercept)
 
 
 @dataclass(eq=False)
@@ -440,7 +445,7 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
 
     rows = []
     for i_n, n in enumerate(cfg.n_grid):
-        thm = theorem_lambda(KNOWN_SAMPLING, consts, scheme, n, cfg.solver.c_gamma, cfg.solver.c_star)
+        thm = theorem_lambda(KNOWN_SAMPLING, consts, scheme, n, cfg.solver.c_gamma)
         for rep in range(cfg.replicates):
             rng = np.random.default_rng([seed, i_n, rep])
             truth, probe = _simulate_replicate(cfg, scheme, n, rng)
@@ -483,10 +488,10 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     """Monte-Carlo concentration diagnostics for the sampling scheme and score.
 
     Emits the random-sign norm estimate with its closed-form mean bound
-    ``c_star sigma_Z sqrt(2 e log(d) / n)`` (``sigma_Z^2 = nu / m``), the
-    Monte-Carlo distribution of the score operator norm at the truth
-    against half the prescribed penalty, and the exceedance frequency
-    with target ``1/d``.
+    ``c* sigma_Z sqrt(2 e log(d) / n)`` (``sigma_Z^2 = nu / m`` and
+    ``c* = 1 + sqrt(3)``), the Monte-Carlo distribution of the score
+    operator norm at the truth against half the prescribed penalty, and
+    the exceedance frequency with target ``1/d``.
     """
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)
@@ -498,7 +503,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
 
     precondition_ok = n >= m * math.log(d) / (9.0 * nu)
     sigma_z = math.sqrt(nu / m)
-    rad_bound = cfg.solver.c_star * sigma_z * math.sqrt(2.0 * math.e * math.log(d) / n)
+    rad_bound = C_STAR * sigma_z * math.sqrt(2.0 * math.e * math.log(d) / n)
     rad_est = rademacher_norm_estimate(scheme, n, cfg.reps, np.random.default_rng([seed, 1]))
 
     rows = [{
@@ -507,7 +512,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
         "satisfied": rad_est <= rad_bound, "precondition_ok": precondition_ok,
     }]
 
-    lam_thm = theorem_lambda(LIKELIHOOD, consts, scheme, n, cfg.solver.c_gamma, cfg.solver.c_star)
+    lam_thm = theorem_lambda(LIKELIHOOD, consts, scheme, n, cfg.solver.c_gamma)
     level = lam_thm / 2.0
     truth = cfg.truth(np.random.default_rng([seed, 2]))
     exceed = 0

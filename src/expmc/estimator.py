@@ -55,15 +55,28 @@ __all__ = [
 LIKELIHOOD = "likelihood"
 KNOWN_SAMPLING = "known_sampling"
 
-_C_STAR = 1.0 + math.sqrt(3.0)
+C_STAR = 1.0 + math.sqrt(3.0)  # the numerical constant c* of the known-sampling penalty level
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule of :func:`fit` and the ``c_gamma`` of the prescribed penalty levels.
+
+    A value that cannot run (``tol < 0``, ``max_iters < 1``, ``c_gamma <= 0``)
+    is a ValueError naming its key.
+    """
+
     tol: float = 1e-9
     max_iters: int = 5000
     c_gamma: float = 1.0
-    c_star: float = _C_STAR
+
+    def __post_init__(self):
+        if not self.tol >= 0:
+            raise ValueError(f"solver key 'tol' must be >= 0, got {self.tol!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"solver key 'max_iters' must be >= 1, got {self.max_iters!r}")
+        if not self.c_gamma > 0:
+            raise ValueError(f"solver key 'c_gamma' must be > 0, got {self.c_gamma!r}")
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "SolverConfig":
@@ -173,14 +186,14 @@ def theorem_lambda(
     scheme: SamplingScheme,
     n: int,
     c_gamma: float = 1.0,
-    c_star: float = _C_STAR,
 ) -> float:
     """Theoretically prescribed penalty level for either estimation mode.
 
     ``which="likelihood"``: ``2 c_gamma sigma_hi sqrt(2 nu log(d) / (m n))``.
-    ``which="known_sampling"``: ``(c_gamma sigma_hi + c_star l_gamma) sqrt(2 log(d) / (m n))``.
+    ``which="known_sampling"``: ``(c_gamma sigma_hi + c* l_gamma) sqrt(2 log(d) / (m n))``.
 
-    Here ``d = m1 + m2`` and ``m = min(m1, m2)``.
+    Here ``d = m1 + m2``, ``m = min(m1, m2)`` and ``c*`` is the constant
+    ``1 + sqrt(3)`` (:data:`C_STAR`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -191,7 +204,7 @@ def theorem_lambda(
         nu = scheme.nu_constant()
         return 2.0 * c_gamma * sigma_hi * math.sqrt(2.0 * nu * math.log(d) / (m * n))
     if which == KNOWN_SAMPLING:
-        return (c_gamma * sigma_hi + c_star * consts.l_gamma) * math.sqrt(2.0 * math.log(d) / (m * n))
+        return (c_gamma * sigma_hi + C_STAR * consts.l_gamma) * math.sqrt(2.0 * math.log(d) / (m * n))
     raise ValueError(f"unknown lambda rule {which!r}")
 
 

@@ -20,10 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .families import ExponentialFamily, ParameterBox
+from .io import save_matrix_csv
 from .matops import numerical_rank
 from .metrics import bregman_integrated
 from .sampling import SamplingScheme
@@ -38,7 +40,6 @@ __all__ = [
     "verify_conditions",
     "delta_probability",
     "save_packing",
-    "load_packing",
 ]
 
 
@@ -251,12 +252,9 @@ def verify_conditions(
     )
 
 
-def save_packing(packing: PackingSet, out_dir, seed: int | None = None) -> None:
-    """Persist members as CSV matrices plus a JSON manifest."""
-    from pathlib import Path
-
-    from .io import save_matrix_csv
-
+def save_packing(packing: PackingSet, out_dir, seed: int) -> None:
+    """Write the members as matrix CSVs ``member_0000.csv``, ... plus a JSON
+    manifest of the packing parameters and the run's ``seed``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -273,25 +271,3 @@ def save_packing(packing: PackingSet, out_dir, seed: int | None = None) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for i, mat in enumerate(packing.members):
         save_matrix_csv(out / f"member_{i:04d}.csv", mat)
-
-
-def load_packing(in_dir) -> PackingSet:
-    from pathlib import Path
-
-    from .io import load_matrix_csv
-
-    src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
-    members = [
-        load_matrix_csv(path) for path in sorted(src.glob("member_*.csv"))
-    ]
-    if len(members) != manifest["cardinality"]:
-        raise ValueError("packing directory is inconsistent with its manifest")
-    return PackingSet(
-        alpha=manifest["alpha"],
-        kappa=manifest["kappa"],
-        members=members,
-        r=manifest["r"],
-        gamma=manifest["gamma"],
-        cardinality_target=manifest["cardinality_target"],
-    )

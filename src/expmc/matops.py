@@ -162,38 +162,37 @@ def combined_prox(
     return x
 
 
-def _singular_spans(a: np.ndarray, rel_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the left/right singular spans above the cutoff."""
+def _rank(s: np.ndarray) -> int:
+    """How many of the descending singular values ``s`` exceed ``RANK_CUTOFF * s[0]``."""
+    return int(np.count_nonzero(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0.0 else 0
+
+
+def _singular_spans(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the left/right singular spans above the rank cutoff."""
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > rel_cutoff * s[0]))
+    r = _rank(s)
     return u[:, :r], vt[:r, :].T
 
 
-def proj_perp(x_ref: np.ndarray, a: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def proj_perp(x_ref: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Component of ``a`` orthogonal to the singular spans of ``x_ref``.
 
     Computes ``(I - U U^T) a (I - V V^T)`` with ``U``/``V`` the left/right
     singular bases of ``x_ref`` above the rank cutoff.
     """
     a = np.asarray(a, dtype=float)
-    u, v = _singular_spans(x_ref, rel_cutoff)
+    u, v = _singular_spans(x_ref)
     if u.shape[1] == 0:
         return a.copy()
     tmp = a - u @ (u.T @ a)
     return tmp - (tmp @ v) @ v.T
 
 
-def proj_onto(x_ref: np.ndarray, a: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def proj_onto(x_ref: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Complement of :func:`proj_perp`; the two always sum to ``a`` exactly."""
-    return np.asarray(a, dtype=float) - proj_perp(x_ref, a, rel_cutoff)
+    return np.asarray(a, dtype=float) - proj_perp(x_ref, a)
 
 
-def numerical_rank(a: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> int:
-    """Rank with singular values below ``rel_cutoff * sigma_max`` treated as zero."""
-    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_cutoff * s[0]))
+def numerical_rank(a: np.ndarray) -> int:
+    """Rank with singular values at or below ``RANK_CUTOFF * sigma_max`` treated as zero."""
+    return _rank(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False))

@@ -139,9 +139,6 @@ class SamplingScheme:
         idx[active] = np.searchsorted(cdf, u[active], side="right")
         return np.minimum(idx, k - 1, out=idx)
 
-    def transpose(self) -> "SamplingScheme":
-        return SamplingScheme(self.pi.T.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class ObservationSet:

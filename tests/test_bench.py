@@ -214,6 +214,30 @@ class TestConfig:
         cfg = make_cfg(m1=12.0, n=400.0, solver={"max_iters": 50.0})
         assert (cfg.m1, cfg.n_single, cfg.solver.max_iters) == (12, 400, 50)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tol", -1.0),
+        ("tol", -1e-300),
+        ("max_iters", 0),
+        ("max_iters", -3),
+        ("c_gamma", 0.0),
+        ("c_gamma", -1.0),
+    ])
+    def test_solver_values_that_cannot_run_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"solver key '{key}' must be"):
+            make_cfg(solver={key: value})
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("n", {"n": 0}),
+        ("n", {"n": -5}),
+        ("n_grid", {"n_grid": [-3, 100]}),
+        ("n_grid", {"n_grid": [0, 100]}),
+        ("replicates", {"replicates": 0}),
+        ("reps", {"reps": 0}),
+    ])
+    def test_sample_sizes_below_one_rejected(self, key, overrides):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be >= 1"):
+            make_cfg(**overrides)
+
     @pytest.mark.parametrize("key, overrides", [
         ("trial", {"family": {"family": "binomial", "trial": 5}}),
         ("sigma", {"family": {"family": "poisson", "sigma": 3}}),

@@ -103,9 +103,17 @@ class TestGenSimulateFit:
         for name in ("estimate.csv", "fit.json"):
             assert (direct_out / name).read_bytes() == (files_out / name).read_bytes()
 
-    @pytest.mark.parametrize("bad", [{"mode": "known-sampling"}, {"family": {"family": "exponential"}}])
+    @pytest.mark.parametrize("bad", [
+        {"mode": "known-sampling"},
+        {"family": {"family": "exponential"}},
+        {"n": 0},
+        {"n_grid": [-3, 100]},
+        {"lambda_mode": "theorem_likelihood", "solver": {"c_gamma": -1.0}},
+        {"solver": {"tol": -1.0}},
+        {"solver": {"max_iters": 0}},
+    ])
     def test_bad_config_rejected_before_any_output(self, runner, tmp_path, bad):
-        cfg = write_cfg(tmp_path, n=100, **bad)
+        cfg = write_cfg(tmp_path, **{"n": 100, **bad})
         out = tmp_path / "out"
         result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert isinstance(result.exception, ValueError)

@@ -270,7 +270,7 @@ class TestTheoremLambda:
 
         consts = IntervalConstants(1.0, 1.0, 1.0, l_gamma=0.0)
         scheme = uniform_scheme(40, 40)
-        lam = theorem_lambda(KNOWN_SAMPLING, consts, scheme, 500, c_gamma=1.0, c_star=1 + math.sqrt(3))
+        lam = theorem_lambda(KNOWN_SAMPLING, consts, scheme, 500, c_gamma=1.0)
         assert lam == pytest.approx(math.sqrt(2 * math.log(80) / (40 * 500)), rel=1e-12)
 
     def test_inverse_sqrt_n_scaling(self):
@@ -467,7 +467,10 @@ class TestDavisYinSolver:
         p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0, mode=KNOWN_SAMPLING, scheme=scheme)
         p = p0.with_lambda(oracle_lambda(p0, truth.x_bar))
         pi = scheme.pi[0, 0]
-        ref = combined_prox(p.y_sum / (p.obs.n * pi), p.lam / pi, BOX1, max_iters=200000, tol=1e-14)
+        ref, info = combined_prox(
+            p.y_sum / (p.obs.n * pi), p.lam / pi, BOX1, max_iters=200000, tol=1e-14, full_output=True
+        )
+        assert info.converged
         f_ref = neg_loglik(p, ref) + p.lam * nuclear_norm(ref)
         res = fit(p)
         assert res.converged
@@ -555,7 +558,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.tol == 1e-9 and cfg.max_iters == 5000
         assert cfg.c_gamma == 1.0
-        assert cfg.c_star == pytest.approx(1 + math.sqrt(3), rel=1e-12)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -91,7 +91,7 @@ class TestNuConstant:
         pi = rng.random((6, 9))
         pi /= pi.sum()
         s = SamplingScheme(pi)
-        t = s.transpose()
+        t = SamplingScheme(pi.T.copy())
         assert s.nu_constant() == pytest.approx(t.nu_constant(), rel=1e-12)
         assert s.mu_constant() == pytest.approx(t.mu_constant(), rel=1e-12)
 
