@@ -19,9 +19,6 @@ from .families import (
     IntervalConstants,
     ParameterBox,
     Poisson,
-    box_from_config,
-    family_from_config,
-    family_to_config,
 )
 from .sampling import (
     CoverageError,
@@ -29,7 +26,6 @@ from .sampling import (
     SamplingScheme,
     product_scheme,
     rademacher_norm_estimate,
-    scheme_from_config,
     uniform_scheme,
 )
 from .matops import (
@@ -79,13 +75,17 @@ from .lowerbound import (
 from .bench import (
     ExperimentConfig,
     GroundTruth,
+    box_from_config,
     concentration_check,
+    family_from_config,
+    family_to_config,
     gen_truth,
     lowerbound_run,
     observe_every_entry,
     oracle_check,
     rate_sweep,
     sample_size_threshold,
+    scheme_from_config,
     simulate,
 )
 

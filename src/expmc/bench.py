@@ -1,5 +1,6 @@
-"""Experiment harness: synthetic problems, rate sweeps, oracle-inequality
-runs, concentration checks and lower-bound runs, with CSV persistence.
+"""Experiment harness: the config-file format, synthetic problems, rate
+sweeps, oracle-inequality runs, concentration checks and lower-bound runs,
+with CSV persistence.
 
 Replicates use derived seeds ``(seed, n_index, replicate)``, so a run is
 reproducible from its config and seed alone: identical inputs produce
@@ -9,6 +10,7 @@ byte-identical CSV output. Every emitted row carries the config hash.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,24 +27,20 @@ from .estimator import (
     oracle_lambda,
     theorem_lambda,
 )
-from .families import (
-    ExponentialFamily,
-    ParameterBox,
-    box_from_config,
-    check_config_keys,
-    family_from_config,
-    family_to_config,
-    float_from_config,
-    int_from_config,
-)
-from .io import config_hash, write_rows_csv
+from .families import Binomial, Exponential, ExponentialFamily, Gaussian, ParameterBox, Poisson
+from .io import config_hash, load_matrix_csv, write_rows_csv
 from .lowerbound import build_packing, kappa, save_packing, verify_conditions
 from .matops import nuclear_norm, operator_norm
 from .metrics import bound_value, frobenius_risk, oracle_inequality_check, risk_report
-from .sampling import ObservationSet, SamplingScheme, rademacher_norm_estimate, scheme_from_config
+from .sampling import ObservationSet, SamplingScheme, rademacher_norm_estimate, uniform_scheme
 
 __all__ = [
     "ExperimentConfig",
+    "family_from_config",
+    "family_to_config",
+    "box_from_config",
+    "scheme_from_config",
+    "solver_from_config",
     "GroundTruth",
     "gen_truth",
     "simulate",
@@ -69,18 +67,110 @@ _CONFIG_KEYS = frozenset({
 })
 
 
-def _count_from_config(value, key: str) -> int:
-    """An integer config value of at least 1, such as a sample size; anything
-    else is a ValueError naming ``key``."""
-    count = int_from_config(value, key)
-    if count < 1:
-        raise ValueError(f"config key {key!r} must be >= 1, got {value!r}")
-    return count
+def int_from_config(value, key: str, minimum: int | None = None) -> int:
+    """An integer config value, at least ``minimum`` when one is given; a bool,
+    a non-integral number or a smaller value is a ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"config key {key!r} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def float_from_config(value, key: str) -> float:
+    """A real config value; a bool, a non-number or a non-finite number is a ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _typed_from_config(value, key: str, kind: type, text: str):
+    """``value`` if it is a ``kind``, else a ValueError naming ``key`` that says it must be ``text``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"config key {key!r} must be {text}, got {value!r}")
+    return value
+
+
+def check_config_keys(spec: dict, what: str, required=(), optional=()) -> None:
+    """Reject a ``what`` that is not a JSON object, lacks a ``required`` key or
+    has a key that is neither required nor ``optional``, naming the key."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object, got {spec!r}")
+    missing = set(required) - set(spec)
+    if missing:
+        raise ValueError(f"{what} is missing keys: {sorted(missing)}")
+    unknown = set(spec) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+# Config-file form of each model: its class and the fields it reads, with their parsers.
+_FAMILY_CONFIG = {
+    "gaussian": (Gaussian, {"sigma": float_from_config}),
+    "binomial": (Binomial, {"trials": int_from_config}),
+    "poisson": (Poisson, {}),
+    "exponential": (Exponential, {}),
+}
+
+
+def family_from_config(spec: dict) -> ExponentialFamily:
+    """Build a model from its config-file form, e.g. ``{"family": "gaussian", "sigma": 1.0}``."""
+    names = sorted(_FAMILY_CONFIG)
+    name = spec.get("family") if isinstance(spec, dict) else None
+    if name not in names:
+        raise ValueError(f"config key 'family' must be an object naming one of {names}, got {spec!r}")
+    cls, fields = _FAMILY_CONFIG[name]
+    check_config_keys(spec, f"{name} config", {"family"}, fields)
+    return cls(**{key: parse(spec[key], key) for key, parse in fields.items() if key in spec})
+
+
+def family_to_config(family: ExponentialFamily) -> dict:
+    fields = _FAMILY_CONFIG[family.name][1]
+    return {"family": family.name, **{key: getattr(family, key) for key in fields}}
+
+
+def box_from_config(spec: dict) -> ParameterBox:
+    """Build a box from its config-file form ``{"lo": -1.0, "hi": 1.0}``."""
+    check_config_keys(spec, "box config", {"lo", "hi"})
+    return ParameterBox(float_from_config(spec["lo"], "lo"), float_from_config(spec["hi"], "hi"))
+
+
+def _sampling_kind(spec: dict) -> str:
+    """``"uniform"`` or ``"table"``, once the sampling spec's keys and path check out; opens no file."""
+    kind = spec.get("sampling", "uniform") if isinstance(spec, dict) else None
+    if kind not in ("uniform", "table"):
+        raise ValueError(f"config key 'sampling' must be an object naming 'uniform' or 'table', got {spec!r}")
+    check_config_keys(spec, f"{kind} sampling config", {"path"} if kind == "table" else (), {"sampling"})
+    if kind == "table":
+        _typed_from_config(spec["path"], "path", str, "a string")
+    return kind
+
+
+def scheme_from_config(spec: dict, m1: int, m2: int) -> SamplingScheme:
+    """Build the ``m1 x m2`` scheme of a config file.
+
+    ``{"sampling": "uniform"}`` is the uniform table; ``{"sampling":
+    "table", "path": "pi.csv"}`` loads a headerless CSV table, which must
+    have shape ``(m1, m2)``.
+    """
+    if _sampling_kind(spec) == "uniform":
+        return uniform_scheme(m1, m2)
+    pi = load_matrix_csv(spec["path"])
+    if pi.shape != (m1, m2):
+        raise ValueError(f"sampling table {spec['path']} has shape {pi.shape}, expected {(m1, m2)}")
+    return SamplingScheme(pi)
+
+
+def solver_from_config(spec: dict) -> SolverConfig:
+    """Build the solver settings from the config's ``solver`` block, e.g. ``{"tol": 1e-9}``."""
+    check_config_keys(spec, "solver config", optional=SolverConfig.__dataclass_fields__)
+    parse = {"max_iters": int_from_config}
+    return SolverConfig(**{key: parse.get(key, float_from_config)(value, key) for key, value in spec.items()})
 
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Parsed experiment description; ``raw`` keeps the config as loaded for hashing."""
+    """Parsed experiment description; ``raw`` keeps the config as loaded for the hash and the manifest."""
 
     family: ExponentialFamily
     box: ParameterBox
@@ -99,6 +189,8 @@ class ExperimentConfig:
     alpha: float
     reps: int
     raw: dict
+    truth_path: str | None = None
+    observations_path: str | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -112,13 +204,13 @@ class ExperimentConfig:
             box = ParameterBox.symmetric(float_from_config(d.get("gamma", 1.0), "gamma"))
         family.validate_box(box)
         m1, m2 = int_from_config(d["m1"], "m1"), int_from_config(d["m2"], "m2")
-        n_single = _count_from_config(d["n"], "n") if "n" in d else None
-        n_grid = [_count_from_config(v, "n_grid") for v in d.get("n_grid", [n_single] if "n" in d else [])]
+        n_single = int_from_config(d["n"], "n", 1) if "n" in d else None
+        n_grid = _typed_from_config(d.get("n_grid", [n_single] if "n" in d else []), "n_grid", list, "a list")
+        n_grid = [int_from_config(v, "n_grid", 1) for v in n_grid]
         if not n_grid:
             raise ValueError("config needs an n_grid (or a single n)")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        replicates = _count_from_config(d.get("replicates", 1), "replicates")
         rank = int_from_config(d.get("rank", 1), "rank")
         if not 1 <= rank <= min(m1, m2):
             raise ValueError("rank must satisfy 1 <= rank <= min(m1, m2)")
@@ -127,33 +219,34 @@ class ExperimentConfig:
             lambda_mode = float_from_config(lambda_mode, "lambda_mode")
         elif lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be a number or one of {LAMBDA_MODES}")
-        noiseless = d.get("noiseless", False)
-        if not isinstance(noiseless, bool):
-            raise ValueError(f"config key 'noiseless' must be true or false, got {noiseless!r}")
         mode = d.get("mode", LIKELIHOOD)
         if mode not in (LIKELIHOOD, KNOWN_SAMPLING):
             raise ValueError(f"mode must be {LIKELIHOOD!r} or {KNOWN_SAMPLING!r}, got {mode!r}")
         truth_style = d.get("truth", "factor")
         if truth_style not in ("factor", "flat"):
             raise ValueError("truth must be 'factor' or 'flat'")
+        sampling_spec = d.get("sampling", {"sampling": "uniform"})
+        _sampling_kind(sampling_spec)
         return cls(
             family=family,
             box=box,
-            sampling_spec=d.get("sampling", {"sampling": "uniform"}),
+            sampling_spec=sampling_spec,
             m1=m1,
             m2=m2,
             rank=rank,
             n_grid=n_grid,
             n_single=n_grid[0] if n_single is None else n_single,
-            replicates=replicates,
+            replicates=int_from_config(d.get("replicates", 1), "replicates", 1),
             lambda_mode=lambda_mode,
             mode=mode,
-            noiseless=noiseless,
+            noiseless=_typed_from_config(d.get("noiseless", False), "noiseless", bool, "true or false"),
             truth_style=truth_style,
-            solver=SolverConfig.from_dict(d.get("solver")),
+            solver=solver_from_config(d.get("solver", {})),
             alpha=float_from_config(d.get("alpha", 0.1), "alpha"),
-            reps=_count_from_config(d.get("reps", 200), "reps"),
+            reps=int_from_config(d.get("reps", 200), "reps", 1),
             raw=d,
+            **{key: _typed_from_config(d[key], key, str, "a string")
+               for key in ("truth_path", "observations_path") if key in d},
         )
 
     @property
@@ -162,6 +255,7 @@ class ExperimentConfig:
         return self.box.radius
 
     def scheme(self) -> SamplingScheme:
+        """The configured sampling scheme; a table is loaded from its file here."""
         return scheme_from_config(self.sampling_spec, self.m1, self.m2)
 
     def truth(self, rng: np.random.Generator) -> GroundTruth:
@@ -495,7 +589,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     """
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)
-    n = cfg.n_grid[0]
+    n = cfg.n_single
     d = cfg.m1 + cfg.m2
     m = min(cfg.m1, cfg.m2)
     nu = scheme.nu_constant()
@@ -553,10 +647,12 @@ class LowerBoundResult:
 def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBoundResult:
     """Build and verify a packing, then fit each member as a synthetic truth.
 
-    Reports the max-over-members Frobenius risk next to the lower-bound
-    rate value, demonstrating that achievable risk sits above the rate at
-    matched scale. The packing's entries are 0 and ``kappa * gamma``, so a
-    box that does not contain both, at every n, is rejected before any fit.
+    Reports the max-over-members Frobenius risk of the converged fits next
+    to the lower-bound rate value. It does not show that achievable risk
+    sits above the rate: at the sizes measured so far every member's fit
+    is the zero matrix. The packing's entries are 0 and ``kappa * gamma``,
+    so a box that does not contain both, at every n, is rejected before
+    any fit.
     """
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)

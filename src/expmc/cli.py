@@ -2,7 +2,8 @@
 
 Every command reads a JSON experiment config, a seed and an output
 directory, writes CSV artifacts plus a manifest, and prints the paths it
-produced. See the README for the config schema.
+produced. See the README for the config schema. The first file written
+creates the output directory, so a command that fails before it leaves none.
 """
 
 from __future__ import annotations
@@ -24,21 +25,17 @@ from .io import (
 )
 
 
-def _setup(config_path, out) -> tuple[bench.ExperimentConfig, Path]:
-    """Parse the config, then create the output directory."""
-    cfg = bench.ExperimentConfig.from_dict(json.loads(Path(config_path).read_text()))
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
+def _read_config(config_path) -> bench.ExperimentConfig:
+    return bench.ExperimentConfig.from_dict(json.loads(Path(config_path).read_text()))
 
 
 def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
     """The truth at the config's ``truth_path``, or None when it has none; it must be ``m1 x m2``."""
-    if "truth_path" not in cfg.raw:
+    if cfg.truth_path is None:
         return None
-    x_bar = load_matrix_csv(cfg.raw["truth_path"])
+    x_bar = load_matrix_csv(cfg.truth_path)
     if x_bar.shape != (cfg.m1, cfg.m2):
-        raise ValueError(f"truth {cfg.raw['truth_path']} has shape {x_bar.shape}, expected {(cfg.m1, cfg.m2)}")
+        raise ValueError(f"truth {cfg.truth_path} has shape {x_bar.shape}, expected {(cfg.m1, cfg.m2)}")
     return bench.GroundTruth(x_bar=x_bar)
 
 
@@ -57,7 +54,7 @@ def _simulate_and_save(cfg: bench.ExperimentConfig, scheme, rng, out: Path):
 _shared = [
     click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
     click.option("--seed", required=True, type=int),
-    click.option("--out", required=True, type=click.Path()),
+    click.option("--out", required=True, type=click.Path(path_type=Path)),
 ]
 
 
@@ -76,7 +73,7 @@ def main():
 @shared_options
 def gen(config_path, seed, out):
     """Generate a ground-truth matrix and write it as truth.csv."""
-    cfg, out = _setup(config_path, out)
+    cfg = _read_config(config_path)
     save_matrix_csv(out / "truth.csv", cfg.truth(np.random.default_rng([seed, 0])).x_bar)
     write_manifest(out, "gen", cfg.raw, seed)
     click.echo(str(out / "truth.csv"))
@@ -86,7 +83,7 @@ def gen(config_path, seed, out):
 @shared_options
 def simulate(config_path, seed, out):
     """Draw observations from a truth matrix (generated unless truth_path is set)."""
-    cfg, out = _setup(config_path, out)
+    cfg = _read_config(config_path)
     _simulate_and_save(cfg, cfg.scheme(), np.random.default_rng([seed, 0]), out)
     write_manifest(out, "simulate", cfg.raw, seed)
     click.echo(str(out / "observations.csv"))
@@ -96,13 +93,13 @@ def simulate(config_path, seed, out):
 @shared_options
 def fit_cmd(config_path, seed, out):
     """Fit the penalized estimator on observations (observations_path or simulated)."""
-    cfg, out = _setup(config_path, out)
+    cfg = _read_config(config_path)
     rng = np.random.default_rng([seed, 0])
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)
-    if "observations_path" in cfg.raw:
+    if cfg.observations_path is not None:
         truth = _load_truth(cfg)
-        obs = load_observations_csv(cfg.raw["observations_path"], cfg.m1, cfg.m2)
+        obs = load_observations_csv(cfg.observations_path, cfg.m1, cfg.m2)
     else:
         truth, obs = _simulate_and_save(cfg, scheme, rng, out)
 
@@ -129,7 +126,7 @@ def fit_cmd(config_path, seed, out):
 @shared_options
 def rate_sweep_cmd(config_path, seed, out):
     """Run the risk-versus-rate sweep and write rate_sweep.csv."""
-    cfg, out = _setup(config_path, out)
+    cfg = _read_config(config_path)
     result = bench.rate_sweep(cfg, seed, out_dir=out)
     write_manifest(out, "rate-sweep", cfg.raw, seed)
     click.echo(f"{out / 'rate_sweep.csv'} slope={result.slope!r}")
@@ -139,7 +136,7 @@ def rate_sweep_cmd(config_path, seed, out):
 @shared_options
 def oracle_check_cmd(config_path, seed, out):
     """Run oracle-inequality checks and write oracle_check.csv."""
-    cfg, out = _setup(config_path, out)
+    cfg = _read_config(config_path)
     result = bench.oracle_check(cfg, seed, out_dir=out)
     write_manifest(out, "oracle-check", cfg.raw, seed)
     click.echo(f"{out / 'oracle_check.csv'} all_passed={result.all_passed}")
@@ -149,7 +146,7 @@ def oracle_check_cmd(config_path, seed, out):
 @shared_options
 def concentration_cmd(config_path, seed, out):
     """Run concentration diagnostics and write concentration.csv."""
-    cfg, out = _setup(config_path, out)
+    cfg = _read_config(config_path)
     result = bench.concentration_check(cfg, seed, out_dir=out)
     write_manifest(out, "concentration", cfg.raw, seed)
     click.echo(
@@ -162,7 +159,7 @@ def concentration_cmd(config_path, seed, out):
 @shared_options
 def lower_bound_cmd(config_path, seed, out):
     """Build/verify a packing, fit its members, write lower_bound.csv."""
-    cfg, out = _setup(config_path, out)
+    cfg = _read_config(config_path)
     result = bench.lowerbound_run(cfg, seed, out_dir=out)
     write_manifest(out, "lower-bound", cfg.raw, seed)
     passed = all(row["conditions_passed"] for row in result.summary_rows)

@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matops  # fit calls matops.svt, so wrappers installed on matops see its SVTs
-from .families import (
-    DomainError,
-    ExponentialFamily,
-    ParameterBox,
-    check_config_keys,
-    float_from_config,
-    int_from_config,
-)
+from .families import DomainError, ExponentialFamily, ParameterBox
 # combined_prox is not used by the solver; perfbench/tracer.py counts its calls here.
 from .matops import box_clip, combined_prox, nuclear_norm, operator_norm  # noqa: F401
 from .sampling import ObservationSet, SamplingScheme
@@ -77,14 +70,6 @@ class SolverConfig:
             raise ValueError(f"solver key 'max_iters' must be >= 1, got {self.max_iters!r}")
         if not self.c_gamma > 0:
             raise ValueError(f"solver key 'c_gamma' must be > 0, got {self.c_gamma!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict | None) -> "SolverConfig":
-        if not d:
-            return cls()
-        check_config_keys(d, "solver config", optional=cls.__dataclass_fields__)
-        parse = {"max_iters": int_from_config}
-        return cls(**{key: parse.get(key, float_from_config)(value, key) for key, value in d.items()})
 
 
 def _check_lambda(lam: float) -> None:

@@ -29,7 +29,6 @@ every likelihood only as an additive constant, so all objectives in
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,6 @@ __all__ = [
     "Binomial",
     "Poisson",
     "Exponential",
-    "family_from_config",
-    "family_to_config",
-    "box_from_config",
 ]
 
 # delta_gamma search: bracket of scales, bisection steps, parameters on the box grid.
@@ -457,57 +453,3 @@ class Exponential(ExponentialFamily):
         out[ok] = np.exp(uu) * (1.0 - np.exp(-1.0 - uu)) / (1.0 + uu) + math.exp(-1.0) / (1.0 - uu)
         return out
 
-
-def int_from_config(value, key: str) -> int:
-    """An integer config value; a bool or a non-integral number is a ValueError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def float_from_config(value, key: str) -> float:
-    """A real config value; a bool, a non-number or a non-finite number is a ValueError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def check_config_keys(spec: dict, what: str, required=(), optional=()) -> None:
-    """Reject a ``what`` that lacks a ``required`` key or has a key that is
-    neither required nor ``optional``, naming the key."""
-    missing = set(required) - set(spec)
-    if missing:
-        raise ValueError(f"{what} is missing keys: {sorted(missing)}")
-    unknown = set(spec) - set(required) - set(optional)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-
-
-# Config-file form of each model: its class and the fields it reads, with their parsers.
-_FAMILY_CONFIG = {
-    "gaussian": (Gaussian, {"sigma": float_from_config}),
-    "binomial": (Binomial, {"trials": int_from_config}),
-    "poisson": (Poisson, {}),
-    "exponential": (Exponential, {}),
-}
-
-
-def family_from_config(spec: dict) -> ExponentialFamily:
-    """Build a model from its config-file form, e.g. ``{"family": "gaussian", "sigma": 1.0}``."""
-    name = spec.get("family")
-    if name not in _FAMILY_CONFIG:
-        raise ValueError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_CONFIG)}")
-    cls, fields = _FAMILY_CONFIG[name]
-    check_config_keys(spec, f"{name} config", {"family"}, fields)
-    return cls(**{key: parse(spec[key], key) for key, parse in fields.items() if key in spec})
-
-
-def family_to_config(family: ExponentialFamily) -> dict:
-    fields = _FAMILY_CONFIG[family.name][1]
-    return {"family": family.name, **{key: getattr(family, key) for key in fields}}
-
-
-def box_from_config(spec: dict) -> ParameterBox:
-    """Build a box from its config-file form ``{"lo": -1.0, "hi": 1.0}``."""
-    check_config_keys(spec, "box config", {"lo", "hi"})
-    return ParameterBox(float_from_config(spec["lo"], "lo"), float_from_config(spec["hi"], "hi"))

@@ -45,12 +45,19 @@ def fmt_value(v) -> str:
     return str(v)
 
 
+def _creating(path) -> Path:
+    """``path`` as a Path, with its parent directory created if needed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def save_matrix_csv(path, a: np.ndarray) -> None:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     lines = [",".join(map(repr, row)) for row in a.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _creating(path).write_text("\n".join(lines) + "\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -62,7 +69,7 @@ _OBS_BLOCK = 8192  # rows formatted per write, so no copy of the whole file is h
 
 
 def save_observations_csv(path, obs: ObservationSet) -> None:
-    with open(path, "w") as fh:
+    with open(_creating(path), "w") as fh:
         fh.write(_OBS_HEADER + "\n")
         for start in range(0, obs.n, _OBS_BLOCK):
             block = slice(start, start + _OBS_BLOCK)
@@ -103,7 +110,6 @@ def write_rows_csv(path, rows: list[dict]) -> None:
     """Write dict rows under the first row's keys as the header.
 
     Every row must have exactly those keys in that order, else ValueError.
-    Creates the parent directory if needed.
     """
     if not rows:
         raise ValueError("no rows to write")
@@ -113,9 +119,7 @@ def write_rows_csv(path, rows: list[dict]) -> None:
         if list(row) != header:
             raise ValueError(f"row {k} has keys {list(row)}, the header is {header}")
         lines.append(",".join(map(fmt_value, row.values())))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    _creating(path).write_text("\n".join(lines) + "\n")
 
 
 def config_hash(config: dict) -> str:
@@ -143,6 +147,6 @@ def write_manifest(out_dir, command: str, config: dict, seed: int) -> Path:
             "python": platform.python_version(),
         },
     }
-    path = Path(out_dir) / "manifest.json"
+    path = _creating(Path(out_dir) / "manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

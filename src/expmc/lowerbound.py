@@ -52,12 +52,12 @@ class PackingError(RuntimeError):
 
 
 def kappa(alpha: float, m1: int, r: int, gamma: float, sigma_hi_sq: float, n: int) -> float:
-    """Entry amplitude factor min(1/2, sqrt(alpha m1 r) / (2 gamma sigma_hi_sq sqrt(n)))."""
+    """Entry amplitude factor min(1/2, sqrt(alpha m1 r) / (2 gamma sqrt(sigma_hi_sq) sqrt(n)))."""
     if not 0 < alpha < 0.125:
         raise ValueError("alpha must lie in (0, 1/8)")
     if min(m1, r, n) < 1 or gamma <= 0 or sigma_hi_sq <= 0:
         raise ValueError("m1, r, n must be >= 1 and gamma, sigma_hi_sq positive")
-    return min(0.5, math.sqrt(alpha * m1 * r) / (2.0 * gamma * sigma_hi_sq * math.sqrt(n)))
+    return min(0.5, math.sqrt(alpha * m1 * r) / (2.0 * gamma * math.sqrt(sigma_hi_sq) * math.sqrt(n)))
 
 
 @dataclass(eq=False)

@@ -32,15 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import check_config_keys
-
 __all__ = [
     "CoverageError",
     "SamplingScheme",
     "ObservationSet",
     "uniform_scheme",
     "product_scheme",
-    "scheme_from_config",
     "rademacher_norm_estimate",
 ]
 
@@ -188,28 +185,6 @@ def product_scheme(row_weights, col_weights) -> SamplingScheme:
         raise ValueError("weights must have positive total mass")
     pi = np.outer(r / r.sum(), c / c.sum())
     return SamplingScheme(pi / pi.sum())
-
-
-def scheme_from_config(spec: dict, m1: int, m2: int) -> SamplingScheme:
-    """Build the ``m1 x m2`` scheme of a config file.
-
-    ``{"sampling": "uniform"}`` is the uniform table; ``{"sampling":
-    "table", "path": "pi.csv"}`` loads a headerless CSV table, which must
-    have shape ``(m1, m2)``.
-    """
-    kind = spec.get("sampling", "uniform")
-    if kind == "uniform":
-        check_config_keys(spec, "uniform sampling config", optional={"sampling"})
-        return uniform_scheme(m1, m2)
-    if kind == "table":
-        from .io import load_matrix_csv
-
-        check_config_keys(spec, "table sampling config", {"path"}, {"sampling"})
-        pi = load_matrix_csv(spec["path"])
-        if pi.shape != (m1, m2):
-            raise ValueError(f"sampling table {spec['path']} has shape {pi.shape}, expected {(m1, m2)}")
-        return SamplingScheme(pi)
-    raise ValueError(f"unknown sampling spec {kind!r}")
 
 
 def rademacher_norm_estimate(

@@ -249,6 +249,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"'{key}'"):
             make_cfg(**overrides).scheme()
 
+    @pytest.mark.parametrize("pattern, overrides", [
+        ("config key 'family' must be an object", {"family": "gaussian"}),
+        ("config key 'sampling' must be an object", {"sampling": "uniform"}),
+        ("config key 'n_grid' must be a list", {"n_grid": 400}),
+        ("config key 'truth_path' must be a string", {"truth_path": 3}),
+        ("config key 'observations_path' must be a string", {"observations_path": ["obs.csv"]}),
+        ("config key 'path' must be a string", {"sampling": {"sampling": "table", "path": 3}}),
+        ("config key 'sampling' must be an object naming", {"sampling": {"sampling": "adaptive"}}),
+        (r"missing keys: \['path'\]", {"sampling": {"sampling": "table"}}),
+        (r"unknown uniform sampling config keys: \['pi'\]", {"sampling": {"sampling": "uniform", "pi": "pi.csv"}}),
+        ("box config must be a JSON object", {"box": 1.0}),
+        ("solver config must be a JSON object", {"solver": "fast"}),
+    ], ids=["family", "sampling", "n_grid", "truth_path", "observations_path", "table_path", "sampling_kind",
+            "sampling_missing_key", "sampling_extra_key", "box", "solver"])
+    def test_malformed_values_rejected_when_read(self, pattern, overrides):
+        with pytest.raises(ValueError, match=pattern):
+            make_cfg(**overrides)
+
+    def test_paths_parsed(self):
+        cfg = make_cfg(truth_path="truth.csv", observations_path="obs.csv")
+        assert (cfg.truth_path, cfg.observations_path) == ("truth.csv", "obs.csv")
+        assert (make_cfg().truth_path, make_cfg().observations_path) == (None, None)
+
     def test_missing_required_key_named(self):
         with pytest.raises(ValueError, match="'family'"):
             ExperimentConfig.from_dict({"m1": 4, "m2": 4, "n": 100})

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from expmc import ObservationSet
 from expmc.cli import main
-from expmc.io import load_matrix_csv, load_observations_csv, save_matrix_csv
+from expmc.io import load_matrix_csv, load_observations_csv, save_matrix_csv, save_observations_csv
 
 
 @pytest.fixture
@@ -119,6 +120,26 @@ class TestGenSimulateFit:
         assert isinstance(result.exception, ValueError)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, overrides, error", [
+        ("lower-bound", {"alpha": 0.2}, "alpha must lie in (0, 1/8)"),
+        ("lower-bound", {"box": {"lo": 0.5, "hi": 1.0}}, "excludes a packing entry"),
+        ("oracle-check", {"mode": "likelihood"}, "oracle_check requires mode == known_sampling"),
+        ("fit", {"lambda_mode": "oracle", "observations_path": "obs.csv"}, "needs a truth_path"),
+    ])
+    def test_failure_before_the_first_write_creates_no_out(
+        self, runner, tmp_path, monkeypatch, command, overrides, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        save_observations_csv("obs.csv", ObservationSet(m1=8, m2=8, rows=[0, 1], cols=[0, 1], ys=[0.5, -0.5]))
+        cfg = write_cfg(tmp_path, n=100, **overrides)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        if command == "fit":
+            assert result.exit_code == 2 and error in result.output
+        else:
+            assert isinstance(result.exception, ValueError) and error in str(result.exception)
+        assert not out.exists()
+
     @pytest.mark.parametrize("truth_shape, m", [((5, 5), 8), ((5, 5), 4), ((8, 7), 8)])
     def test_truth_of_another_shape_rejected(self, runner, tmp_path, truth_shape, m):
         save_matrix_csv(tmp_path / "truth.csv", np.full(truth_shape, 0.5))
@@ -128,7 +149,7 @@ class TestGenSimulateFit:
             result = runner.invoke(main, [command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
             assert isinstance(result.exception, ValueError)
             assert f"has shape {truth_shape}, expected ({m}, {m})" in str(result.exception)
-            assert not any(out.iterdir())
+            assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["likelihood", "known_sampling"])
     def test_sampling_table_of_another_shape_rejected(self, runner, tmp_path, mode):
@@ -139,7 +160,7 @@ class TestGenSimulateFit:
         result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert isinstance(result.exception, ValueError)
         assert "has shape (5, 5), expected (8, 8)" in str(result.exception)
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_fit_with_truth_path_and_oracle(self, runner, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -178,6 +199,14 @@ class TestHarnessCommands:
         lines = (out / "concentration.csv").read_text().splitlines()
         assert lines[0].startswith("config_hash,metric,")
         assert len(lines) == 1 + 1 + 20 + 1  # header + rademacher + reps + exceedance
+
+    def test_concentration_reads_n_before_the_grid(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path, n=300, n_grid=[200, 400], reps=5)
+        out = tmp_path / "conc"
+        invoke(runner, ["concentration", "--config", str(cfg), "--seed", "2", "--out", str(out)])
+        lines = (out / "concentration.csv").read_text().splitlines()
+        column = lines[0].split(",").index("n")
+        assert [line.split(",")[column] for line in lines[1:]] == ["300"] * (1 + 5 + 1)
 
     def test_lower_bound_command(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, n_grid=[500], replicates=1)

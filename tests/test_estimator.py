@@ -29,7 +29,7 @@ from expmc import (
     uniform_scheme,
 )
 from expmc import estimator, matops
-from expmc.bench import gen_truth, observe_every_entry, simulate
+from expmc.bench import gen_truth, observe_every_entry, simulate, solver_from_config
 
 BOX1 = ParameterBox.symmetric(1.0)
 
@@ -561,8 +561,8 @@ class TestSolverConfig:
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError):
-            SolverConfig.from_dict({"tol": 1e-8, "bogus": 1})
+            solver_from_config({"tol": 1e-8, "bogus": 1})
 
     def test_from_dict_values(self):
-        cfg = SolverConfig.from_dict({"tol": 1e-7, "max_iters": 100})
+        cfg = solver_from_config({"tol": 1e-7, "max_iters": 100})
         assert cfg.tol == 1e-7 and cfg.max_iters == 100

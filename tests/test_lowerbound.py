@@ -168,6 +168,19 @@ class TestVerifyConditions:
         _, report = self.make(n=800, family=Poisson())
         assert "kl_average" not in report.failures
 
+    @pytest.mark.parametrize("n", [2000, 32000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conditions_hold_across_families(self, n, seed):
+        # kappa scales with 1 / sigma_hi, so every Gaussian sigma spends the same share of the budget.
+        families = [Gaussian(sigma=1.0), Gaussian(sigma=2.0), Gaussian(sigma=0.5),
+                    Binomial(trials=1), Binomial(trials=4), Poisson()]
+        shares = []
+        for family in families:
+            _, report = self.make(n=n, seed=seed, family=family, m1=30, m2=30)
+            assert report.passed, (family, report.failures)
+            shares.append(report.kl_average / report.kl_budget)
+        assert shares[1:3] == pytest.approx([shares[0]] * 2, rel=1e-12)
+
     def test_delta_probability_limit(self):
         assert delta_probability(1e-9, 400, 3) == pytest.approx(1.0, abs=1e-3)
         assert delta_probability(0.1, 16, 2) < 1.0

@@ -2,14 +2,15 @@
 
 Its ```python blocks execute in order in one namespace, and every ```json
 block parses as an experiment config, so a renamed key or signature fails
-here instead of only in the docs.
+here instead of only in the docs. The config section names every
+top-level key the parser accepts.
 """
 
 import json
 import re
 from pathlib import Path
 
-from expmc.bench import ExperimentConfig
+from expmc.bench import _CONFIG_KEYS, ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +32,12 @@ def test_json_examples_are_valid_configs():
     assert sources
     for source in sources:
         ExperimentConfig.from_dict(json.loads(source))
+
+
+def test_config_section_names_every_accepted_key():
+    text = README.read_text()
+    section = text[text.index("Config schema (JSON)"):text.index("File formats:")]
+    named = set(re.findall(r"`(\w+)`", section))
+    assert _CONFIG_KEYS <= named, sorted(_CONFIG_KEYS - named)
+    for source in blocks("json"):
+        assert set(json.loads(source)) <= _CONFIG_KEYS
