@@ -30,7 +30,7 @@ from .estimator import (
 from .families import Binomial, Exponential, ExponentialFamily, Gaussian, ParameterBox, Poisson
 from .io import config_hash, load_matrix_csv, write_rows_csv
 from .lowerbound import build_packing, kappa, save_packing, verify_conditions
-from .matops import nuclear_norm, operator_norm
+from .matops import nuclear_norm, numerical_rank, operator_norm
 from .metrics import bound_value, frobenius_risk, oracle_inequality_check, risk_report
 from .sampling import ObservationSet, SamplingScheme, rademacher_norm_estimate, uniform_scheme
 
@@ -648,11 +648,13 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
     """Build and verify a packing, then fit each member as a synthetic truth.
 
     Reports the max-over-members Frobenius risk of the converged fits next
-    to the lower-bound rate value. It does not show that achievable risk
-    sits above the rate: at the sizes measured so far every member's fit
-    is the zero matrix. The packing's entries are 0 and ``kappa * gamma``,
-    so a box that does not contain both, at every n, is rejected before
-    any fit.
+    to the lower-bound rate value, with the number of members whose fit did
+    not converge and so is left out of that maximum. Each member's row
+    carries the numerical rank of its estimate, ``rank_hat``. The run does
+    not show that achievable risk sits above the rate: at the sizes
+    measured so far every member's fit is the zero matrix. The packing's
+    entries are 0 and ``kappa * gamma``, so a box that does not contain
+    both, at every n, is rejected before any fit.
     """
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)
@@ -671,7 +673,7 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
         report = verify_conditions(packing, cfg.family, scheme, n, cfg.box)
         reports.append(report)
 
-        max_risk = 0.0
+        max_risk, n_not_converged = 0.0, 0
         for j, member in enumerate(packing.members):
             mem_rng = np.random.default_rng([seed, 12, i_n, j])
             truth = GroundTruth(x_bar=member)
@@ -679,16 +681,19 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
             risk = frobenius_risk(result.x_hat, member)
             if result.converged:
                 max_risk = max(max_risk, risk)
+            else:
+                n_not_converged += 1
             member_rows.append({
                 "config_hash": chash, "n": n, "member": j, "lambda": problem.lam,
                 "converged": result.converged, "iterations": result.iterations,
-                "frob_risk": risk,
+                "frob_risk": risk, "rank_hat": numerical_rank(result.x_hat),
             })
 
         summary_rows.append({
             "config_hash": chash, "n": n, "kappa": packing.kappa,
             "cardinality": report.cardinality, "cardinality_target": report.cardinality_target,
-            "max_frob_risk": max_risk, "lower_bound_value": report.lower_bound_value,
+            "max_frob_risk": max_risk, "n_not_converged": n_not_converged,
+            "lower_bound_value": report.lower_bound_value,
             "delta_value": report.delta_value,
             "separation_ok": "separation" not in report.failures,
             "kl_ok": "kl_average" not in report.failures,

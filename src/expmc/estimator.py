@@ -214,7 +214,8 @@ class FitResult:
 
 
 def _objective(problem: CompletionProblem, x: np.ndarray) -> float:
-    return neg_loglik(problem, x) + problem.lam * nuclear_norm(x)
+    # The zero matrix has nuclear norm 0.0, exactly what its SVD returns.
+    return neg_loglik(problem, x) + problem.lam * (nuclear_norm(x) if x.any() else 0.0)
 
 
 def _sufficient_decrease(problem: CompletionProblem, y, g, z, step: float) -> bool:

@@ -24,6 +24,10 @@ and the exponential model produces an exponential variable with rate
 The base measure of the density never needs to be evaluated: it enters
 every likelihood only as an additive constant, so all objectives in
 :mod:`expmc.estimator` drop it.
+
+The special functions the models need (the logistic function, the normal
+distribution function, log-factorials and a log-sum-exp) are computed
+here from numpy and :mod:`math`, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DomainError",
@@ -49,6 +52,40 @@ __all__ = [
 _DELTA_BRACKET = (1e-6, 1e6)
 _DELTA_BISECT_ITERS = 60
 _DELTA_GRID_POINTS = 101
+
+
+def _expit(x):
+    """Logistic function ``1 / (1 + e^-x)``; 0 where ``e^-x`` overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _ndtr(s: float) -> float:
+    """Standard normal distribution function at ``s``."""
+    return 0.5 * math.erfc(-s / math.sqrt(2.0))
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a)))`` over the last axis, shifted by the row maximum."""
+    m = a.max(axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.exp(a - m).sum(axis=-1))
+
+
+# log(k!) for k = 0, 1, ...: a pure function of k, so one table serves the
+# whole process. The Poisson moment series reads up to 200,001 entries at
+# every bisection step, so the table only grows, by the entries asked for.
+_log_factorial_table = np.zeros(1)
+
+
+def _log_factorials(kmax: int) -> np.ndarray:
+    """``log(k!)`` for ``k = 0, ..., kmax``, read-only."""
+    global _log_factorial_table
+    have = len(_log_factorial_table)
+    if kmax >= have:
+        tail = [math.lgamma(k + 1.0) for k in range(have, kmax + 1)]
+        _log_factorial_table = np.concatenate([_log_factorial_table, tail])
+        _log_factorial_table.flags.writeable = False
+    return _log_factorial_table[: kmax + 1]
 
 
 class DomainError(ValueError):
@@ -299,7 +336,7 @@ class Gaussian(ExponentialFamily):
         s = self.sigma / scale
         if 0.5 * s * s > 700.0:
             return np.full(x.shape, math.inf)
-        val = 2.0 * math.exp(0.5 * s * s) * special.ndtr(s)
+        val = 2.0 * math.exp(0.5 * s * s) * _ndtr(s)
         return np.full(x.shape, val)
 
 
@@ -323,19 +360,19 @@ class Binomial(ExponentialFamily):
         return self.trials * np.logaddexp(0.0, x)
 
     def _g1(self, x):
-        return self.trials * special.expit(x)
+        return self.trials * _expit(x)
 
     def _g2(self, x):
-        p = special.expit(x)
+        p = _expit(x)
         return self.trials * p * (1.0 - p)
 
     def _bregman(self, x, x_ref):
         return self.trials * (
-            np.logaddexp(0.0, x) - np.logaddexp(0.0, x_ref) - special.expit(x_ref) * (x - x_ref)
+            np.logaddexp(0.0, x) - np.logaddexp(0.0, x_ref) - _expit(x_ref) * (x - x_ref)
         )
 
     def _sample(self, x, rng):
-        return rng.binomial(self.trials, special.expit(x))
+        return rng.binomial(self.trials, _expit(x))
 
     def _variance_bounds(self, box):
         ends = [float(self._g2(np.asarray(v))) for v in (box.lo, box.hi)]
@@ -343,20 +380,21 @@ class Binomial(ExponentialFamily):
         return min(ends), hi
 
     def _mean_abs_max(self, box):
-        return float(self.trials * special.expit(box.hi))
+        return float(self.trials * _expit(box.hi))
 
     def _centered_abs_exp_moment(self, x, scale):
         x = np.asarray(x, dtype=float)[..., None]
         k = np.arange(self.trials + 1, dtype=float)
+        log_fact = _log_factorials(self.trials)
         log_pmf = (
-            special.gammaln(self.trials + 1)
-            - special.gammaln(k + 1)
-            - special.gammaln(self.trials - k + 1)
+            log_fact[-1]
+            - log_fact
+            - log_fact[::-1]
             - k * np.logaddexp(0.0, -x)
             - (self.trials - k) * np.logaddexp(0.0, x)
         )
-        log_term = log_pmf + np.abs(k - self.trials * special.expit(x)) / scale
-        return np.exp(special.logsumexp(log_term, axis=-1))
+        log_term = log_pmf + np.abs(k - self.trials * _expit(x)) / scale
+        return np.exp(_logsumexp(log_term))
 
 
 @dataclass(frozen=True)
@@ -402,7 +440,7 @@ def _poisson_abs_moment(lam: float, scale: float, k_cap: int = 200_000) -> float
     peak = lam * growth
     kmax = int(min(lam + peak + 12.0 * math.sqrt(peak + 1.0) + 60.0, k_cap))
     k = np.arange(kmax + 1, dtype=float)
-    log_term = -lam + k * math.log(lam) - special.gammaln(k + 1) + np.abs(k - lam) / scale
+    log_term = -lam + k * math.log(lam) - _log_factorials(kmax) + np.abs(k - lam) / scale
     m = float(log_term.max())
     if m > 500.0:
         return math.inf

@@ -131,8 +131,6 @@ def config_hash(config: dict) -> str:
 def write_manifest(out_dir, command: str, config: dict, seed: int) -> Path:
     import platform
 
-    import scipy
-
     from . import __version__
 
     manifest = {
@@ -143,7 +141,6 @@ def write_manifest(out_dir, command: str, config: dict, seed: int) -> Path:
         "versions": {
             "expmc": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

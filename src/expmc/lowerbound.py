@@ -216,11 +216,12 @@ def verify_conditions(
     if any(numerical_rank(mat) > r for mat in members):
         failures.append("rank")
 
-    stack = np.stack(members)
-    min_sq = math.inf
-    for i in range(card - 1):
-        diffs = stack[i + 1 :] - stack[i]
-        min_sq = min(min_sq, float((diffs * diffs).sum(axis=(1, 2)).min()))
+    # ||a_i - a_j||^2 = ||a_i||^2 + ||a_j||^2 - 2 <a_i, a_j> for every pair i < j, from one Gram product.
+    flat = np.stack(members).reshape(card, -1)
+    gram = flat @ flat.T
+    sq = np.diag(gram)
+    pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
+    min_sq = float(pair_sq[np.triu_indices(card, k=1)].min()) if card > 1 else math.inf
     threshold = m1 * m2 * kap**2 * gamma**2 / 16.0
     if min_sq < threshold - 1e-12:
         failures.append("separation")

@@ -479,6 +479,24 @@ class TestLowerBoundRun:
         assert (tmp_path / "packing_n600" / "manifest.json").exists()
         assert len(res.member_rows) == summary["cardinality"]
 
+    @pytest.mark.parametrize("max_iters", [1, 20])
+    def test_fits_short_of_tol_counted(self, max_iters):
+        # At this small fixed lambda the members' fits need 17-26 iterations to reach tol.
+        cfg = make_cfg(
+            m1=8, m2=8, rank=2, n_grid=[600], replicates=1, alpha=0.1, lambda_mode=1e-3,
+            solver={"max_iters": max_iters},
+        )
+        res = lowerbound_run(cfg, seed=51)
+        rows, summary = res.member_rows, res.summary_rows[0]
+        assert summary["n_not_converged"] == sum(not row["converged"] for row in rows)
+        assert summary["max_frob_risk"] == max([row["frob_risk"] for row in rows if row["converged"]], default=0.0)
+        if max_iters == 1:  # the one iterate is the zero start point
+            assert summary["n_not_converged"] == len(rows)
+            assert all(row["rank_hat"] == 0 for row in rows)
+        else:
+            assert 0 < summary["n_not_converged"] < len(rows)
+            assert all(1 <= row["rank_hat"] <= 8 for row in rows)
+
     @pytest.mark.parametrize("lo, hi", [(0.5, 1.5), (-1.0, 0.01)])
     def test_box_without_zero_or_the_amplitude_rejected(self, lo, hi):
         # [0.5, 1.5] excludes the zero member, [-1, 0.01] the amplitude kappa * gamma = 0.026.

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import expmc
 from expmc import ObservationSet
 from expmc.cli import main
 from expmc.io import load_matrix_csv, load_observations_csv, save_matrix_csv, save_observations_csv
@@ -47,7 +52,7 @@ class TestGenSimulateFit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["command"] == "gen"
-        assert "expmc" in manifest["versions"]
+        assert sorted(manifest["versions"]) == ["expmc", "numpy", "python"]
 
     def test_simulate_then_fit_from_files(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, n=300)
@@ -239,9 +244,9 @@ RESULT_HEADERS = {
     "oracle_check.csv": "config_hash,family,m1,m2,rank,n,replicate,lambda,required_lambda,applicable,"
     "converged,lhs,margin_flat,margin_rank,passed_flat,passed_rank,n_candidates",
     "concentration.csv": "config_hash,metric,replicate,n,value,reference_value,satisfied,precondition_ok",
-    "lower_bound.csv": "config_hash,n,member,lambda,converged,iterations,frob_risk",
+    "lower_bound.csv": "config_hash,n,member,lambda,converged,iterations,frob_risk,rank_hat",
     "lower_bound_summary.csv": "config_hash,n,kappa,cardinality,cardinality_target,max_frob_risk,"
-    "lower_bound_value,delta_value,separation_ok,kl_ok,membership_ok,conditions_passed",
+    "n_not_converged,lower_bound_value,delta_value,separation_ok,kl_ok,membership_ok,conditions_passed",
 }
 
 
@@ -268,3 +273,41 @@ def test_result_table_header(result_tables, name):
     assert lines[0] == RESULT_HEADERS[name]
     assert len(lines) > 1
     assert all(line.count(",") == lines[0].count(",") for line in lines)
+
+
+# A fresh interpreter imports the package and CLI and fits an 8x8 table of each
+# family, then prints the scipy modules it loaded. argv: output dir, configs as JSON.
+SCIPY_FREE_FIT = """
+import json, sys
+from pathlib import Path
+from click.testing import CliRunner
+import expmc, expmc.cli
+out = Path(sys.argv[1])
+for name, cfg in json.loads(sys.argv[2]).items():
+    path = out / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    result = CliRunner().invoke(expmc.cli.main, ["fit", "--config", str(path), "--seed", "1", "--out", str(out / name)])
+    assert result.exit_code == 0, (name, result.output)
+    assert (out / name / "fit.json").exists(), name
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_fits_of_every_family_import_no_scipy(tmp_path):
+    base = {"m1": 8, "m2": 8, "rank": 2, "gamma": 1.0, "n": 200, "truth": "flat"}
+    configs = {
+        "gaussian": {**base, "family": {"family": "gaussian", "sigma": 1.0}},
+        "binomial": {**base, "family": {"family": "binomial", "trials": 1}},
+        "poisson": {**base, "family": {"family": "poisson"}},
+        "exponential": {
+            **base, "family": {"family": "exponential"}, "box": {"lo": -2.0, "hi": -0.5}, "gamma": 2.0,
+            "truth": "factor",
+        },
+    }
+    src = str(Path(expmc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_FIT, str(tmp_path), json.dumps(configs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

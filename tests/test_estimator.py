@@ -511,6 +511,24 @@ class TestDavisYinSolver:
         assert (p.counts == 0).sum() >= 20
         self.assert_sound(p, fit(p))
 
+    @pytest.mark.parametrize("family, box, decompositions", [
+        (Gaussian(sigma=1.0), BOX1, 1),  # the start point is the zero matrix
+        (Exponential(), ParameterBox(-2.0, -0.4), 2),  # the start point is -0.4 everywhere
+    ])
+    def test_exit_objective_decomposes_only_nonzero_matrices(self, monkeypatch, family, box, decompositions):
+        p, _ = random_problem(np.random.default_rng(10), family, box, lam=0.005)
+        decomposed = []
+
+        def recording_nuclear_norm(x):
+            decomposed.append(x)
+            return nuclear_norm(x)
+
+        monkeypatch.setattr(estimator, "nuclear_norm", recording_nuclear_norm)
+        res = fit(p)
+        assert len(decomposed) == decompositions and all(x.any() for x in decomposed)
+        x0 = np.clip(np.zeros(p.shape), box.lo, box.hi)
+        assert res.objective_trace[0] == neg_loglik(p, x0) + p.lam * nuclear_norm(x0)
+
     def test_extrapolation_that_raises_the_residual_is_dropped(self, monkeypatch):
         # Every extrapolated point is pushed far outside the box, where its
         # residual is large; the solver must fall back to the plain step

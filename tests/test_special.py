@@ -1,0 +1,80 @@
+"""The special functions of :mod:`expmc.families` against ``scipy.special``.
+
+The package computes them from numpy and :mod:`math`; scipy serves here
+only as an independent reference, so this module is skipped without it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from expmc import Binomial, Gaussian, ParameterBox, Poisson
+from expmc import families
+
+special = pytest.importorskip("scipy.special")
+
+
+def test_expit_matches_scipy():
+    # Both compute 1 / (1 + e^-x). numpy's exp is within 1 ulp of the C library's,
+    # which scipy calls; through 1 / (1 + e) that ulp reaches 3 ulps of the result
+    # on this grid (at x = -36.897, where 1 + e rounds to even).
+    x = np.linspace(-700.0, 700.0, 200_001)
+    np.testing.assert_array_max_ulp(np.exp(-x), np.array([math.exp(-v) for v in x]), maxulp=1)
+    np.testing.assert_array_max_ulp(families._expit(x), special.expit(x), maxulp=3)
+
+
+def test_expit_saturates_without_warning():
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert families._expit(np.array([-1000.0]))[0] == 0.0
+        assert families._expit(np.array([1000.0]))[0] == 1.0
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_gaussian_moment(sigma):
+    fam = Gaussian(sigma=sigma)
+    for scale in np.geomspace(0.06 * sigma, 1e3, 200):
+        s = sigma / scale
+        reference = 2.0 * math.exp(0.5 * s * s) * special.ndtr(s)
+        got = fam._centered_abs_exp_moment(np.zeros(1), scale)[0]
+        assert got == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+
+def test_log_factorials_match_gammaln():
+    k_cap = 200_000
+    table = families._log_factorials(k_cap)
+    assert table.shape == (k_cap + 1,)
+    np.testing.assert_allclose(table, special.gammaln(np.arange(k_cap + 1) + 1.0), rtol=1e-14, atol=0.0)
+
+
+def test_log_factorials_are_one_read_only_table():
+    full = families._log_factorials(200_000)
+    assert np.shares_memory(families._log_factorials(5), full)  # a shorter request rebuilds nothing
+    with pytest.raises(ValueError):
+        full[3] = 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_logsumexp_rows(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(scale=10.0 ** rng.uniform(-2, 3), size=(7, 5, 301))
+    a[0, 0] += 700.0  # terms whose exponentials alone would overflow
+    np.testing.assert_allclose(families._logsumexp(a), special.logsumexp(a, axis=-1), rtol=1e-14, atol=1e-14)
+
+
+# The families of tests/test_lowerbound.py::TestVerifyConditions::test_conditions_hold_across_families.
+PACKING_FAMILIES = [Gaussian(sigma=1.0), Gaussian(sigma=2.0), Gaussian(sigma=0.5),
+                    Binomial(trials=1), Binomial(trials=4), Poisson()]
+
+
+@pytest.mark.parametrize("family", PACKING_FAMILIES, ids=repr)
+def test_interval_constants_match_scipy_reference(family, monkeypatch):
+    box = ParameterBox.symmetric(1.0)
+    got = family.interval_constants(box)
+    monkeypatch.setattr(families, "_expit", special.expit)
+    monkeypatch.setattr(families, "_ndtr", special.ndtr)
+    monkeypatch.setattr(families, "_logsumexp", lambda a: special.logsumexp(a, axis=-1))
+    monkeypatch.setattr(families, "_log_factorials", lambda kmax: special.gammaln(np.arange(kmax + 1) + 1.0))
+    reference = family.interval_constants(box)
+    for field in ("sigma_lo_sq", "sigma_hi_sq", "delta_gamma", "l_gamma"):
+        assert getattr(got, field) == pytest.approx(getattr(reference, field), rel=1e-12, abs=0.0), field
