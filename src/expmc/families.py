@@ -60,6 +60,15 @@ def _expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _softplus(x):
+    """``log(1 + e^x)`` as ``max(x, 0) + log1p(e^-|x|)``, which never overflows.
+
+    Equal to ``np.logaddexp(0, x)`` within 2 ulp, and several times faster:
+    numpy runs ``logaddexp`` as a scalar loop.
+    """
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def _ndtr(s: float) -> float:
     """Standard normal distribution function at ``s``."""
     return 0.5 * math.erfc(-s / math.sqrt(2.0))
@@ -357,7 +366,7 @@ class Binomial(ExponentialFamily):
         return float(self.trials)
 
     def _g(self, x):
-        return self.trials * np.logaddexp(0.0, x)
+        return self.trials * _softplus(x)
 
     def _g1(self, x):
         return self.trials * _expit(x)
@@ -368,7 +377,7 @@ class Binomial(ExponentialFamily):
 
     def _bregman(self, x, x_ref):
         return self.trials * (
-            np.logaddexp(0.0, x) - np.logaddexp(0.0, x_ref) - _expit(x_ref) * (x - x_ref)
+            _softplus(x) - _softplus(x_ref) - _expit(x_ref) * (x - x_ref)
         )
 
     def _sample(self, x, rng):
@@ -390,8 +399,8 @@ class Binomial(ExponentialFamily):
             log_fact[-1]
             - log_fact
             - log_fact[::-1]
-            - k * np.logaddexp(0.0, -x)
-            - (self.trials - k) * np.logaddexp(0.0, x)
+            - k * _softplus(-x)
+            - (self.trials - k) * _softplus(x)
         )
         log_term = log_pmf + np.abs(k - self.trials * _expit(x)) / scale
         return np.exp(_logsumexp(log_term))
@@ -434,13 +443,27 @@ class Poisson(ExponentialFamily):
         return out
 
 
+_POISSON_HEAD_TERMS = 256
+
+
 def _poisson_abs_moment(lam: float, scale: float, k_cap: int = 200_000) -> float:
     """E[exp(|Y - lam| / scale)] for Y ~ Poisson(lam), by log-space summation."""
+
+    def log_terms(kmax: int) -> np.ndarray:
+        k = np.arange(kmax + 1, dtype=float)
+        return -lam + k * math.log(lam) - _log_factorials(kmax) + np.abs(k - lam) / scale
+
     growth = math.exp(min(1.0 / scale, 35.0))
     peak = lam * growth
     kmax = int(min(lam + peak + 12.0 * math.sqrt(peak + 1.0) + 60.0, k_cap))
-    k = np.arange(kmax + 1, dtype=float)
-    log_term = -lam + k * math.log(lam) - _log_factorials(kmax) + np.abs(k - lam) / scale
+    # A term above e^500 makes the moment infinite. At small scales the first
+    # terms already show it, before the series (up to k_cap terms) is built;
+    # a series no longer than the head is the head.
+    log_term = log_terms(min(kmax, _POISSON_HEAD_TERMS))
+    if float(log_term.max()) > 500.0:
+        return math.inf
+    if kmax > _POISSON_HEAD_TERMS:
+        log_term = log_terms(kmax)
     m = float(log_term.max())
     if m > 500.0:
         return math.inf

@@ -2,14 +2,18 @@
 
 Formats:
 
-* matrices — headerless CSV, one matrix row per line, shortest
-  round-trip decimal representation (bit-exact float64 round trips);
+* matrices — headerless CSV, one matrix row per line;
 * observations — CSV with header ``i,row,col,y``; ``i`` and the cell
   indices are 1-based on disk, converted to 0-based arrays in memory;
 * result tables — CSV whose header is the first row's keys, which
   every row must repeat in the same order;
 * manifests — sorted-key JSON recording config, seed, config hash and
   library versions (no timestamps, so reruns are reproducible).
+
+A float's text is Python's shortest round-trip ``repr`` (``-0.0`` keeps its
+sign), so a file reads back bit-exact. A matrix row or block of
+observations whose values repeat (a flat truth, 0/1 or count
+observations) has each distinct value formatted once.
 """
 
 from __future__ import annotations
@@ -52,11 +56,34 @@ def _creating(path) -> Path:
     return path
 
 
+def _float_reprs(a: np.ndarray) -> list[str] | None:
+    """``repr(float(x))`` for each entry of the 1-d float64 array ``a``, with
+    each distinct value formatted once.
+
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` stay
+    distinct. A sort counts them: ``np.unique`` with an inverse costs about
+    four sorts of a matrix row. None when more than half the entries are
+    distinct, where the table saves less than it costs.
+    """
+    bits = a.view(np.int64)
+    ordered = np.sort(bits)
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > a.size:
+        return None
+    distinct = np.concatenate([ordered[:1], ordered[1:][new]])
+    table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return table[np.searchsorted(distinct, bits)].tolist()
+
+
 def save_matrix_csv(path, a: np.ndarray) -> None:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    lines = [",".join(map(repr, row)) for row in a.tolist()]
+    # Row by row, so no Python object is held per entry of the whole matrix.
+    lines = []
+    for row in a:
+        texts = _float_reprs(row)
+        lines.append(",".join(map(repr, row.tolist()) if texts is None else texts))
     _creating(path).write_text("\n".join(lines) + "\n")
 
 
@@ -69,13 +96,20 @@ _OBS_BLOCK = 8192  # rows formatted per write, so no copy of the whole file is h
 
 
 def save_observations_csv(path, obs: ObservationSet) -> None:
+    # 1-based index text of every row and column, looked up by 0-based index.
+    row_text = [str(k) for k in range(1, obs.m1 + 1)]
+    col_text = [str(k) for k in range(1, obs.m2 + 1)]
     with open(_creating(path), "w") as fh:
         fh.write(_OBS_HEADER + "\n")
         for start in range(0, obs.n, _OBS_BLOCK):
             block = slice(start, start + _OBS_BLOCK)
-            rows, cols, ys = obs.rows[block].tolist(), obs.cols[block].tolist(), obs.ys[block].tolist()
+            rows, cols, values = obs.rows[block].tolist(), obs.cols[block].tolist(), obs.ys[block]
+            ys = _float_reprs(values)
+            if ys is None:
+                ys = values.tolist()  # f"{y}" of a float is its repr
             fh.write("".join(
-                f"{i},{r + 1},{c + 1},{y!r}\n" for i, r, c, y in zip(range(start + 1, obs.n + 1), rows, cols, ys)
+                f"{i},{row_text[r]},{col_text[c]},{y}\n"
+                for i, r, c, y in zip(range(start + 1, obs.n + 1), rows, cols, ys)
             ))
 
 

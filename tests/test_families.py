@@ -15,6 +15,7 @@ from expmc import (
     family_from_config,
     family_to_config,
 )
+from expmc import families
 
 
 class TestLogPartition:
@@ -221,6 +222,37 @@ class TestIntervalConstants:
             mc = np.exp(np.abs(draws - fam.mean(x)) / scale).mean()
             exact = float(fam._centered_abs_exp_moment(np.array([x]), scale)[0])
             assert exact == pytest.approx(mc, rel=0.05)
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-3.0, -1.0), (0.0, 2.5), (-0.5, 3.0)])
+    def test_poisson_constants_match_full_series(self, lo, hi, monkeypatch):
+        # The moment returns inf early when one of the first terms exceeds
+        # e^500; summing the whole series must give bit-identical constants.
+        def full_series(lam, scale, k_cap=200_000):
+            growth = math.exp(min(1.0 / scale, 35.0))
+            peak = lam * growth
+            kmax = int(min(lam + peak + 12.0 * math.sqrt(peak + 1.0) + 60.0, k_cap))
+            k = np.arange(kmax + 1, dtype=float)
+            log_term = -lam + k * math.log(lam) - families._log_factorials(kmax) + np.abs(k - lam) / scale
+            m = float(log_term.max())
+            if m > 500.0:
+                return math.inf
+            total = m + math.log(float(np.exp(log_term - m).sum()))
+            return math.exp(total) if total < 700.0 else math.inf
+
+        box = ParameterBox(lo, hi)
+        got = Poisson().interval_constants(box)
+        lams = np.exp(np.linspace(lo, hi, 7))
+        scales = [1e-6, 1e-3, 0.02, 0.05, 0.1, 0.5, 1.0, 10.0, 1e6]
+        moments = [families._poisson_abs_moment(lam, s) for lam in lams for s in scales]
+        monkeypatch.setattr(families, "_poisson_abs_moment", full_series)
+        assert got == Poisson().interval_constants(box)
+        assert moments == [full_series(lam, s) for lam in lams for s in scales]
+
+    def test_poisson_first_call_builds_a_short_log_factorial_table(self, monkeypatch):
+        # The bracket end 1e-6 must not size the series to its 200,000-term cap.
+        monkeypatch.setattr(families, "_log_factorial_table", np.zeros(1))
+        Poisson().interval_constants(ParameterBox.symmetric(1.0))
+        assert families._log_factorial_table.size < 1000
 
     def test_exponential_box_near_boundary_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from expmc import ObservationSet
-from expmc.io import load_observations_csv, save_observations_csv, write_rows_csv
+from expmc.io import (
+    _float_reprs,
+    load_observations_csv,
+    save_matrix_csv,
+    save_observations_csv,
+    write_rows_csv,
+)
 
 M1, M2 = 5, 4
 
@@ -42,15 +49,99 @@ def test_written_in_blocks_like_one_string(tmp_path, n):
     )
     path = tmp_path / "observations.csv"
     save_observations_csv(path, obs)
+    assert_same_observations_text(path.read_text(), obs)
+
+
+def assert_same_observations_text(written, obs):
+    """``written`` is the file each row's own f-string formatting gives."""
     expected = ["i,row,col,y"] + [
         f"{i},{r + 1},{c + 1},{y!r}" for i, (r, c, y) in enumerate(zip(obs.rows, obs.cols, obs.ys.tolist()), 1)
     ]
-    written = path.read_text()
     # One boolean, not a == inside the assert: pytest's diff of two 100 kB
     # strings takes minutes.
     same = written == "\n".join(expected) + "\n"
     first = next((k for k, (w, e) in enumerate(zip(written.split("\n"), expected)) if w != e), None)
     assert same, f"first differing line: {first}"
+
+
+def draw_ys(kind, n, rng):
+    if kind == "bernoulli":
+        return (rng.random(n) < 0.3).astype(float)
+    if kind == "poisson":
+        return rng.poisson(4.0, n).astype(float)
+    return np.round(rng.standard_normal(n), 1)  # about 70 values, -0.0 among them
+
+
+# At n = 8193 the last block holds one value, which is formatted on its own.
+@pytest.mark.parametrize("n", [8191, 8192, 8193])
+@pytest.mark.parametrize("kind", ["bernoulli", "poisson", "rounded"])
+def test_repeated_observation_values_written_like_one_string(tmp_path, kind, n):
+    rng = np.random.default_rng(n)
+    m1, m2 = 300, 7
+    obs = ObservationSet(
+        m1=m1, m2=m2, rows=rng.integers(0, m1, n), cols=rng.integers(0, m2, n), ys=draw_ys(kind, n, rng)
+    )
+    path = tmp_path / "observations.csv"
+    save_observations_csv(path, obs)
+    assert_same_observations_text(path.read_text(), obs)
+
+
+def matrix_text(a):
+    """The text of a matrix with every entry formatted by its own repr."""
+    return "\n".join(",".join(map(repr, row)) for row in a.tolist()) + "\n"
+
+
+def assert_matrix_written_by_repr(path, a):
+    save_matrix_csv(path, a)
+    assert path.read_text() == matrix_text(a)
+
+
+# Signed zeros, infinities, NaNs of three bit patterns, subnormals and the
+# extremes of the normal range.
+OTHER_NANS = np.array([0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(np.float64).tolist()
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, *OTHER_NANS, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1.0, 1e-7, 123456789.0]
+
+matrix_shapes = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=arrays(np.float64, matrix_shapes, elements=st.sampled_from(EDGE_VALUES)))
+def test_matrix_from_a_small_value_pool_written_by_repr(tmp_path_factory, a):
+    assert_matrix_written_by_repr(tmp_path_factory.mktemp("m") / "a.csv", a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=arrays(np.float64, matrix_shapes, elements=st.floats(width=64)))
+def test_matrix_of_any_floats_written_by_repr(tmp_path_factory, a):
+    assert_matrix_written_by_repr(tmp_path_factory.mktemp("m") / "a.csv", a)
+
+
+@pytest.mark.parametrize("repeats", [4, 1], ids=["table", "per-entry"])
+def test_signed_zeros_and_non_finite_values_kept_apart(tmp_path, repeats):
+    rng = np.random.default_rng(0)
+    a = np.stack([rng.permutation(np.array(EDGE_VALUES * repeats)) for _ in range(3)])
+    for row in a:
+        texts = _float_reprs(row)
+        if repeats == 1:
+            assert texts is None  # all distinct: formatted entry by entry
+        else:
+            assert texts == list(map(repr, row.tolist()))
+            # Equal texts are one str object: each distinct value was formatted once.
+            assert len(set(map(id, texts))) == len(EDGE_VALUES)
+    assert_matrix_written_by_repr(tmp_path / "a.csv", a)
+    assert_matrix_written_by_repr(tmp_path / "t.csv", a.T)  # rows are strided views
+    assert "-0.0" in (tmp_path / "a.csv").read_text()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 0), (0, 3)])
+@pytest.mark.parametrize("values", ["repeated", "distinct"])
+def test_matrix_shapes_written_by_repr(tmp_path, shape, values):
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal(shape)
+    if values == "repeated":
+        a = np.sign(a) * 0.25
+    assert_matrix_written_by_repr(tmp_path / "a.csv", a)
 
 
 @pytest.mark.parametrize("header", ["x,y,z,w", "row,col,i,y", "", "1,1,1,0.5"])

@@ -30,6 +30,24 @@ def test_expit_saturates_without_warning():
         assert families._expit(np.array([1000.0]))[0] == 1.0
 
 
+def test_softplus_matches_scipy_and_logaddexp():
+    # log(1 + e^x) = -log_expit(-x); numpy's logaddexp is the form it replaces.
+    x = np.linspace(-700.0, 700.0, 200_001)
+    got = families._softplus(x)
+    np.testing.assert_array_max_ulp(got, -special.log_expit(-x), maxulp=2)
+    np.testing.assert_array_max_ulp(got, np.logaddexp(0.0, x), maxulp=2)
+
+
+def test_softplus_at_zero_is_log_two():
+    assert families._softplus(0.0) == math.log(2.0)
+
+
+def test_softplus_saturates_without_warning():
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert families._softplus(np.array([-1000.0]))[0] == 0.0
+        assert families._softplus(np.array([1000.0]))[0] == 1000.0
+
+
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_gaussian_moment(sigma):
     fam = Gaussian(sigma=sigma)
