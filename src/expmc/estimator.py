@@ -276,6 +276,7 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     safe_step = 1.0 / (sigma_hi_sq * weight)
     step = shape[0] * shape[1] / sigma_hi_sq
     y = w = x0
+    basis = matops.SvtBasis()  # each SVT starts from the last one's right singular subspace
     history, last = [], None  # differences of recent (w_next, r) at this step; the last pair
     residual = last_residual = math.inf
     iterations, converged = 0, False
@@ -283,11 +284,11 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     for iterations in range(1, cfg.max_iters + 1):
         y = box_clip(w, box)
         g = gradient(problem, y)
-        z = matops.svt(2.0 * y - w - step * g, step * lam)
+        z = matops.svt(2.0 * y - w - step * g, step * lam, basis)
         while step > safe_step and not _sufficient_decrease(problem, y, g, z, step):
             step *= 0.5
             w, history, last = 0.5 * (y + w), [], None
-            z = matops.svt(2.0 * y - w - step * g, step * lam)
+            z = matops.svt(2.0 * y - w - step * g, step * lam, basis)
         residual = float(np.linalg.norm(z - y)) / step
         if residual <= cfg.tol:
             converged = True

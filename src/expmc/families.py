@@ -435,42 +435,71 @@ class Poisson(ExponentialFamily):
         return math.exp(box.hi)
 
     def _centered_abs_exp_moment(self, x, scale):
+        # math.exp and math.log per point, as the scalar series took them: numpy's
+        # may differ in the last bit, and the moments are kept bit for bit.
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        flat = out.reshape(-1)
-        for i, xi in enumerate(x.reshape(-1)):
-            flat[i] = _poisson_abs_moment(math.exp(xi), scale)
-        return out
+        lams = np.array([math.exp(v) for v in x.reshape(-1)])
+        return _poisson_abs_moments(lams, scale).reshape(x.shape)
 
 
 _POISSON_HEAD_TERMS = 256
+_POISSON_BLOCK = 1 << 16  # terms in one 2-d block of Poisson series, unless one series is longer
 
 
-def _poisson_abs_moment(lam: float, scale: float, k_cap: int = 200_000) -> float:
-    """E[exp(|Y - lam| / scale)] for Y ~ Poisson(lam), by log-space summation."""
+def _poisson_abs_moments(lams: np.ndarray, scale: float, k_cap: int = 200_000) -> np.ndarray:
+    """E[exp(|Y - lam| / scale)] for Y ~ Poisson(lam) at each of ``lams``, by
+    log-space summation.
 
-    def log_terms(kmax: int) -> np.ndarray:
-        k = np.arange(kmax + 1, dtype=float)
-        return -lam + k * math.log(lam) - _log_factorials(kmax) + np.abs(k - lam) / scale
-
+    The series of each ``lam`` runs to its own ``kmax``. The series are the
+    rows of 2-d blocks and each row is summed over its own terms alone, so a
+    moment does not depend on the other ``lams``.
+    """
+    lams = np.asarray(lams, dtype=float)
     growth = math.exp(min(1.0 / scale, 35.0))
-    peak = lam * growth
-    kmax = int(min(lam + peak + 12.0 * math.sqrt(peak + 1.0) + 60.0, k_cap))
+    peak = lams * growth
+    kmax = np.minimum(lams + peak + 12.0 * np.sqrt(peak + 1.0) + 60.0, k_cap).astype(np.int64)
+    log_lam = np.array([math.log(v) for v in lams])
+    out = np.full(lams.shape, math.inf)
     # A term above e^500 makes the moment infinite. At small scales the first
     # terms already show it, before the series (up to k_cap terms) is built;
     # a series no longer than the head is the head.
-    log_term = log_terms(min(kmax, _POISSON_HEAD_TERMS))
-    if float(log_term.max()) > 500.0:
-        return math.inf
-    if kmax > _POISSON_HEAD_TERMS:
-        log_term = log_terms(kmax)
-    m = float(log_term.max())
-    if m > 500.0:
-        return math.inf
-    total = m + math.log(float(np.exp(log_term - m).sum()))
-    if kmax >= k_cap and log_term[-1] > m - 60.0 and total <= 1.5:
-        raise ValueError("poisson sub-exponential moment series did not converge")
-    return math.exp(total) if total < 700.0 else math.inf
+    head = _poisson_log_terms(lams, log_lam, np.minimum(kmax, _POISSON_HEAD_TERMS), scale)
+    finite = head.max(axis=1) <= 500.0
+    short = finite & (kmax <= _POISSON_HEAD_TERMS)
+    out[short] = _poisson_row_moments(head[short], kmax[short], k_cap)
+    rows = np.flatnonzero(finite & ~short)
+    step = max(1, _POISSON_BLOCK // (int(kmax[rows].max(initial=0)) + 1))
+    for start in range(0, rows.size, step):
+        r = rows[start:start + step]
+        terms = _poisson_log_terms(lams[r], log_lam[r], kmax[r], scale)
+        out[r] = _poisson_row_moments(terms, kmax[r], k_cap)
+    return out
+
+
+def _poisson_log_terms(lams, log_lam, kmax, scale) -> np.ndarray:
+    """Row ``j`` holds the log terms ``k = 0, ..., kmax[j]`` of the series of
+    ``lams[j]``, padded with ``-inf``."""
+    k = np.arange(int(kmax.max(initial=0)) + 1, dtype=float)
+    lam = lams[:, None]
+    terms = -lam + k * log_lam[:, None] - _log_factorials(k.size - 1) + np.abs(k - lam) / scale
+    terms[k > kmax[:, None]] = -np.inf
+    return terms
+
+
+def _poisson_row_moments(terms, kmax, k_cap) -> np.ndarray:
+    """The moment of each row of log terms, summed over its own ``kmax + 1``
+    terms: infinite when a term exceeds e^500 or the sum e^700."""
+    m = terms.max(axis=1)
+    scaled = np.exp(terms - m[:, None])
+    out = np.full(m.shape, math.inf)
+    for j, (mj, n) in enumerate(zip(m.tolist(), (kmax + 1).tolist())):
+        if mj > 500.0:
+            continue
+        total = mj + math.log(float(scaled[j, :n].sum()))
+        if n > k_cap and terms[j, n - 1] > mj - 60.0 and total <= 1.5:
+            raise ValueError("poisson sub-exponential moment series did not converge")
+        out[j] = math.exp(total) if total < 700.0 else math.inf
+    return out
 
 
 @dataclass(frozen=True)

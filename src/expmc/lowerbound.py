@@ -143,12 +143,13 @@ def build_packing(
     )
 
 
-def kl_to_null(family: ExponentialFamily, scheme: SamplingScheme, x: np.ndarray, n: int) -> float:
+def kl_to_null(family: ExponentialFamily, scheme: SamplingScheme, x: np.ndarray, n: int):
     """Kullback-Leibler divergence of an n-sample at parameters ``x`` from the zero matrix.
 
     Equals ``n`` times the integrated Bregman divergence of the zero
     matrix from ``x``; models whose domain excludes zero (exponential)
-    are rejected with a :class:`~expmc.families.DomainError`.
+    are rejected with a :class:`~expmc.families.DomainError`. A stack of
+    matrices ``x`` gives an array with one divergence per matrix.
     """
     return n * bregman_integrated(family, scheme, np.zeros(np.shape(x)), x)
 
@@ -203,21 +204,18 @@ def verify_conditions(
     if card < packing.cardinality_target:
         failures.append("cardinality")
 
-    # Entry values, box and rank membership.
+    # Entry values, box and rank membership, each checked on all members at once.
     amplitude = kap * gamma
-    for mat in members:
-        near_zero = np.abs(mat) <= 1e-12
-        near_amp = np.abs(mat - amplitude) <= 1e-12
-        if not np.all(near_zero | near_amp):
-            failures.append("entry_values")
-            break
-    if not all(box.contains(mat, tol=1e-12) for mat in members):
+    stacked = np.stack(members)
+    if not np.all((np.abs(stacked) <= 1e-12) | (np.abs(stacked - amplitude) <= 1e-12)):
+        failures.append("entry_values")
+    if not box.contains(stacked, tol=1e-12):
         failures.append("sup_norm")
-    if any(numerical_rank(mat) > r for mat in members):
+    if np.any(numerical_rank(stacked) > r):
         failures.append("rank")
 
     # ||a_i - a_j||^2 = ||a_i||^2 + ||a_j||^2 - 2 <a_i, a_j> for every pair i < j, from one Gram product.
-    flat = np.stack(members).reshape(card, -1)
+    flat = stacked.reshape(card, -1)
     gram = flat @ flat.T
     sq = np.diag(gram)
     pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
@@ -226,7 +224,7 @@ def verify_conditions(
     if min_sq < threshold - 1e-12:
         failures.append("separation")
 
-    kl_values = [kl_to_null(family, scheme, mat, n) for mat in members[1:]]
+    kl_values = kl_to_null(family, scheme, stacked[1:], n).tolist()
     kl_average = float(np.mean(kl_values)) if kl_values else 0.0
     kl_budget = packing.alpha * math.log(card - 1) if card > 1 else 0.0
     if kl_average > kl_budget + 1e-12:

@@ -4,8 +4,14 @@ box clipping, the combined proximal operator, and singular-span projections.
 The norms, projections and rank run full (non-truncated) SVDs. ``svt``
 soft-thresholds through the eigendecomposition of the smaller Gram
 matrix while the input's Frobenius norm is at most 100 thresholds, and
-through a full SVD otherwise; its docstring gives the identity and the
-measured accuracy.
+through a full SVD otherwise. A caller that passes an :class:`SvtBasis`
+to a sequence of calls, as ``fit`` does, gets a warm route at
+``min(m1, m2) >= 200``: subspace iteration from the last call's right
+singular subspace, with the kept rank certified by a Cholesky factor of
+the deflated Gram matrix, and the Gram route whenever the certificate
+fails. It is about twice as fast while the rank is small. The ``svt``
+docstring gives the identities, the certificate, the measured crossover
+and the accuracy.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "nuclear_norm",
     "operator_norm",
     "svt",
+    "SvtBasis",
     "box_clip",
     "combined_prox",
     "DykstraInfo",
@@ -32,6 +39,10 @@ __all__ = [
 
 RANK_CUTOFF = 1e-9  # singular values below RANK_CUTOFF * sigma_max count as zero
 _GRAM_GUARD = 100.0  # svt takes the Gram route while ||a||_F <= _GRAM_GUARD * tau
+_WARM_MIN_DIM = 200  # svt's warm route needs min(m1, m2) >= _WARM_MIN_DIM
+_WARM_EXTRA = 5  # basis columns beyond the kept rank
+_WARM_MAX_STEPS = 30  # subspace iteration steps before the warm route gives up
+_WARM_RTOL = 1e-12  # warm stop: every kept ||G v - theta v|| <= _WARM_RTOL * theta_1
 
 
 def schatten_norm(a: np.ndarray, q: float) -> float:
@@ -56,7 +67,18 @@ def operator_norm(a: np.ndarray) -> float:
     return schatten_norm(a, math.inf)
 
 
-def svt(a: np.ndarray, tau: float) -> np.ndarray:
+@dataclass(eq=False)
+class SvtBasis:
+    """The right basis one :func:`svt` call leaves for the next.
+
+    A caller that thresholds a slowly moving sequence of matrices passes one
+    holder to every call; ``v`` is ``None`` until a Gram-route call seeds it.
+    """
+
+    v: np.ndarray | None = None
+
+
+def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     """Singular value thresholding: soft-threshold the spectrum by ``tau``.
 
     This is the proximal operator of ``tau * nuclear_norm``, the matrix
@@ -78,6 +100,47 @@ def svt(a: np.ndarray, tau: float) -> np.ndarray:
     1, 0.5, 0.2 and 197 more spread over ``[0, 2 tau]``, the largest entry
     error against a full SVD was 2e-16 at ``sigma_1 / tau = 10`` and 9e-16
     at 100; beyond the guard it grew to 2e-14 at 1e3 and 1.2e-13 at 1e4.
+
+    **Warm route.** Given a ``basis`` whose ``v`` an earlier call left, a
+    Gram-route input with ``min(m1, m2) >= _WARM_MIN_DIM`` replaces the
+    eigendecomposition by block subspace iteration on ``G = B^T B`` from
+    ``v``, with Rayleigh-Ritz on every step, until each Ritz pair
+    ``(theta_i, v_i)`` with ``theta_i > tau**2`` has
+    ``||G v_i - theta_i v_i|| <= _WARM_RTOL * theta_1`` (at most
+    ``_WARM_MAX_STEPS`` steps). The kept rank ``k`` is then certified.
+    The Ritz values are lower bounds on the eigenvalues of ``G`` (Cauchy
+    interlacing), so ``G`` has at least ``k`` eigenvalues above ``tau**2``.
+    A Cholesky factor of ``tau**2 I - G + V_k diag(theta_k) V_k^T`` proves
+    ``lambda_{k+1}(G) < tau**2``, because a PSD rank-``k`` update raises
+    ``lambda_{k+1}`` no higher than the largest eigenvalue of the deflated
+    matrix (Weyl). The result is ``B V_k diag(1 - tau / sqrt(theta_k)) V_k^T``:
+    its rank is the Gram route's and its error is bounded by the residual
+    stop. The call takes the Gram route instead when the iteration does
+    not converge, when fewer than ``_WARM_EXTRA`` Ritz values fall below
+    ``tau**2``, or when the factorisation fails.
+
+    Either route leaves the kept vectors plus ``_WARM_EXTRA`` more in
+    ``basis.v``. The full SVD past the guard leaves ``basis`` as it is;
+    without a ``basis`` no route changes.
+
+    Measured on one core of a 2-vCPU VM, per call, on sequences whose steps
+    add noise of operator norm ``0.002 tau`` to spectra with ``k`` values in
+    ``[1.5, 4] tau`` and the rest in ``[0, 0.8] tau`` (eigendecomposition ->
+    warm route, 13 steps a call): order 200 4.9 -> 3.0 ms at ``k = 5``,
+    6.1 -> 4.7 ms at 10 and 6.1 -> 7.5 ms at 20; order 300 15.5 -> 10.4 ms
+    at 10 and 13.2 -> 17.2 ms at 25; order 1000 317 -> 159 ms at 30,
+    307 -> 214 ms at 61 and 272 -> 277 ms at 95. So the warm route wins
+    while its basis is at most about a tenth of the order. No width limit
+    is applied, as no fit measured comes near it: the kept rank was at
+    most 2% of ``min(m1, m2)`` in binomial 300×300, 200×200 (known
+    sampling) and 1000×1000 fits and a Poisson 300×200 fit, and no
+    benchmark workload keeps a wider basis. At rank 3 the warm route
+    still wins at order 150 (2.3 -> 1.6 ms) and loses at 100
+    (1.06 -> 1.24 ms) and 60 (0.37 -> 0.90 ms), where its fixed costs
+    dominate; the floor of 200 keeps a margin. In the ``fit`` of a
+    300×300 binomial problem the inputs settle, and a call takes 1 to 11
+    steps, 7 in the median. The warm route agrees with the Gram route to
+    1e-11 relative on such sequences.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -92,11 +155,51 @@ def svt(a: np.ndarray, tau: float) -> np.ndarray:
         return (u * s) @ vt
     wide = a.shape[0] < a.shape[1]
     b = a.T if wide else a
-    w, v = np.linalg.eigh(b.T @ b)
-    keep = w > tau * tau
-    vk = v[:, keep]
-    out = b @ (vk * (1.0 - tau / np.sqrt(w[keep]))) @ vk.T
+    warm = basis is not None and b.shape[1] >= _WARM_MIN_DIM
+    out = None
+    if warm and basis.v is not None:
+        out = _warm_svt(b, tau, basis)
+    if out is None:
+        w, v = np.linalg.eigh(b.T @ b)
+        keep = w > tau * tau
+        vk = v[:, keep]
+        out = b @ (vk * (1.0 - tau / np.sqrt(w[keep]))) @ vk.T
+        if warm:
+            basis.v = v[:, ::-1][:, :vk.shape[1] + _WARM_EXTRA].copy()
     return out.T if wide else out
+
+
+def _warm_svt(b: np.ndarray, tau: float, basis: SvtBasis) -> np.ndarray | None:
+    """The warm route of :func:`svt` for a tall ``b``: the thresholded
+    ``b``, or ``None`` when the kept rank cannot be certified."""
+    g = b.T @ b
+    tau_sq = tau * tau
+    q = basis.v
+    for _ in range(_WARM_MAX_STEPS):
+        gq = g @ q
+        theta, s = np.linalg.eigh(q.T @ gq)
+        theta, s = theta[::-1], s[:, ::-1]
+        v, gv = q @ s, gq @ s
+        k = int(np.count_nonzero(theta > tau_sq))
+        if k + _WARM_EXTRA > theta.size:
+            return None
+        res = np.linalg.norm(gv[:, :k] - v[:, :k] * theta[:k], axis=0)
+        if np.all(res <= _WARM_RTOL * theta[0]):
+            break
+        q = np.linalg.qr(gv)[0]
+    else:
+        return None
+    vk, theta_k = v[:, :k], theta[:k]
+    # g becomes tau^2 I - G + V_k diag(theta_k) V_k^T in place.
+    np.negative(g, out=g)
+    g += (vk * theta_k) @ vk.T
+    g.reshape(-1)[:: g.shape[0] + 1] += tau_sq
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    basis.v = v[:, :k + _WARM_EXTRA]
+    return b @ (vk * (1.0 - tau / np.sqrt(theta_k))) @ vk.T
 
 
 def box_clip(a: np.ndarray, box: ParameterBox) -> np.ndarray:
@@ -162,9 +265,13 @@ def combined_prox(
     return x
 
 
-def _rank(s: np.ndarray) -> int:
-    """How many of the descending singular values ``s`` exceed ``RANK_CUTOFF * s[0]``."""
-    return int(np.count_nonzero(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0.0 else 0
+def _rank(s: np.ndarray):
+    """How many of the descending singular values ``s`` exceed ``RANK_CUTOFF * s[0]``.
+
+    A stack of rows gives an array with the count of each row.
+    """
+    counts = np.count_nonzero(s > RANK_CUTOFF * s[..., :1], axis=-1)
+    return int(counts) if s.ndim == 1 else counts
 
 
 def _singular_spans(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +300,9 @@ def proj_onto(x_ref: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float) - proj_perp(x_ref, a)
 
 
-def numerical_rank(a: np.ndarray) -> int:
-    """Rank with singular values at or below ``RANK_CUTOFF * sigma_max`` treated as zero."""
+def numerical_rank(a: np.ndarray):
+    """Rank with singular values at or below ``RANK_CUTOFF * sigma_max`` treated as zero.
+
+    A stack of matrices gives an array with the rank of each matrix.
+    """
     return _rank(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False))

@@ -92,12 +92,18 @@ def bregman_empirical(
 def bregman_integrated(
     family: ExponentialFamily, scheme: SamplingScheme, x1: np.ndarray, x2: np.ndarray
 ) -> float:
-    """Bregman divergence averaged under the sampling table (KL prediction risk)."""
+    """Bregman divergence averaged under the sampling table (KL prediction risk).
+
+    Stacks of matrices ``x1``, ``x2`` give an array with one divergence per
+    pair, each equal to the float its pair gives alone.
+    """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if x1.shape != scheme.pi.shape or x2.shape != scheme.pi.shape:
+    if x1.shape[-2:] != scheme.pi.shape or x2.shape[-2:] != scheme.pi.shape:
         raise ValueError("shape mismatch with the sampling table")
-    return float((scheme.pi * family.bregman(x1, x2)).sum())
+    terms = scheme.pi * family.bregman(x1, x2)
+    out = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def bound_value(

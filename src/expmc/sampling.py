@@ -116,7 +116,7 @@ class SamplingScheme:
             raise ValueError("n must be >= 1")
         flat = self._draw_flat(n, rng)
         rows, cols = np.unravel_index(flat, self.pi.shape)
-        return rows.astype(np.int64), cols.astype(np.int64)
+        return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
 
     def _draw_flat(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)

@@ -1,0 +1,51 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_json.py"
+spec = importlib.util.spec_from_file_location("bench_json", TOOL)
+bench_json = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_json)
+
+MACHINE = {"nproc": 2, "git_commit": None}
+
+
+def write_result(root, workload, seed, trace, scale, machine=MACHINE):
+    run = root / f"{workload}-seed{seed}-trace{int(trace)}"
+    run.mkdir(parents=True)
+    result = {
+        "workload": workload,
+        "seed": seed,
+        "trace": trace,
+        "machine": machine,
+        "failed": 0,
+        "end_to_end": {k: scale * (i + 1) for i, k in enumerate(bench_json.END_TO_END)},
+        "end_to_end_unscaled": {k: scale for k in bench_json.END_TO_END if k != "peak_rss_mb"},
+        "per_layer": {k: scale * 10 for k in bench_json.TRACED} if trace else {},
+    }
+    (run / "result.json").write_text(json.dumps(result))
+
+
+def test_medians_per_workload(tmp_path):
+    for seed, scale in [(11, 1.0), (12, 3.0), (13, 2.0)]:
+        write_result(tmp_path, "fit_binom300", seed, False, scale)
+    write_result(tmp_path, "fit_binom300", 1, True, 5.0)
+    write_result(tmp_path, "fit_binom300", 2, True, 7.0)
+    out = tmp_path / "BENCH_x.json"
+    bench_json.write("x", bench_json.collect(tmp_path), out)
+    bench = json.loads(out.read_text())
+    entry = bench["workloads"]["fit_binom300"]
+    assert bench["tag"] == "x" and bench["machine"] == MACHINE
+    assert entry["seeds"] == [11, 12, 13] and entry["traced_seeds"] == [1, 2]
+    assert entry["end_to_end_median"] == {k: 2.0 * (i + 1) for i, k in enumerate(bench_json.END_TO_END)}
+    assert entry["end_to_end_unscaled_median"]["wall_s"] == 2.0
+    assert entry["traced_median"] == {k: 60.0 for k in bench_json.TRACED}
+
+
+def test_runs_from_two_machines_are_refused(tmp_path):
+    write_result(tmp_path, "fit_ks_g60", 11, False, 1.0)
+    write_result(tmp_path, "fit_ks_g60", 12, False, 1.0, machine={**MACHINE, "git_commit": "abc"})
+    with pytest.raises(SystemExit, match="machine blocks"):
+        bench_json.collect(tmp_path)

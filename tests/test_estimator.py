@@ -420,6 +420,35 @@ class TestFit:
         assert res.objective_trace[-1] <= prob.value + 1e-7
 
 
+    def test_warm_started_fit_repeats_and_matches_cold_svts(self, monkeypatch):
+        # At 300x300 every SVT after the first starts from the last one's
+        # right singular subspace, so only the first decomposes a Gram matrix.
+        rng = np.random.default_rng(15)
+        fam = Binomial(trials=1)
+        truth = gen_truth(300, 300, 3, BOX1, rng, style="flat")
+        obs = simulate(truth, fam, uniform_scheme(300, 300), 90000, rng)
+        p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
+        p = p0.with_lambda(oracle_lambda(p0, truth.x_bar))
+        orders = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            orders.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        res, again = fit(p), fit(p)
+        assert orders.count(300) == 2 and len(orders) > 2 * res.iterations
+        assert np.array_equal(res.x_hat, again.x_hat)
+        assert (res.iterations, res.objective_trace) == (again.iterations, again.objective_trace)
+        svt = matops.svt
+        monkeypatch.setattr(matops, "svt", lambda a, tau, basis=None: svt(a, tau))
+        cold = fit(p)
+        assert cold.iterations == res.iterations
+        assert np.abs(cold.x_hat - res.x_hat).max() <= 1e-10
+        assert res.objective_trace[-1] == pytest.approx(cold.objective_trace[-1], rel=1e-13)
+
+
 class TestDavisYinSolver:
     @staticmethod
     def record(monkeypatch, problem):
@@ -428,9 +457,9 @@ class TestDavisYinSolver:
         events = []
         svt, objective = matops.svt, estimator.neg_loglik
 
-        def recording_svt(a, tau):
+        def recording_svt(a, tau, basis=None):
             events.append(("svt", tau / problem.lam))
-            return svt(a, tau)
+            return svt(a, tau, basis)
 
         def recording_neg_loglik(p, x):
             try:

@@ -18,6 +18,20 @@ from expmc import (
 from expmc import families
 
 
+def poisson_full_series(lam, scale, k_cap=200_000):
+    """E[exp(|Y - lam| / scale)] for Y ~ Poisson(lam) from its whole series, with no head test."""
+    growth = math.exp(min(1.0 / scale, 35.0))
+    peak = lam * growth
+    kmax = int(min(lam + peak + 12.0 * math.sqrt(peak + 1.0) + 60.0, k_cap))
+    k = np.arange(kmax + 1, dtype=float)
+    log_term = -lam + k * math.log(lam) - families._log_factorials(kmax) + np.abs(k - lam) / scale
+    m = float(log_term.max())
+    if m > 500.0:
+        return math.inf
+    total = m + math.log(float(np.exp(log_term - m).sum()))
+    return math.exp(total) if total < 700.0 else math.inf
+
+
 class TestLogPartition:
     def test_gaussian(self):
         assert Gaussian(sigma=2.0).log_partition(1.0) == pytest.approx(2.0, abs=1e-15)
@@ -227,26 +241,27 @@ class TestIntervalConstants:
     def test_poisson_constants_match_full_series(self, lo, hi, monkeypatch):
         # The moment returns inf early when one of the first terms exceeds
         # e^500; summing the whole series must give bit-identical constants.
-        def full_series(lam, scale, k_cap=200_000):
-            growth = math.exp(min(1.0 / scale, 35.0))
-            peak = lam * growth
-            kmax = int(min(lam + peak + 12.0 * math.sqrt(peak + 1.0) + 60.0, k_cap))
-            k = np.arange(kmax + 1, dtype=float)
-            log_term = -lam + k * math.log(lam) - families._log_factorials(kmax) + np.abs(k - lam) / scale
-            m = float(log_term.max())
-            if m > 500.0:
-                return math.inf
-            total = m + math.log(float(np.exp(log_term - m).sum()))
-            return math.exp(total) if total < 700.0 else math.inf
-
         box = ParameterBox(lo, hi)
         got = Poisson().interval_constants(box)
         lams = np.exp(np.linspace(lo, hi, 7))
         scales = [1e-6, 1e-3, 0.02, 0.05, 0.1, 0.5, 1.0, 10.0, 1e6]
-        moments = [families._poisson_abs_moment(lam, s) for lam in lams for s in scales]
-        monkeypatch.setattr(families, "_poisson_abs_moment", full_series)
+        moments = [families._poisson_abs_moments(lams, s).tolist() for s in scales]
+        monkeypatch.setattr(
+            families, "_poisson_abs_moments", lambda lams, s: np.array([poisson_full_series(lam, s) for lam in lams])
+        )
         assert got == Poisson().interval_constants(box)
-        assert moments == [full_series(lam, s) for lam in lams for s in scales]
+        assert moments == [[poisson_full_series(lam, s) for lam in lams] for s in scales]
+
+    @pytest.mark.parametrize("scale", [0.1, 0.3, 1.0])
+    def test_poisson_moments_do_not_depend_on_the_block(self, scale, monkeypatch):
+        # Finite series of 73 to 929 terms, and series that the head finds
+        # infinite, in blocks of at most 2,000 terms: each moment is the one
+        # its own series gives alone, summed over all its terms.
+        lams = np.exp(np.linspace(-4.0, 4.0, 41))
+        alone = [families._poisson_abs_moments(np.array([lam]), scale)[0] for lam in lams]
+        assert alone == [poisson_full_series(lam, scale) for lam in lams]
+        monkeypatch.setattr(families, "_POISSON_BLOCK", 2000)
+        assert families._poisson_abs_moments(lams, scale).tolist() == alone
 
     def test_poisson_first_call_builds_a_short_log_factorial_table(self, monkeypatch):
         # The bracket end 1e-6 must not size the series to its 200,000-term cap.

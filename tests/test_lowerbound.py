@@ -18,6 +18,7 @@ from expmc import (
     kappa,
     kl_to_null,
     numerical_rank,
+    product_scheme,
     save_packing,
     uniform_scheme,
     verify_conditions,
@@ -136,6 +137,15 @@ class TestKlToNull:
         scheme = uniform_scheme(2, 2)
         with pytest.raises(DomainError):
             kl_to_null(Exponential(), scheme, np.full((2, 2), -1.0), n=5)
+
+    @pytest.mark.parametrize("fam", [Gaussian(sigma=0.5), Binomial(trials=4), Poisson()], ids=lambda f: f.name)
+    def test_stack_gives_each_matrix_its_own_divergence(self, fam):
+        rng = np.random.default_rng(3)
+        scheme = product_scheme(rng.uniform(0.5, 1.5, 9), rng.uniform(0.5, 1.5, 7))
+        xs = rng.uniform(-1.0, 1.0, (5, 9, 7))
+        assert kl_to_null(fam, scheme, xs, n=300).tolist() == [kl_to_null(fam, scheme, x, n=300) for x in xs]
+        with pytest.raises(ValueError, match="shape"):
+            kl_to_null(fam, scheme, xs[:, :, :6], n=300)
 
 
 class TestVerifyConditions:

@@ -15,6 +15,7 @@ from expmc import (
     schatten_norm,
     svt,
 )
+from expmc.matops import SvtBasis
 
 
 def random_low_rank(rng, m1, m2, r):
@@ -173,6 +174,106 @@ class TestSVT:
         assert len(calls) == 1
 
 
+class TestWarmSVT:
+    """The warm route of ``svt``: subspace iteration from the last call's basis,
+    certified to keep the Gram route's rank, or the Gram route itself."""
+
+    @staticmethod
+    def kept_rank(a, tau):
+        return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > tau))
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Count calls of ``np.linalg.<name>``, each logged with its input's order."""
+        calls = []
+        fn = getattr(np.linalg, name)
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape[-1])
+            return fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    @staticmethod
+    def spectrum(rng, m1, m2, k, tau):
+        """Orthonormal factors and singular values: ``k`` of them in ``[1.5, 4] tau``,
+        the rest in ``[0, 0.8] tau``."""
+        n = min(m1, m2)
+        s = tau * np.concatenate([np.linspace(4.0, 1.5, k), rng.uniform(0.0, 0.8, n - k)])
+        u, _ = np.linalg.qr(rng.standard_normal((m1, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((m2, n)))
+        return u, s, v
+
+    @pytest.mark.parametrize("k", [3, 20])
+    @pytest.mark.parametrize("shape", [(200, 200), (300, 200), (200, 300)])
+    def test_sequence_agrees_with_the_gram_route(self, monkeypatch, shape, k):
+        rng = np.random.default_rng([9, *shape, k])
+        tau = 0.5
+        u, s, v = self.spectrum(rng, *shape, k, tau)
+        a = (u * s) @ v.T
+        basis = SvtBasis()
+        eighs = self.count_calls(monkeypatch, "eigh")
+        for step in range(5):
+            # A random walk of operator norm about 0.02 tau per step keeps the gap at tau.
+            a = a + 0.02 * tau / 34.0 * rng.standard_normal(shape)
+            ref = svt(a, tau)
+            n_ref = len(eighs)
+            out = svt(a, tau, basis)
+            assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+            assert basis.v.shape == (min(shape), self.kept_rank(a, tau) + 5)
+            # Only the first call, with no basis yet, decomposes the Gram matrix.
+            assert max(eighs[n_ref:]) == (min(shape) if step == 0 else k + 5)
+
+    @pytest.mark.parametrize("which", ["orthogonal_to_the_top", "narrower_than_the_rank", "missing_kept_vectors"])
+    def test_uncertified_basis_falls_back_to_the_gram_route(self, monkeypatch, which):
+        rng = np.random.default_rng(10)
+        tau = 0.5
+        k = {"orthogonal_to_the_top": 3, "narrower_than_the_rank": 20, "missing_kept_vectors": 6}[which]
+        u, s, v = self.spectrum(rng, 300, 300, k, tau)
+        a = (u * s) @ v.T
+        stale = {
+            # right singular vectors 2..9: the top one is missing, 2 are kept and 6 are not
+            "orthogonal_to_the_top": v[:, 1:9],
+            # the 8 largest of 20 kept directions
+            "narrower_than_the_rank": v[:, :8],
+            # 3 of the 6 kept directions and 5 that are not kept
+            "missing_kept_vectors": v[:, [0, 1, 2, 10, 11, 12, 13, 14]],
+        }[which]
+        choleskys = self.count_calls(monkeypatch, "cholesky")
+        basis = SvtBasis(stale.copy())
+        out = svt(a, tau, basis)
+        fresh = SvtBasis()
+        assert np.array_equal(out, svt(a, tau, fresh))
+        assert np.array_equal(basis.v, fresh.v)
+        assert basis.v.shape == (300, k + 5)
+        # The stale bases that converge on their own span reach the certificate
+        # and fail it; the narrow one has no Ritz value below tau^2 to spare.
+        assert len(choleskys) == (0 if which == "narrower_than_the_rank" else 1)
+
+    def test_above_the_guard_takes_the_full_svd(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        u, s, v = self.spectrum(rng, 200, 200, 3, 1.0)
+        a = (u * (s * 40.0)) @ v.T
+        tau = np.linalg.norm(a) / 100.0 * (1.0 - 1e-9)
+        basis = SvtBasis(v[:, :8].copy())
+        before = basis.v
+        calls = TestSVT.count_svds(monkeypatch)
+        out = svt(a, tau, basis)
+        assert len(calls) == 1
+        assert basis.v is before
+        assert np.linalg.norm(out - svd_threshold(a, tau)) <= 1e-12 * np.linalg.norm(out)
+
+    def test_below_the_floor_ignores_the_basis(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        u, s, v = self.spectrum(rng, 199, 300, 3, 0.5)
+        a = (u * s) @ v.T
+        basis = SvtBasis()
+        for _ in range(2):
+            assert np.array_equal(svt(a, 0.5, basis), svt(a, 0.5))
+        assert basis.v is None
+
+
 class TestBoxClip:
     def test_example(self):
         out = box_clip(np.array([[2.0, -3.0]]), ParameterBox(-1.0, 1.0))
@@ -317,6 +418,11 @@ class TestNumericalRank:
         for r in (0, 1, 3):
             a = random_low_rank(rng, 7, 6, r) if r else np.zeros((7, 6))
             assert numerical_rank(a) == r
+
+    def test_stack_gives_each_matrix_its_rank(self):
+        rng = np.random.default_rng(22)
+        stack = np.stack([random_low_rank(rng, 7, 6, r) if r else np.zeros((7, 6)) for r in (2, 0, 3, 1)])
+        assert numerical_rank(stack).tolist() == [2, 0, 3, 1]
 
     def test_operator_norm_helper(self):
         a = np.diag([2.0, 5.0])
