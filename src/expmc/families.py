@@ -81,8 +81,8 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 # log(k!) for k = 0, 1, ...: a pure function of k, so one table serves the
-# whole process. The Poisson moment series reads up to 200,001 entries at
-# every bisection step, so the table only grows, by the entries asked for.
+# whole process. The Poisson moment reads ceil(e^hi) entries at every
+# bisection step, so the table only grows, by the entries asked for.
 _log_factorial_table = np.zeros(1)
 
 
@@ -264,7 +264,8 @@ class ExponentialFamily:
         supported model. ``delta_gamma`` is found by bisection: the
         smallest scale in ``[1e-6, 1e6]`` (within bisection resolution) at
         which ``E[exp(|Y - G'(x)| / delta)] <= e`` holds on a uniform grid of
-        101 parameters spanning the box.
+        101 parameters spanning the box. The Poisson model rejects a box whose
+        largest intensity ``e^hi`` exceeds 200,000 with a ``ValueError``.
         """
         self.validate_box(box)
         lo_sq, hi_sq = self._variance_bounds(box)
@@ -276,19 +277,10 @@ class ExponentialFamily:
 
     def _solve_delta(self, box) -> float:
         xs = np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS)
-        target = math.e
-        worst = 0  # grid index of the largest moment at the last full evaluation
 
         def feasible(scale: float) -> bool:
-            # The worst point moves little between scales: if it already
-            # exceeds the target the scale is infeasible and the grid is skipped.
-            nonlocal worst
             with np.errstate(over="ignore"):
-                if not self._centered_abs_exp_moment(xs[worst:worst + 1], scale)[0] <= target:
-                    return False
-                vals = self._centered_abs_exp_moment(xs, scale)
-            worst = int(np.argmax(vals))
-            return bool(vals[worst] <= target)
+                return bool(self._centered_abs_exp_moment(xs, scale).max() <= math.e)
 
         lo, hi = _DELTA_BRACKET
         if not feasible(hi):
@@ -434,72 +426,38 @@ class Poisson(ExponentialFamily):
     def _mean_abs_max(self, box):
         return math.exp(box.hi)
 
+    def interval_constants(self, box: ParameterBox) -> IntervalConstants:
+        # The moment sums up to e^hi terms per grid point, from a table of
+        # ceil(e^hi) log-factorials; the limit bounds both.
+        if box.hi > math.log(200_000):
+            raise ValueError(f"poisson intensity e^{box.hi:g} exceeds 200000 for box [{box.lo}, {box.hi}]")
+        return super().interval_constants(box)
+
     def _centered_abs_exp_moment(self, x, scale):
-        # math.exp and math.log per point, as the scalar series took them: numpy's
-        # may differ in the last bit, and the moments are kept bit for bit.
+        # With t = 1/scale, E[e^{t|Y - lam|}] is the MGF term E[e^{t(Y - lam)}] =
+        # exp(lam (e^t - 1 - t)) plus sum_{k < lam} p_k 2 sinh(t (lam - k)). The
+        # moment is inf once the MGF exponent passes 700; below that, lam t^2 / 2
+        # <= 700, so by the Chernoff bound P(Y <= lam - d) <= exp(-d^2 / (2 lam))
+        # (Boucheron, Lugosi & Massart 2013, ch. 2) every term with
+        # lam - k > t lam + sqrt(2920 lam) is below e^-760 and is left out.
         x = np.asarray(x, dtype=float)
-        lams = np.array([math.exp(v) for v in x.reshape(-1)])
-        return _poisson_abs_moments(lams, scale).reshape(x.shape)
-
-
-_POISSON_HEAD_TERMS = 256
-_POISSON_BLOCK = 1 << 16  # terms in one 2-d block of Poisson series, unless one series is longer
-
-
-def _poisson_abs_moments(lams: np.ndarray, scale: float, k_cap: int = 200_000) -> np.ndarray:
-    """E[exp(|Y - lam| / scale)] for Y ~ Poisson(lam) at each of ``lams``, by
-    log-space summation.
-
-    The series of each ``lam`` runs to its own ``kmax``. The series are the
-    rows of 2-d blocks and each row is summed over its own terms alone, so a
-    moment does not depend on the other ``lams``.
-    """
-    lams = np.asarray(lams, dtype=float)
-    growth = math.exp(min(1.0 / scale, 35.0))
-    peak = lams * growth
-    kmax = np.minimum(lams + peak + 12.0 * np.sqrt(peak + 1.0) + 60.0, k_cap).astype(np.int64)
-    log_lam = np.array([math.log(v) for v in lams])
-    out = np.full(lams.shape, math.inf)
-    # A term above e^500 makes the moment infinite. At small scales the first
-    # terms already show it, before the series (up to k_cap terms) is built;
-    # a series no longer than the head is the head.
-    head = _poisson_log_terms(lams, log_lam, np.minimum(kmax, _POISSON_HEAD_TERMS), scale)
-    finite = head.max(axis=1) <= 500.0
-    short = finite & (kmax <= _POISSON_HEAD_TERMS)
-    out[short] = _poisson_row_moments(head[short], kmax[short], k_cap)
-    rows = np.flatnonzero(finite & ~short)
-    step = max(1, _POISSON_BLOCK // (int(kmax[rows].max(initial=0)) + 1))
-    for start in range(0, rows.size, step):
-        r = rows[start:start + step]
-        terms = _poisson_log_terms(lams[r], log_lam[r], kmax[r], scale)
-        out[r] = _poisson_row_moments(terms, kmax[r], k_cap)
-    return out
-
-
-def _poisson_log_terms(lams, log_lam, kmax, scale) -> np.ndarray:
-    """Row ``j`` holds the log terms ``k = 0, ..., kmax[j]`` of the series of
-    ``lams[j]``, padded with ``-inf``."""
-    k = np.arange(int(kmax.max(initial=0)) + 1, dtype=float)
-    lam = lams[:, None]
-    terms = -lam + k * log_lam[:, None] - _log_factorials(k.size - 1) + np.abs(k - lam) / scale
-    terms[k > kmax[:, None]] = -np.inf
-    return terms
-
-
-def _poisson_row_moments(terms, kmax, k_cap) -> np.ndarray:
-    """The moment of each row of log terms, summed over its own ``kmax + 1``
-    terms: infinite when a term exceeds e^500 or the sum e^700."""
-    m = terms.max(axis=1)
-    scaled = np.exp(terms - m[:, None])
-    out = np.full(m.shape, math.inf)
-    for j, (mj, n) in enumerate(zip(m.tolist(), (kmax + 1).tolist())):
-        if mj > 500.0:
-            continue
-        total = mj + math.log(float(scaled[j, :n].sum()))
-        if n > k_cap and terms[j, n - 1] > mj - 60.0 and total <= 1.5:
-            raise ValueError("poisson sub-exponential moment series did not converge")
-        out[j] = math.exp(total) if total < 700.0 else math.inf
-    return out
+        t = 1.0 / scale
+        lam = np.exp(x).reshape(-1)
+        with np.errstate(over="ignore"):
+            mgf = lam * (np.expm1(t) - t)
+        out = np.full(lam.shape, math.inf)
+        rows = np.flatnonzero(mgf <= 700.0)
+        lr, log_lr = lam[rows], x.reshape(-1)[rows]
+        start = np.maximum(np.floor(lr - t * lr - np.sqrt(2920.0 * lr)), 0.0).astype(np.int64)
+        stop = np.ceil(lr).astype(np.int64)  # the sum runs over start <= k < lam
+        count = stop - start
+        row = np.repeat(np.arange(rows.size), count)
+        k = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+        log_p = k * log_lr[row] - lr[row] - _log_factorials(int(stop.max(initial=1)) - 1)[k]
+        td = t * (lr[row] - k)
+        terms = np.exp(log_p + td) - np.exp(log_p - td)
+        out[rows] = np.exp(mgf[rows]) + np.bincount(row, weights=terms, minlength=rows.size)
+        return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)

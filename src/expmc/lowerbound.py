@@ -93,6 +93,11 @@ def _expand_block(block: np.ndarray, m2: int, r: int) -> np.ndarray:
     return np.hstack(pieces)
 
 
+# Candidate draws of build_packing, and its cardinality cap for desk-scale verification.
+_MAX_ATTEMPTS = 200_000
+_MAX_CARDINALITY = 257
+
+
 def build_packing(
     m1: int,
     m2: int,
@@ -102,25 +107,23 @@ def build_packing(
     sigma_hi_sq: float,
     n: int,
     rng: np.random.Generator,
-    max_attempts: int = 200_000,
-    max_cardinality: int = 257,
 ) -> PackingSet:
     """Rejection-sample a packing of {0, kappa*gamma}-valued block matrices.
 
     Raises :class:`PackingError` with the achieved size if the target is
-    not reached within ``max_attempts`` candidate draws.
+    not reached within ``_MAX_ATTEMPTS`` candidate draws.
     """
     if m1 < 2 or m2 < 2:
         raise ValueError("dimensions must be >= 2")
     if not 1 <= r <= min(m1, m2):
         raise ValueError("rank must satisfy 1 <= r <= min(m1, m2)")
     kap = kappa(alpha, m1, r, gamma, sigma_hi_sq, n)
-    target = min(2 ** math.ceil(m1 * r / 8) + 1, max_cardinality)
+    target = min(2 ** math.ceil(m1 * r / 8) + 1, _MAX_CARDINALITY)
     separation = m1 * r / 8.0
 
     kept = np.zeros((1, m1, r))
     attempts = 0
-    while kept.shape[0] < target and attempts < max_attempts:
+    while kept.shape[0] < target and attempts < _MAX_ATTEMPTS:
         attempts += 1
         cand = rng.integers(0, 2, size=(m1, r)).astype(float)
         dists = np.abs(kept - cand).sum(axis=(1, 2))
@@ -128,7 +131,7 @@ def build_packing(
             kept = np.concatenate([kept, cand[None]], axis=0)
     if kept.shape[0] < target:
         raise PackingError(
-            f"packing target {target} not reached within {max_attempts} attempts",
+            f"packing target {target} not reached within {_MAX_ATTEMPTS} attempts",
             achieved=int(kept.shape[0]),
         )
     amplitude = kap * gamma

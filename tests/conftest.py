@@ -14,7 +14,11 @@ FAMILY_CASES = [
 ]
 
 
-@pytest.fixture(params=FAMILY_CASES, ids=lambda c: f"{c[0].name}-{c[1].lo}:{c[1].hi}")
+def family_case_id(case):
+    return f"{case[0].name}-{case[1].lo}:{case[1].hi}"
+
+
+@pytest.fixture(params=FAMILY_CASES, ids=family_case_id)
 def family_case(request):
     return request.param
 

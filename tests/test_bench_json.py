@@ -12,7 +12,7 @@ spec.loader.exec_module(bench_json)
 MACHINE = {"nproc": 2, "git_commit": None}
 
 
-def write_result(root, workload, seed, trace, scale, machine=MACHINE):
+def write_result(root, workload, seed, trace, scale, machine=MACHINE, ops=()):
     run = root / f"{workload}-seed{seed}-trace{int(trace)}"
     run.mkdir(parents=True)
     result = {
@@ -24,6 +24,7 @@ def write_result(root, workload, seed, trace, scale, machine=MACHINE):
         "end_to_end": {k: scale * (i + 1) for i, k in enumerate(bench_json.END_TO_END)},
         "end_to_end_unscaled": {k: scale for k in bench_json.END_TO_END if k != "peak_rss_mb"},
         "per_layer": {k: scale * 10 for k in bench_json.TRACED} if trace else {},
+        "ops": [{"seed": seed, "objective": obj} for obj in ops],
     }
     (run / "result.json").write_text(json.dumps(result))
 
@@ -42,6 +43,16 @@ def test_medians_per_workload(tmp_path):
     assert entry["end_to_end_median"] == {k: 2.0 * (i + 1) for i, k in enumerate(bench_json.END_TO_END)}
     assert entry["end_to_end_unscaled_median"]["wall_s"] == 2.0
     assert entry["traced_median"] == {k: 60.0 for k in bench_json.TRACED}
+
+
+def test_objective_median_over_untraced_ops(tmp_path):
+    write_result(tmp_path, "fit_ks_g60", 11, False, 1.0, ops=[0.5, None, 0.25])
+    write_result(tmp_path, "fit_ks_g60", 12, False, 1.0, ops=[0.75])
+    write_result(tmp_path, "fit_ks_g60", 1, True, 1.0, ops=[9.0, 9.0, 9.0])
+    write_result(tmp_path, "concentration_pois100", 11, False, 1.0, ops=[None, None])
+    workloads = bench_json.collect(tmp_path)["workloads"]
+    assert workloads["fit_ks_g60"]["objective_median"] == 0.5
+    assert "objective_median" not in workloads["concentration_pois100"]
 
 
 def test_runs_from_two_machines_are_refused(tmp_path):

@@ -16,6 +16,7 @@ from expmc import (
     family_to_config,
 )
 from expmc import families
+from conftest import FAMILY_CASES, family_case_id
 
 
 def poisson_full_series(lam, scale, k_cap=200_000):
@@ -30,6 +31,24 @@ def poisson_full_series(lam, scale, k_cap=200_000):
         return math.inf
     total = m + math.log(float(np.exp(log_term - m).sum()))
     return math.exp(total) if total < 700.0 else math.inf
+
+
+# delta_gamma of every FAMILY_CASES box and of wider Poisson boxes, with the
+# relative tolerance each is pinned to. The boxes with hi >= 8 are pinned to what
+# the Poisson series summed term by term gives, and the closed form is more
+# accurate there: at lam = e^10 the series is off by 1.8e-12 relative to 40-digit
+# arithmetic, the closed form by 4.5e-13.
+DELTA_GAMMA = [
+    *[(fam, box, d, 0.0) for (fam, box), d in zip(FAMILY_CASES, [
+        1.0161568617967953, 2.0323137235940205, 0.5000000000004376,
+        1.1314635803874944, 1.7079961904059022, 3.1918136421427024,
+    ])],
+    (Poisson(), ParameterBox(-0.5, 3.0), 4.563146638407319, 0.0),
+    (Poisson(), ParameterBox(-1.0, 6.0), 20.413054266429377, 0.0),
+    (Poisson(), ParameterBox(-1.0, 8.0), 55.48095045713458, 5e-11),
+    (Poisson(), ParameterBox(-1.0, 10.0), 150.81145893753506, 5e-11),
+    (Poisson(), ParameterBox(-1.0, 12.0), 409.94706298064136, 5e-11),  # e^12 = 162,755, under the limit
+]
 
 
 class TestLogPartition:
@@ -211,6 +230,9 @@ class TestIntervalConstants:
         assert g2.min() == pytest.approx(lo_sq, rel=1e-5)
         assert g2.max() == pytest.approx(hi_sq, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "family_case", FAMILY_CASES + [(Poisson(), ParameterBox(-1.0, 8.0))], ids=family_case_id
+    )
     def test_delta_gamma_certifies_and_is_minimal(self, family_case):
         fam, box = family_case
         consts = fam.interval_constants(box)
@@ -221,6 +243,10 @@ class TestIntervalConstants:
             with np.errstate(over="ignore"):
                 below = np.max(fam._centered_abs_exp_moment(xs, consts.delta_gamma * 0.99))
             assert below > math.e
+
+    @pytest.mark.parametrize("fam, box, delta, rel", DELTA_GAMMA, ids=[family_case_id(c) for c in DELTA_GAMMA])
+    def test_delta_gamma_pinned(self, fam, box, delta, rel):
+        assert fam.interval_constants(box).delta_gamma == pytest.approx(delta, rel=rel, abs=0.0)
 
     def test_delta_moment_matches_monte_carlo(self):
         # Independent simulation check of the closed-form/series moments.
@@ -239,35 +265,38 @@ class TestIntervalConstants:
 
     @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-3.0, -1.0), (0.0, 2.5), (-0.5, 3.0)])
     def test_poisson_constants_match_full_series(self, lo, hi, monkeypatch):
-        # The moment returns inf early when one of the first terms exceeds
-        # e^500; summing the whole series must give bit-identical constants.
+        # The closed form against the whole series summed term by term: the
+        # moments agree, and the constants are bit-identical.
         box = ParameterBox(lo, hi)
         got = Poisson().interval_constants(box)
-        lams = np.exp(np.linspace(lo, hi, 7))
-        scales = [1e-6, 1e-3, 0.02, 0.05, 0.1, 0.5, 1.0, 10.0, 1e6]
-        moments = [families._poisson_abs_moments(lams, s).tolist() for s in scales]
+        xs = np.linspace(lo, hi, 7)
+        for s in [1e-6, 1e-3, 0.02, 0.05, 0.1, 0.5, 1.0, 10.0, 1e6]:
+            with np.errstate(over="ignore"):
+                moments = Poisson()._centered_abs_exp_moment(xs, s)
+            for lam, m in zip(np.exp(xs), moments):
+                reference = poisson_full_series(lam, s)
+                if reference < math.exp(500.0):
+                    assert m == pytest.approx(reference, rel=1e-12, abs=0.0), (lam, s)
+                else:
+                    assert m > math.exp(499.0), (lam, s)
         monkeypatch.setattr(
-            families, "_poisson_abs_moments", lambda lams, s: np.array([poisson_full_series(lam, s) for lam in lams])
+            Poisson,
+            "_centered_abs_exp_moment",
+            lambda self, x, s: np.array([poisson_full_series(math.exp(v), s) for v in x]),
         )
         assert got == Poisson().interval_constants(box)
-        assert moments == [[poisson_full_series(lam, s) for lam in lams] for s in scales]
 
-    @pytest.mark.parametrize("scale", [0.1, 0.3, 1.0])
-    def test_poisson_moments_do_not_depend_on_the_block(self, scale, monkeypatch):
-        # Finite series of 73 to 929 terms, and series that the head finds
-        # infinite, in blocks of at most 2,000 terms: each moment is the one
-        # its own series gives alone, summed over all its terms.
-        lams = np.exp(np.linspace(-4.0, 4.0, 41))
-        alone = [families._poisson_abs_moments(np.array([lam]), scale)[0] for lam in lams]
-        assert alone == [poisson_full_series(lam, scale) for lam in lams]
-        monkeypatch.setattr(families, "_POISSON_BLOCK", 2000)
-        assert families._poisson_abs_moments(lams, scale).tolist() == alone
+    @pytest.mark.parametrize("hi", [12.5, 800.0])
+    def test_poisson_box_past_the_intensity_limit_rejected(self, hi):
+        # e^800 overflows a float: the limit is checked on hi, not on e^hi.
+        with pytest.raises(ValueError, match=rf"poisson intensity .* box \[-1.0, {hi}\]"):
+            Poisson().interval_constants(ParameterBox(-1.0, hi))
 
     def test_poisson_first_call_builds_a_short_log_factorial_table(self, monkeypatch):
-        # The bracket end 1e-6 must not size the series to its 200,000-term cap.
+        # The moment reads log k! for k < e^hi only, at every scale.
         monkeypatch.setattr(families, "_log_factorial_table", np.zeros(1))
         Poisson().interval_constants(ParameterBox.symmetric(1.0))
-        assert families._log_factorial_table.size < 1000
+        assert families._log_factorial_table.size == 3
 
     def test_exponential_box_near_boundary_rejected(self):
         with pytest.raises(ValueError):

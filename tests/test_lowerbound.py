@@ -23,6 +23,7 @@ from expmc import (
     uniform_scheme,
     verify_conditions,
 )
+from expmc import lowerbound
 from expmc.io import load_matrix_csv
 
 
@@ -46,10 +47,10 @@ class TestKappa:
 
 
 class TestBuildPacking:
-    def build(self, m1=8, m2=8, r=2, n=500, seed=0, **kw):
+    def build(self, m1=8, m2=8, r=2, n=500, seed=0):
         return build_packing(
             m1, m2, r, gamma=1.0, alpha=0.1, sigma_hi_sq=1.0, n=n,
-            rng=np.random.default_rng(seed), **kw,
+            rng=np.random.default_rng(seed),
         )
 
     def test_cardinality_guarantee(self):
@@ -91,13 +92,15 @@ class TestBuildPacking:
             assert mat.shape == (8, 7)
             assert np.allclose(mat[:, 6:], 0.0)  # one zero-padded column
 
-    def test_cap_respected(self):
-        packing = self.build(max_cardinality=3)
+    def test_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(lowerbound, "_MAX_CARDINALITY", 3)
+        packing = self.build()
         assert packing.cardinality == 3
 
-    def test_unreachable_target_raises_with_achieved(self):
+    def test_unreachable_target_raises_with_achieved(self, monkeypatch):
+        monkeypatch.setattr(lowerbound, "_MAX_ATTEMPTS", 1)
         with pytest.raises(PackingError) as err:
-            self.build(max_attempts=1)
+            self.build()
         assert 1 <= err.value.achieved <= 2
 
     def test_rank_validation(self):

@@ -6,6 +6,8 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
 * the benchmark seeds of the untraced runs and of the traced runs;
 * the median over the untraced runs of each end-to-end metric (scaled by
   the speed probe, as ``run.py`` reports them) and of its unscaled value;
+* the median final objective of the untraced runs' ops, when any op
+  reports one (concentration ops fit nothing);
 * the median over the traced runs of the work and quality counters that
   explain the time: SVT calls and seconds, solver iterations, median
   Frobenius risk and the failed share of ops.
@@ -65,6 +67,9 @@ def collect(results: Path) -> dict:
                 k: statistics.median(r["end_to_end_unscaled"][k] for r in plain)
                 for k in END_TO_END if k in plain[0]["end_to_end_unscaled"]
             }
+        objectives = [op["objective"] for r in plain for op in r["ops"] if op["objective"] is not None]
+        if objectives:
+            entry["objective_median"] = statistics.median(objectives)
         if traced:
             entry["traced_median"] = {
                 k: statistics.median(r["per_layer"][k] for r in traced) for k in TRACED
