@@ -3,13 +3,16 @@
 Both estimation modes minimize one data term
 ``f(x) = (sum_c w_c G(x_c) - sum_c t_c x_c) / d`` plus a nuclear-norm
 penalty, subject to an entrywise box constraint. They differ only in the
-cells ``c`` the data term reads and how each one is weighted:
+cells ``c`` the data term reads, how each one is weighted and the step
+the solver starts at:
 
 * ``likelihood`` — the observed cells, ``w`` their counts, ``t`` the sums
-  of their observations and ``d = n``: the averaged negative log-likelihood;
+  of their observations and ``d = n``: the averaged negative log-likelihood.
+  The step starts at ``m1 m2 / sigma_hi^2``;
 * ``known_sampling`` — every cell, ``w`` the known sampling table,
   ``t = y_sum / n`` and ``d = 1``: the empirical log-partition average is
-  replaced by its expectation under the table.
+  replaced by its expectation under the table. The step starts at half
+  that, ``m1 m2 / (2 sigma_hi^2)``.
 
 The solver is relaxed Davis-Yin three-operator splitting of data term,
 nuclear norm and box indicator (Davis & Yin, Set-Valued Var. Anal. 2017)
@@ -84,8 +87,9 @@ class CompletionProblem:
     ``scheme`` is required in ``known_sampling`` mode and must match the
     observation dimensions; ``likelihood`` mode ignores it. Observations
     outside the family's range are rejected. The mode is read once, here:
-    it fixes the cells, weights, targets and divisor of the data term (see
-    the module docstring), and only the cells read must lie in the domain.
+    it fixes the cells, weights, targets and divisor of the data term and
+    the solver's start step (see the module docstring), and only the cells
+    read must lie in the domain.
     """
 
     obs: ObservationSet
@@ -122,10 +126,15 @@ class CompletionProblem:
             self._cells = np.flatnonzero(self.counts)
             self._weights = self.counts.reshape(-1)[self._cells]
             self._targets, self._divisor = self.y_sum.reshape(-1)[self._cells], n
+            self._step_scale = 1.0
         else:
             self._cells = slice(None)
             self._weights = self.scheme.pi.reshape(-1)
             self._targets, self._divisor = self.y_sum.reshape(-1) / n, 1
+            # Box-bound known-sampling fits take about a quarter fewer
+            # iterations from half the likelihood start; sparse likelihood
+            # fits take more from it.
+            self._step_scale = 0.5
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -229,7 +238,7 @@ def _sufficient_decrease(problem: CompletionProblem, y, g, z, step: float) -> bo
     return f_z <= neg_loglik(problem, y) + float((g * d).sum() + (d * d).sum() / (2.0 * step))
 
 
-_RELAXATION = 1.35  # 0.9 x the Davis-Yin bound 2 - step L / 2 at step = 1/L
+_RELAXATION = 1.35  # 0.9 x the Davis-Yin bound 2 - step L / 2 at step = 1/L, inside it at every shorter step
 _MEMORY = 5  # past moves each extrapolation combines
 
 
@@ -251,20 +260,24 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     at ``y``, one singular value thresholding and one clip::
 
         z = svt(2 y - w - step grad f(y), step lam)
-        w_next = w + 1.35 (z - y)
+        w_next = w + _RELAXATION (z - y)
 
     and moves to the Anderson extrapolation of ``w_next`` over the last 5
     moves, or to ``w_next`` itself when the extrapolated point turns out to
-    have a larger residual than the point it came from. The step starts at
-    ``1/L`` for the curvature bound over the box times the mean per-entry
-    weight ``1/(m1 m2)``. While it exceeds ``1/L`` at the heaviest weight it
-    is halved, keeping ``y`` and the box dual, until ``z`` passes a
+    have a larger residual than the point it came from. With ``sigma_hi^2``
+    the curvature bound over the box, the step starts at ``m1 m2 / sigma_hi^2``
+    in ``likelihood`` mode, ``1/L`` at the mean per-entry weight
+    ``1/(m1 m2)``, and at half that, ``m1 m2 / (2 sigma_hi^2)``, in
+    ``known_sampling`` mode. While it exceeds ``1/L`` at the heaviest weight
+    it is halved, keeping ``y`` and the box dual, until ``z`` passes a
     sufficient-decrease test (a ``z`` outside the model domain fails).
 
     ``prox_residual`` is the last fixed-point residual ``||z - y|| / step``,
     zero exactly at a minimizer; ``converged`` means it reached ``tol``
-    within ``max_iters``. The estimate is the last ``y`` or the start point,
-    whichever has the lower objective; ``objective_trace`` holds the
+    within ``max_iters``. Since the residual divides by the step, at the
+    same ``tol`` a ``known_sampling`` fit, at half the step, stops with
+    ``||z - y||`` half as large. The estimate is the last ``y`` or the start
+    point, whichever has the lower objective; ``objective_trace`` holds the
     objectives of the start point and the estimate.
     """
     cfg = config or SolverConfig()
@@ -274,7 +287,7 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     sigma_hi_sq = problem.family.variance_bounds(box)[1]
     weight = problem._weights.max() / problem._divisor  # the heaviest per-entry weight
     safe_step = 1.0 / (sigma_hi_sq * weight)
-    step = shape[0] * shape[1] / sigma_hi_sq
+    step = problem._step_scale * shape[0] * shape[1] / sigma_hi_sq
     y = w = x0
     basis = matops.SvtBasis()  # each SVT starts from the last one's right singular subspace
     history, last = [], None  # differences of recent (w_next, r) at this step; the last pair

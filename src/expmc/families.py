@@ -173,7 +173,8 @@ class ExponentialFamily:
         scalar = all(np.isscalar(p) for p in params)
         params = [np.asarray(p, dtype=float) for p in params]
         for p in params:
-            if not (np.all(np.isfinite(p)) and np.all(p > self.domain_lo) and np.all(p < self.domain_hi)):
+            # NaN and the infinities fail these comparisons, so one min and one max check all.
+            if p.size and not (self.domain_lo < p.min() and p.max() < self.domain_hi):
                 raise DomainError(
                     f"natural parameter outside the open domain "
                     f"({self.domain_lo}, {self.domain_hi}) of the {self.name} model"

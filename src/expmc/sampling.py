@@ -114,9 +114,8 @@ class SamplingScheme:
         """n independent cell indices (0-based row and column arrays)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        flat = self._draw_flat(n, rng)
-        rows, cols = np.unravel_index(flat, self.pi.shape)
-        return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+        rows, cols = np.divmod(self._draw_flat(n, rng), self.m2)
+        return rows, cols
 
     def _draw_flat(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)

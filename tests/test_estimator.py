@@ -506,6 +506,17 @@ class TestDavisYinSolver:
         assert res.objective_trace[-1] <= f_ref + 1e-8
         assert np.abs(res.x_hat - ref).max() <= 3e-6
 
+    @pytest.mark.parametrize("family", [Gaussian(sigma=1.0), Poisson()], ids=["gaussian", "poisson"])
+    @pytest.mark.parametrize("mode, scale", [(KNOWN_SAMPLING, 0.5), (LIKELIHOOD, 1.0)])
+    def test_start_step_depends_on_the_mode(self, monkeypatch, family, mode, scale):
+        # The first SVT runs at the start step: m1 m2 / (2 sigma_hi^2) for
+        # known sampling on a uniform table, m1 m2 / sigma_hi^2 for likelihood.
+        p, _ = random_problem(np.random.default_rng(4), family, BOX1, mode=mode, lam=0.05)
+        events = self.record(monkeypatch, p)
+        fit(p, SolverConfig(max_iters=1))
+        sigma_hi_sq = family.variance_bounds(BOX1)[1]
+        assert self.steps(events)[0] == pytest.approx(scale * 6 * 5 / sigma_hi_sq, rel=1e-12)
+
     def test_backtracking_halves_the_step_when_svt_leaves_the_domain(self, monkeypatch):
         # About two exponential draws per entry: an early SVT point leaves
         # the domain x < 0 on an observed entry, which must fail the

@@ -328,6 +328,19 @@ class TestDomain:
         with pytest.raises(DomainError):
             Poisson().log_partition(float("nan"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("op", ["log_partition", "mean", "sample"])
+    def test_nonfinite_and_boundary_rejected(self, op, bad):
+        fam = Exponential()
+        call = getattr(fam, op)
+        args = (np.random.default_rng(0),) if op == "sample" else ()
+        for x in (bad, np.array([-1.0, bad]), np.array([bad, -1.0])):
+            with pytest.raises(DomainError):
+                call(x, *args)
+
+    def test_empty_parameters_accepted(self):
+        assert Exponential().mean(np.array([])).shape == (0,)
+
 
 class TestParameterBox:
     def test_requires_increasing(self):

@@ -120,6 +120,16 @@ class TestDraw:
         b = s.draw(100, np.random.default_rng(123))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (7, 13)])
+    def test_indices_match_unravel_index(self, shape):
+        pi = np.random.default_rng(5).random(shape)
+        s = SamplingScheme(pi / pi.sum())
+        rows, cols = s.draw(500, np.random.default_rng(6))
+        flat = s._draw_flat(500, np.random.default_rng(6))
+        ref_rows, ref_cols = np.unravel_index(flat, shape)
+        assert rows.dtype == cols.dtype == np.int64
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
     def test_nonuniform_frequencies(self):
         s = product_scheme([1.0, 3.0], [1.0, 1.0])
         rows, _ = s.draw(10**5, np.random.default_rng(3))
