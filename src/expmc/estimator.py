@@ -238,7 +238,8 @@ def _sufficient_decrease(problem: CompletionProblem, y, g, z, step: float) -> bo
     return f_z <= neg_loglik(problem, y) + float((g * d).sum() + (d * d).sum() / (2.0 * step))
 
 
-_RELAXATION = 1.35  # 0.9 x the Davis-Yin bound 2 - step L / 2 at step = 1/L, inside it at every shorter step
+# 0.9 x the Davis-Yin bound 2 - step L / 2 at step = 1/L, and inside it at every shorter step.
+_RELAXATION = 1.35
 _MEMORY = 5  # past moves each extrapolation combines
 
 
@@ -264,13 +265,14 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
 
     and moves to the Anderson extrapolation of ``w_next`` over the last 5
     moves, or to ``w_next`` itself when the extrapolated point turns out to
-    have a larger residual than the point it came from. With ``sigma_hi^2``
-    the curvature bound over the box, the step starts at ``m1 m2 / sigma_hi^2``
-    in ``likelihood`` mode, ``1/L`` at the mean per-entry weight
-    ``1/(m1 m2)``, and at half that, ``m1 m2 / (2 sigma_hi^2)``, in
-    ``known_sampling`` mode. While it exceeds ``1/L`` at the heaviest weight
-    it is halved, keeping ``y`` and the box dual, until ``z`` passes a
-    sufficient-decrease test (a ``z`` outside the model domain fails).
+    have a larger residual than the point it came from. In ``likelihood``
+    mode the step starts at ``1/L`` for the curvature bound ``sigma_hi^2``
+    over the box times the mean per-entry weight ``1/(m1 m2)``, that is at
+    ``m1 m2 / sigma_hi^2``; in ``known_sampling`` mode it starts at half
+    that, ``m1 m2 / (2 sigma_hi^2)``. While it exceeds ``1/L`` at the
+    heaviest weight it is halved, keeping ``y`` and the box dual, until
+    ``z`` passes a sufficient-decrease test (a ``z`` outside the model
+    domain fails).
 
     ``prox_residual`` is the last fixed-point residual ``||z - y|| / step``,
     zero exactly at a minimizer; ``converged`` means it reached ``tol``

@@ -114,8 +114,7 @@ class SamplingScheme:
         """n independent cell indices (0-based row and column arrays)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        rows, cols = np.divmod(self._draw_flat(n, rng), self.m2)
-        return rows, cols
+        return np.divmod(self._draw_flat(n, rng), self.m2)
 
     def _draw_flat(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
