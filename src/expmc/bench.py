@@ -360,10 +360,11 @@ def simulate(
     noiseless: bool = False,
 ) -> ObservationSet:
     """Draw n cells from the scheme and one observation per cell at the truth."""
+    m1, m2 = truth.x_bar.shape
     rows, cols = scheme.draw(n, rng)
-    vals = truth.x_bar[rows, cols]
+    vals = truth.x_bar.reshape(-1)[rows * m2 + cols]
     ys = family.mean(vals) if noiseless else family.sample(vals, rng)
-    return ObservationSet(m1=truth.x_bar.shape[0], m2=truth.x_bar.shape[1], rows=rows, cols=cols, ys=ys)
+    return ObservationSet(m1=m1, m2=m2, rows=rows, cols=cols, ys=ys)
 
 
 def observe_every_entry(

@@ -116,7 +116,7 @@ class CompletionProblem:
         self.family.check_support(self.obs.ys)
         shape, n = (self.obs.m1, self.obs.m2), self.obs.n
         size = shape[0] * shape[1]
-        flat = np.ravel_multi_index((self.obs.rows, self.obs.cols), shape)
+        flat = self.obs.rows * shape[1] + self.obs.cols  # ObservationSet checked the ranges
         # bincount adds in sample order, as np.add.at did: the sums are bit-identical.
         self.counts = np.bincount(flat, minlength=size).astype(float).reshape(shape)
         self.y_sum = np.bincount(flat, weights=self.obs.ys, minlength=size).reshape(shape)

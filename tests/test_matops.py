@@ -73,6 +73,50 @@ class TestSchattenNorm:
             schatten_norm(np.eye(2), 0.5)
 
 
+class TestOperatorNorm:
+    @staticmethod
+    def assert_matches_svd(a):
+        ref = np.linalg.svd(a, compute_uv=False)[0]
+        assert abs(operator_norm(a) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (1, 25), (25, 1), (1, 1), (300, 300)])
+    def test_matches_svd(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(3):
+            self.assert_matches_svd(rng.standard_normal(shape))
+
+    def test_rank_one_matches_svd(self):
+        rng = np.random.default_rng(3)
+        self.assert_matches_svd(np.outer(rng.standard_normal(12), rng.standard_normal(9)))
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_extreme_scales_neither_overflow_nor_underflow(self, exponent):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((20, 30))
+        a = np.ldexp(base, exponent)
+        assert np.linalg.svd(base, compute_uv=False)[0] > 0
+        self.assert_matches_svd(a)
+        # The power-of-two scaling is exact: the scaled norm is the base norm, scaled.
+        assert operator_norm(a) == math.ldexp(operator_norm(base), exponent)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (0, 0), (0, 4), (4, 0)])
+    def test_zero_and_empty_give_zero(self, shape):
+        assert operator_norm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        a = np.ones((4, 3))
+        a[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            operator_norm(a)
+
+    def test_schatten_inf_is_operator_norm(self):
+        rng = np.random.default_rng(5)
+        for shape in [(6, 4), (4, 6), (50, 50)]:
+            a = rng.standard_normal(shape)
+            assert schatten_norm(a, math.inf) == operator_norm(a)
+
+
 class TestSVT:
     def test_diagonal_soft_threshold(self):
         out = svt(np.diag([3.0, 1.0]), 1.0)

@@ -9,8 +9,10 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
 * the median final objective of the untraced runs' ops, when any op
   reports one (concentration ops fit nothing);
 * the median over the traced runs of the work and quality counters that
-  explain the time: SVT calls and seconds, solver iterations, median
-  Frobenius risk and the failed share of ops.
+  explain the time: SVT calls and seconds, SVD calls, the seconds spent
+  in operator norms, in ``simulate`` and in the random-sign norm
+  estimate, solver iterations, median Frobenius risk and the failed share
+  of ops.
 
 The machine block is the one the runs recorded; runs with differing
 machine blocks are refused. That does not tell two builds of one checkout
@@ -37,6 +39,10 @@ END_TO_END = ("wall_s", "op_s_p50", "op_s_tail", "setup_s", "peak_rss_mb")
 TRACED = (
     "matops.svt.calls",
     "matops.svt.s",
+    "linalg.svd.calls",
+    "matops.operator_norm.s",
+    "bench.simulate.s",
+    "sampling.rademacher_norm_estimate.s",
     "estimator.fit.iterations",
     "frob_risk_p50",
     "failed_frac",
