@@ -26,8 +26,8 @@ every likelihood only as an additive constant, so all objectives in
 :mod:`expmc.estimator` drop it.
 
 The special functions the models need (the logistic function, the normal
-distribution function, log-factorials and a log-sum-exp) are computed
-here from numpy and :mod:`math`, so the package needs no scipy at run time.
+distribution function and log-factorials) are computed here from numpy and
+:mod:`math`, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ __all__ = [
     "Exponential",
 ]
 
-# delta_gamma search: bracket of scales, bisection steps, parameters on the box grid.
+# delta_gamma search: bracket of scales, bisection steps, parameters on the box grid,
+# and the largest binomial trials or Poisson intensity whose moment is summed.
 _DELTA_BRACKET = (1e-6, 1e6)
 _DELTA_BISECT_ITERS = 60
 _DELTA_GRID_POINTS = 101
+_MAX_COUNT = 200_000
 
 
 def _expit(x):
@@ -74,27 +76,12 @@ def _ndtr(s: float) -> float:
     return 0.5 * math.erfc(-s / math.sqrt(2.0))
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(a)))`` over the last axis, shifted by the row maximum."""
-    m = a.max(axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.exp(a - m).sum(axis=-1))
-
-
-# log(k!) for k = 0, 1, ...: a pure function of k, so one table serves the
-# whole process. The Poisson moment reads ceil(e^hi) entries at every
-# bisection step, so the table only grows, by the entries asked for.
-_log_factorial_table = np.zeros(1)
-
-
-def _log_factorials(kmax: int) -> np.ndarray:
-    """``log(k!)`` for ``k = 0, ..., kmax``, read-only."""
-    global _log_factorial_table
-    have = len(_log_factorial_table)
-    if kmax >= have:
-        tail = [math.lgamma(k + 1.0) for k in range(have, kmax + 1)]
-        _log_factorial_table = np.concatenate([_log_factorial_table, tail])
-        _log_factorial_table.flags.writeable = False
-    return _log_factorial_table[: kmax + 1]
+def _log_factorials(kmax: float, what: str, x: np.ndarray) -> np.ndarray:
+    """``log(k!)`` for ``k = 0, ..., floor(kmax)``; past ``_MAX_COUNT`` (or at inf), a
+    ``ValueError`` naming ``what`` and the box the grid ``x`` spans, before any array."""
+    if not kmax <= _MAX_COUNT:
+        raise ValueError(f"{what} exceeds {_MAX_COUNT} for box [{float(x.min())}, {float(x.max())}]")
+    return np.fromiter(map(math.lgamma, range(1, int(kmax) + 2)), float, int(kmax) + 1)
 
 
 class DomainError(ValueError):
@@ -222,8 +209,12 @@ class ExponentialFamily:
     def _mean_abs_max(self, box: ParameterBox) -> float:
         raise NotImplementedError
 
-    def _centered_abs_exp_moment(self, x: np.ndarray, scale: float) -> np.ndarray:
-        """E[exp(|Y - G'(x)| / scale)] for each x, +inf where divergent."""
+    def _abs_exp_moment(self, x: np.ndarray):
+        """The function ``scale -> E[exp(|Y - G'(x)| / scale)]`` for each x of a grid.
+
+        Work that depends only on the grid is done once, in this call. The
+        returned function is +inf where the moment diverges or overflows.
+        """
         raise NotImplementedError
 
     # -- public vectorized operations ------------------------------------
@@ -261,43 +252,47 @@ class ExponentialFamily:
     def interval_constants(self, box: ParameterBox) -> IntervalConstants:
         """Curvature bounds, mean-map bound and sub-exponential scale over a box.
 
-        The variance bounds and ``sup |G'|`` are closed-form for every
-        supported model. ``delta_gamma`` is found by bisection: the
-        smallest scale in ``[1e-6, 1e6]`` (within bisection resolution) at
-        which ``E[exp(|Y - G'(x)| / delta)] <= e`` holds on a uniform grid of
-        101 parameters spanning the box. The Poisson model rejects a box whose
-        largest intensity ``e^hi`` exceeds 200,000 with a ``ValueError``.
+        The variance bounds and ``sup |G'|`` are closed-form for every supported
+        model. ``delta_gamma`` is found by bisection: the smallest scale in
+        ``[1e-6, 1e6]`` (within bisection resolution) at which
+        ``E[exp(|Y - G'(x)| / delta)] <= e`` holds on a uniform grid of 101
+        parameters spanning the box. Binomial ``trials`` above 200,000, or a
+        Poisson box whose largest intensity ``e^hi`` exceeds 200,000, is a
+        ``ValueError``, raised before any other work on the box.
         """
         self.validate_box(box)
+        with np.errstate(over="ignore"):
+            moment = self._abs_exp_moment(np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS))
         lo_sq, hi_sq = self._variance_bounds(box)
         l_gamma = self._mean_abs_max(box)
         if not (math.isfinite(lo_sq) and math.isfinite(hi_sq) and math.isfinite(l_gamma)) or lo_sq <= 0:
             raise ValueError(f"interval constants are not finite/positive for box [{box.lo}, {box.hi}]")
-        delta = self._solve_delta(box)
+        delta = _solve_delta(moment, box)
         return IntervalConstants(lo_sq, hi_sq, delta, l_gamma)
 
-    def _solve_delta(self, box) -> float:
-        xs = np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS)
 
-        def feasible(scale: float) -> bool:
-            with np.errstate(over="ignore"):
-                return bool(self._centered_abs_exp_moment(xs, scale).max() <= math.e)
+def _solve_delta(moment, box: ParameterBox) -> float:
+    """The smallest scale in the bracket at which ``moment(scale)`` is at most e everywhere."""
 
-        lo, hi = _DELTA_BRACKET
-        if not feasible(hi):
-            raise ValueError(
-                f"sub-exponential scale exceeds {hi:g} for box [{box.lo}, {box.hi}]; "
-                "the box is too close to the domain boundary"
-            )
-        if feasible(lo):
-            return lo
-        for _ in range(_DELTA_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    def feasible(scale: float) -> bool:
+        with np.errstate(over="ignore"):
+            return bool(moment(scale).max() <= math.e)
+
+    lo, hi = _DELTA_BRACKET
+    if not feasible(hi):
+        raise ValueError(
+            f"sub-exponential scale exceeds {hi:g} for box [{box.lo}, {box.hi}]; "
+            "the box is too close to the domain boundary"
+        )
+    if feasible(lo):
+        return lo
+    for _ in range(_DELTA_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -332,14 +327,13 @@ class Gaussian(ExponentialFamily):
     def _mean_abs_max(self, box):
         return self.sigma**2 * box.radius
 
-    def _centered_abs_exp_moment(self, x, scale):
-        # |Y - mean| is a folded normal; the moment does not depend on x.
-        x = np.asarray(x, dtype=float)
-        s = self.sigma / scale
-        if 0.5 * s * s > 700.0:
-            return np.full(x.shape, math.inf)
-        val = 2.0 * math.exp(0.5 * s * s) * _ndtr(s)
-        return np.full(x.shape, val)
+    def _abs_exp_moment(self, x):
+        def moment(scale):
+            # |Y - mean| is a folded normal; the moment does not depend on x.
+            s = self.sigma / scale
+            val = 2.0 * math.exp(0.5 * s * s) * _ndtr(s) if 0.5 * s * s <= 700.0 else math.inf
+            return np.full(np.shape(x), val)
+        return moment
 
 
 @dataclass(frozen=True)
@@ -384,19 +378,21 @@ class Binomial(ExponentialFamily):
     def _mean_abs_max(self, box):
         return float(self.trials * _expit(box.hi))
 
-    def _centered_abs_exp_moment(self, x, scale):
+    def _abs_exp_moment(self, x):
+        # exp(log p_k + |k - mean| / scale) summed over the support: an overflow to inf is
+        # what the bisection needs, and the p_k sum to 1, so the terms cannot all underflow.
         x = np.asarray(x, dtype=float)[..., None]
+        log_fact = _log_factorials(self.trials, f"binomial trials {self.trials}", x)
         k = np.arange(self.trials + 1, dtype=float)
-        log_fact = _log_factorials(self.trials)
-        log_pmf = (
-            log_fact[-1]
-            - log_fact
-            - log_fact[::-1]
-            - k * _softplus(-x)
-            - (self.trials - k) * _softplus(x)
-        )
-        log_term = log_pmf + np.abs(k - self.trials * _expit(x)) / scale
-        return np.exp(_logsumexp(log_term))
+        log_pmf = log_fact[-1] - log_fact - log_fact[::-1] - k * _softplus(-x)
+        log_pmf -= (self.trials - k) * _softplus(x)
+        dev = np.abs(k - self.trials * _expit(x))
+
+        def moment(scale):
+            terms = dev / scale
+            terms += log_pmf
+            return np.exp(terms, out=terms).sum(axis=-1)
+        return moment
 
 
 @dataclass(frozen=True)
@@ -427,38 +423,37 @@ class Poisson(ExponentialFamily):
     def _mean_abs_max(self, box):
         return math.exp(box.hi)
 
-    def interval_constants(self, box: ParameterBox) -> IntervalConstants:
-        # The moment sums up to e^hi terms per grid point, from a table of
-        # ceil(e^hi) log-factorials; the limit bounds both.
-        if box.hi > math.log(200_000):
-            raise ValueError(f"poisson intensity e^{box.hi:g} exceeds 200000 for box [{box.lo}, {box.hi}]")
-        return super().interval_constants(box)
-
-    def _centered_abs_exp_moment(self, x, scale):
+    def _abs_exp_moment(self, x):
         # With t = 1/scale, E[e^{t|Y - lam|}] is the MGF term E[e^{t(Y - lam)}] =
         # exp(lam (e^t - 1 - t)) plus sum_{k < lam} p_k 2 sinh(t (lam - k)). The
         # moment is inf once the MGF exponent passes 700; below that, lam t^2 / 2
         # <= 700, so by the Chernoff bound P(Y <= lam - d) <= exp(-d^2 / (2 lam))
         # (Boucheron, Lugosi & Massart 2013, ch. 2) every term with
         # lam - k > t lam + sqrt(2920 lam) is below e^-760 and is left out.
-        x = np.asarray(x, dtype=float)
-        t = 1.0 / scale
-        lam = np.exp(x).reshape(-1)
-        with np.errstate(over="ignore"):
-            mgf = lam * (np.expm1(t) - t)
-        out = np.full(lam.shape, math.inf)
-        rows = np.flatnonzero(mgf <= 700.0)
-        lr, log_lr = lam[rows], x.reshape(-1)[rows]
-        start = np.maximum(np.floor(lr - t * lr - np.sqrt(2920.0 * lr)), 0.0).astype(np.int64)
-        stop = np.ceil(lr).astype(np.int64)  # the sum runs over start <= k < lam
-        count = stop - start
-        row = np.repeat(np.arange(rows.size), count)
-        k = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-        log_p = k * log_lr[row] - lr[row] - _log_factorials(int(stop.max(initial=1)) - 1)[k]
-        td = t * (lr[row] - k)
-        terms = np.exp(log_p + td) - np.exp(log_p - td)
-        out[rows] = np.exp(mgf[rows]) + np.bincount(row, weights=terms, minlength=rows.size)
-        return out.reshape(x.shape)
+        log_lam = np.asarray(x, dtype=float).reshape(-1)
+        lam = np.exp(log_lam)  # may overflow to inf, which the limit rejects
+        log_fact = _log_factorials(lam.max(), f"poisson intensity e^{log_lam.max():g}", log_lam)
+
+        def moment(scale):
+            t = 1.0 / scale
+            with np.errstate(over="ignore"):
+                mgf = lam * (np.expm1(t) - t)
+            out = np.full(lam.shape, math.inf)
+            rows = np.flatnonzero(mgf <= 700.0)
+            lr, log_lr = lam[rows], log_lam[rows]
+            start = np.maximum(np.floor(lr - t * lr - np.sqrt(2920.0 * lr)), 0.0).astype(np.int64)
+            count = np.ceil(lr).astype(np.int64) - start  # the sum runs over start <= k < lam
+            row = np.repeat(np.arange(rows.size), count)
+            k = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+            log_p = k * np.repeat(log_lr, count) - np.repeat(lr, count) - log_fact[k]
+            td = t * (np.repeat(lr, count) - k)
+            down = log_p - td  # then in place: each fresh ragged temporary costs page faults
+            log_p += td
+            terms = np.exp(log_p, out=log_p)
+            terms -= np.exp(down, out=down)
+            out[rows] = np.exp(mgf[rows]) + np.bincount(row, weights=terms, minlength=rows.size)
+            return out.reshape(np.shape(x))
+        return moment
 
 
 @dataclass(frozen=True)
@@ -491,14 +486,17 @@ class Exponential(ExponentialFamily):
     def _mean_abs_max(self, box):
         return -1.0 / box.hi
 
-    def _centered_abs_exp_moment(self, x, scale):
+    def _abs_exp_moment(self, x):
         # Closed form for the folded exponential; diverges once the tilt
         # 1/scale reaches the rate -x.
         x = np.asarray(x, dtype=float)
-        u = -1.0 / (scale * x)
-        out = np.full(x.shape, math.inf)
-        ok = u < 1.0
-        uu = u[ok]
-        out[ok] = np.exp(uu) * (1.0 - np.exp(-1.0 - uu)) / (1.0 + uu) + math.exp(-1.0) / (1.0 - uu)
-        return out
+
+        def moment(scale):
+            u = -1.0 / (scale * x)
+            out = np.full(x.shape, math.inf)
+            ok = u < 1.0
+            uu = u[ok]
+            out[ok] = np.exp(uu) * (1.0 - np.exp(-1.0 - uu)) / (1.0 + uu) + math.exp(-1.0) / (1.0 - uu)
+            return out
+        return moment
 

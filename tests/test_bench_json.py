@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_json.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_json.py"
 spec = importlib.util.spec_from_file_location("bench_json", TOOL)
 bench_json = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_json)
@@ -60,3 +61,9 @@ def test_runs_from_two_machines_are_refused(tmp_path):
     write_result(tmp_path, "fit_ks_g60", 12, False, 1.0, machine={**MACHINE, "git_commit": "abc"})
     with pytest.raises(SystemExit, match="machine blocks"):
         bench_json.collect(tmp_path)
+
+
+def test_traced_metrics_are_benchmark_layers():
+    layers = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert "families.interval_constants.s" in bench_json.TRACED
+    assert set(bench_json.TRACED) <= layers

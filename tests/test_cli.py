@@ -117,6 +117,7 @@ class TestGenSimulateFit:
         {"lambda_mode": "theorem_likelihood", "solver": {"c_gamma": -1.0}},
         {"solver": {"tol": -1.0}},
         {"solver": {"max_iters": 0}},
+        {"family": {"family": "binomial", "trials": 200_001}},
     ])
     def test_bad_config_rejected_before_any_output(self, runner, tmp_path, bad):
         cfg = write_cfg(tmp_path, **{"n": 100, **bad})

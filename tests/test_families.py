@@ -1,8 +1,12 @@
+import importlib
 import math
+import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import expmc
 from expmc import (
     Binomial,
     DomainError,
@@ -15,8 +19,11 @@ from expmc import (
     family_from_config,
     family_to_config,
 )
-from expmc import families
 from conftest import FAMILY_CASES, family_case_id
+
+
+# log(k!) for k <= 200,000, computed as the library computes them.
+LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(200_001)])
 
 
 def poisson_full_series(lam, scale, k_cap=200_000):
@@ -25,7 +32,7 @@ def poisson_full_series(lam, scale, k_cap=200_000):
     peak = lam * growth
     kmax = int(min(lam + peak + 12.0 * math.sqrt(peak + 1.0) + 60.0, k_cap))
     k = np.arange(kmax + 1, dtype=float)
-    log_term = -lam + k * math.log(lam) - families._log_factorials(kmax) + np.abs(k - lam) / scale
+    log_term = -lam + k * math.log(lam) - LOG_FACTORIALS[: kmax + 1] + np.abs(k - lam) / scale
     m = float(log_term.max())
     if m > 500.0:
         return math.inf
@@ -236,12 +243,12 @@ class TestIntervalConstants:
     def test_delta_gamma_certifies_and_is_minimal(self, family_case):
         fam, box = family_case
         consts = fam.interval_constants(box)
-        xs = np.linspace(box.lo, box.hi, 101)
-        at_delta = np.max(fam._centered_abs_exp_moment(xs, consts.delta_gamma))
+        moment = fam._abs_exp_moment(np.linspace(box.lo, box.hi, 101))
+        at_delta = np.max(moment(consts.delta_gamma))
         assert at_delta <= math.e * (1.0 + 1e-9)
         if consts.delta_gamma > 2e-6:
             with np.errstate(over="ignore"):
-                below = np.max(fam._centered_abs_exp_moment(xs, consts.delta_gamma * 0.99))
+                below = np.max(moment(consts.delta_gamma * 0.99))
             assert below > math.e
 
     @pytest.mark.parametrize("fam, box, delta, rel", DELTA_GAMMA, ids=[family_case_id(c) for c in DELTA_GAMMA])
@@ -260,7 +267,7 @@ class TestIntervalConstants:
         ]:
             draws = fam.sample(np.full(n, x), rng)
             mc = np.exp(np.abs(draws - fam.mean(x)) / scale).mean()
-            exact = float(fam._centered_abs_exp_moment(np.array([x]), scale)[0])
+            exact = float(fam._abs_exp_moment(np.array([x]))(scale)[0])
             assert exact == pytest.approx(mc, rel=0.05)
 
     @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-3.0, -1.0), (0.0, 2.5), (-0.5, 3.0)])
@@ -270,9 +277,10 @@ class TestIntervalConstants:
         box = ParameterBox(lo, hi)
         got = Poisson().interval_constants(box)
         xs = np.linspace(lo, hi, 7)
+        moment = Poisson()._abs_exp_moment(xs)
         for s in [1e-6, 1e-3, 0.02, 0.05, 0.1, 0.5, 1.0, 10.0, 1e6]:
             with np.errstate(over="ignore"):
-                moments = Poisson()._centered_abs_exp_moment(xs, s)
+                moments = moment(s)
             for lam, m in zip(np.exp(xs), moments):
                 reference = poisson_full_series(lam, s)
                 if reference < math.exp(500.0):
@@ -281,8 +289,8 @@ class TestIntervalConstants:
                     assert m > math.exp(499.0), (lam, s)
         monkeypatch.setattr(
             Poisson,
-            "_centered_abs_exp_moment",
-            lambda self, x, s: np.array([poisson_full_series(math.exp(v), s) for v in x]),
+            "_abs_exp_moment",
+            lambda self, x: lambda s: np.array([poisson_full_series(math.exp(v), s) for v in x]),
         )
         assert got == Poisson().interval_constants(box)
 
@@ -292,11 +300,25 @@ class TestIntervalConstants:
         with pytest.raises(ValueError, match=rf"poisson intensity .* box \[-1.0, {hi}\]"):
             Poisson().interval_constants(ParameterBox(-1.0, hi))
 
-    def test_poisson_first_call_builds_a_short_log_factorial_table(self, monkeypatch):
-        # The moment reads log k! for k < e^hi only, at every scale.
-        monkeypatch.setattr(families, "_log_factorial_table", np.zeros(1))
-        Poisson().interval_constants(ParameterBox.symmetric(1.0))
-        assert families._log_factorial_table.size == 3
+    def test_binomial_trials_past_the_count_limit_rejected_at_once(self):
+        # The limit is checked before the moment builds its (101, trials + 1) arrays.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"binomial trials 200001 exceeds 200000 for box \[-1.0, 1.0\]"):
+                Binomial(trials=200_001).interval_constants(ParameterBox.symmetric(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_constants_carry_no_state_between_calls(self):
+        # Bit-identical constants before and after the largest boxes the tests use, in both orders.
+        before = [fam.interval_constants(box) for fam, box in FAMILY_CASES]
+        binomial, poisson = Binomial(trials=2000), Poisson()
+        for big, big_box in [(binomial, ParameterBox.symmetric(1.0)), (poisson, ParameterBox(-1.0, 12.0)),
+                             (binomial, ParameterBox.symmetric(1.0))]:
+            big.interval_constants(big_box)
+            assert [fam.interval_constants(box) for fam, box in FAMILY_CASES] == before
 
     def test_exponential_box_near_boundary_rejected(self):
         with pytest.raises(ValueError):
@@ -391,3 +413,11 @@ class TestConfig:
             Gaussian(sigma=0.0)
         with pytest.raises(ValueError):
             Binomial(trials=0)
+
+
+def test_no_expmc_module_holds_a_writeable_array():
+    # Module-level arrays would be state that one call can leave behind for the next.
+    for info in pkgutil.iter_modules(expmc.__path__):
+        module = importlib.import_module(f"expmc.{info.name}")
+        for name, value in vars(module).items():
+            assert not (isinstance(value, np.ndarray) and value.flags.writeable), f"expmc.{info.name}.{name}"

@@ -54,30 +54,38 @@ def test_gaussian_moment(sigma):
     for scale in np.geomspace(0.06 * sigma, 1e3, 200):
         s = sigma / scale
         reference = 2.0 * math.exp(0.5 * s * s) * special.ndtr(s)
-        got = fam._centered_abs_exp_moment(np.zeros(1), scale)[0]
+        got = fam._abs_exp_moment(np.zeros(1))(scale)[0]
         assert got == pytest.approx(reference, rel=1e-15, abs=0.0)
 
 
 def test_log_factorials_match_gammaln():
     k_cap = 200_000
-    table = families._log_factorials(k_cap)
+    table = families._log_factorials(k_cap, "k", np.zeros(1))
     assert table.shape == (k_cap + 1,)
     np.testing.assert_allclose(table, special.gammaln(np.arange(k_cap + 1) + 1.0), rtol=1e-14, atol=0.0)
 
 
-def test_log_factorials_are_one_read_only_table():
-    full = families._log_factorials(200_000)
-    assert np.shares_memory(families._log_factorials(5), full)  # a shorter request rebuilds nothing
-    with pytest.raises(ValueError):
-        full[3] = 0.0
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_logsumexp_rows(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(scale=10.0 ** rng.uniform(-2, 3), size=(7, 5, 301))
-    a[0, 0] += 700.0  # terms whose exponentials alone would overflow
-    np.testing.assert_allclose(families._logsumexp(a), special.logsumexp(a, axis=-1), rtol=1e-14, atol=1e-14)
+@pytest.mark.parametrize("trials", [1, 5, 40, 2000])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-1.2, 1.2), (-4.0, 3.0)])
+def test_binomial_moment_matches_the_whole_support_sum(trials, lo, hi):
+    # The direct sum of exp(log p_k + |k - mean| / scale) against a log-sum-exp
+    # of the same terms over the whole support, built from gammaln. The rounding
+    # of both grows with trials: at 2000 trials a 30-digit sum of the terms puts
+    # each of them about 1e-12 from the truth, on opposite sides.
+    rtol = max(1e-12, 2e-15 * trials)
+    xs = np.linspace(lo, hi, 101)[:, None]
+    k = np.arange(trials + 1.0)
+    log_pmf = (special.gammaln(trials + 1.0) - special.gammaln(k + 1.0) - special.gammaln(trials - k + 1.0)
+               + k * special.log_expit(xs) + (trials - k) * special.log_expit(-xs))
+    dev = np.abs(k - trials * special.expit(xs))
+    moment = Binomial(trials=trials)._abs_exp_moment(xs[:, 0])
+    for scale in [1e-6, 1e-3, 0.02, 0.1, 0.5, 1.0, 3.0, 10.0, 1e6]:
+        with np.errstate(over="ignore"):
+            reference = np.exp(special.logsumexp(log_pmf + dev / scale, axis=-1))
+            got = moment(scale)
+        small = reference < math.exp(500.0)
+        np.testing.assert_allclose(got[small], reference[small], rtol=rtol, atol=0.0, err_msg=f"scale {scale}")
+        assert np.all(got[~small] > math.exp(499.0)), scale
 
 
 # The families of tests/test_lowerbound.py::TestVerifyConditions::test_conditions_hold_across_families.
@@ -91,8 +99,9 @@ def test_interval_constants_match_scipy_reference(family, monkeypatch):
     got = family.interval_constants(box)
     monkeypatch.setattr(families, "_expit", special.expit)
     monkeypatch.setattr(families, "_ndtr", special.ndtr)
-    monkeypatch.setattr(families, "_logsumexp", lambda a: special.logsumexp(a, axis=-1))
-    monkeypatch.setattr(families, "_log_factorials", lambda kmax: special.gammaln(np.arange(kmax + 1) + 1.0))
+    monkeypatch.setattr(
+        families, "_log_factorials", lambda kmax, *_: special.gammaln(np.arange(int(kmax) + 1) + 1.0)
+    )
     reference = family.interval_constants(box)
     for field in ("sigma_lo_sq", "sigma_hi_sq", "delta_gamma", "l_gamma"):
         assert getattr(got, field) == pytest.approx(getattr(reference, field), rel=1e-12, abs=0.0), field

@@ -10,9 +10,9 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
   reports one (concentration ops fit nothing);
 * the median over the traced runs of the work and quality counters that
   explain the time: SVT calls and seconds, SVD calls, the seconds spent
-  in operator norms, in ``simulate`` and in the random-sign norm
-  estimate, solver iterations, median Frobenius risk and the failed share
-  of ops.
+  in operator norms, in ``simulate``, in the random-sign norm estimate
+  and in ``interval_constants``, solver iterations, median Frobenius risk
+  and the failed share of ops.
 
 The machine block is the one the runs recorded; runs with differing
 machine blocks are refused. That does not tell two builds of one checkout
@@ -43,6 +43,7 @@ TRACED = (
     "matops.operator_norm.s",
     "bench.simulate.s",
     "sampling.rademacher_norm_estimate.s",
+    "families.interval_constants.s",
     "estimator.fit.iterations",
     "frob_risk_p50",
     "failed_frac",
