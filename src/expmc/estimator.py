@@ -272,7 +272,8 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     that, ``m1 m2 / (2 sigma_hi^2)``. While it exceeds ``1/L`` at the
     heaviest weight it is halved, keeping ``y`` and the box dual, until
     ``z`` passes a sufficient-decrease test (a ``z`` outside the model
-    domain fails).
+    domain fails). A start step that overflows is a ValueError, raised
+    before the first SVT.
 
     ``prox_residual`` is the last fixed-point residual ``||z - y|| / step``,
     zero exactly at a minimizer; ``converged`` means it reached ``tol``
@@ -287,9 +288,14 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     x0 = box_clip(np.zeros(shape), box)
 
     sigma_hi_sq = problem.family.variance_bounds(box)[1]
+    step = problem._step_scale * shape[0] * shape[1] / sigma_hi_sq
+    if not math.isfinite(step):
+        raise ValueError(
+            f"start step m1 m2 / sigma_hi^2 is not finite for the {problem.family.name} model "
+            f"over box [{box.lo}, {box.hi}], sigma_hi^2 = {sigma_hi_sq!r}"
+        )
     weight = problem._weights.max() / problem._divisor  # the heaviest per-entry weight
     safe_step = 1.0 / (sigma_hi_sq * weight)
-    step = problem._step_scale * shape[0] * shape[1] / sigma_hi_sq
     y = w = x0
     basis = matops.SvtBasis()  # each SVT starts from the last one's right singular subspace
     history, last = [], None  # differences of recent (w_next, r) at this step; the last pair

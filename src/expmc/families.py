@@ -170,11 +170,22 @@ class ExponentialFamily:
         return float(out) if scalar else out
 
     def validate_box(self, box: ParameterBox):
-        """Reject boxes that are not strictly inside the domain."""
+        """Reject boxes that are not strictly inside the domain (:class:`DomainError`),
+        and boxes over which the closed-form curvature bounds ``sigma_lo^2``,
+        ``sigma_hi^2`` or their reciprocals are not finite and positive (ValueError)."""
         if not (box.lo > self.domain_lo and box.hi < self.domain_hi):
             raise DomainError(
                 f"box [{box.lo}, {box.hi}] is not strictly inside the "
                 f"{self.name} domain ({self.domain_lo}, {self.domain_hi})"
+            )
+        try:
+            ok = all(0.0 < v < math.inf and 1.0 / v < math.inf for v in self._variance_bounds(box))
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"the {self.name} model's curvature bounds over box [{box.lo}, {box.hi}] "
+                "or their reciprocals are not finite and positive"
             )
 
     def check_support(self, ys: np.ndarray):
@@ -265,8 +276,8 @@ class ExponentialFamily:
             moment = self._abs_exp_moment(np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS))
         lo_sq, hi_sq = self._variance_bounds(box)
         l_gamma = self._mean_abs_max(box)
-        if not (math.isfinite(lo_sq) and math.isfinite(hi_sq) and math.isfinite(l_gamma)) or lo_sq <= 0:
-            raise ValueError(f"interval constants are not finite/positive for box [{box.lo}, {box.hi}]")
+        if not math.isfinite(l_gamma):
+            raise ValueError(f"sup |G'| is not finite for box [{box.lo}, {box.hi}]")
         delta = _solve_delta(moment, box)
         return IntervalConstants(lo_sq, hi_sq, delta, l_gamma)
 

@@ -118,6 +118,8 @@ class TestGenSimulateFit:
         {"solver": {"tol": -1.0}},
         {"solver": {"max_iters": 0}},
         {"family": {"family": "binomial", "trials": 200_001}},
+        {"family": {"family": "gaussian", "sigma": 1e200}},
+        {"family": {"family": "exponential"}, "box": {"lo": -2.0, "hi": -1e-170}, "gamma": 2.0},
     ])
     def test_bad_config_rejected_before_any_output(self, runner, tmp_path, bad):
         cfg = write_cfg(tmp_path, **{"n": 100, **bad})

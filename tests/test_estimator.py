@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ class TestProblemValidation:
         obs = ObservationSet(m1=2, m2=2, rows=np.array([0]), cols=np.array([0]), ys=np.array([0.5]))
         with pytest.raises(DomainError):
             CompletionProblem(obs=obs, family=Exponential(), box=BOX1, lam=0.0)
+
+    @pytest.mark.parametrize("family, box, shape, n", [
+        (Gaussian(sigma=1e200), BOX1, (6, 5), 100),  # sigma^2 overflows
+        (Gaussian(sigma=1e-200), BOX1, (6, 5), 100),  # sigma^2 underflows to 0
+        (Gaussian(sigma=1e-160), BOX1, (6, 5), 100),  # 1 / sigma^2 overflows
+        (Gaussian(sigma=1e-153), BOX1, (60, 60), 1000),  # only m1 m2 / sigma^2 overflows
+        (Exponential(), ParameterBox(-2.0, -1e-160), (6, 5), 100),  # 1 / hi^2 overflows
+        (Exponential(), ParameterBox(-2.0, -1e-170), (6, 5), 100),  # hi^2 underflows to 0
+    ], ids=["sigma_1e200", "sigma_1e-200", "sigma_1e-160", "sigma_1e-153", "exp_hi_1e-160", "exp_hi_1e-170"])
+    def test_curvature_that_overflows_or_underflows_rejected_before_any_svt(
+        self, monkeypatch, family, box, shape, n
+    ):
+        svts = []
+        monkeypatch.setattr(matops, "svt", lambda *args: svts.append(args))
+        rng = np.random.default_rng(17)
+        obs = ObservationSet(*shape, rng.integers(0, shape[0], n), rng.integers(0, shape[1], n), np.ones(n))
+        names = re.escape(f"{family.name} model") + ".*" + re.escape(f"box [{box.lo}, {box.hi}]")
+        with pytest.raises(ValueError, match=names):
+            fit(CompletionProblem(obs=obs, family=family, box=box, lam=0.1))
+        assert not svts
 
     def test_with_lambda_keeps_the_sample_and_checks_the_level(self):
         p = single_obs_problem(y=2.0)

@@ -296,8 +296,9 @@ class TestIntervalConstants:
 
     @pytest.mark.parametrize("hi", [12.5, 800.0])
     def test_poisson_box_past_the_intensity_limit_rejected(self, hi):
-        # e^800 overflows a float: the limit is checked on hi, not on e^hi.
-        with pytest.raises(ValueError, match=rf"poisson intensity .* box \[-1.0, {hi}\]"):
+        # e^800 overflows a float, so validate_box rejects its curvature bound before the limit is read.
+        what = "poisson intensity" if hi < 700.0 else "poisson model's curvature bounds"
+        with pytest.raises(ValueError, match=rf"{what} .* box \[-1.0, {hi}\]"):
             Poisson().interval_constants(ParameterBox(-1.0, hi))
 
     def test_binomial_trials_past_the_count_limit_rejected_at_once(self):

@@ -15,6 +15,7 @@ from expmc import (
     schatten_norm,
     svt,
 )
+from expmc import matops
 from expmc.matops import SvtBasis
 
 
@@ -269,11 +270,14 @@ class TestWarmSVT:
             # Only the first call, with no basis yet, decomposes the Gram matrix.
             assert max(eighs[n_ref:]) == (min(shape) if step == 0 else k + 5)
 
-    @pytest.mark.parametrize("which", ["orthogonal_to_the_top", "narrower_than_the_rank", "missing_kept_vectors"])
+    @pytest.mark.parametrize(
+        "which", ["orthogonal_to_the_top", "narrower_than_the_rank", "missing_kept_vectors", "out_of_steps"]
+    )
     def test_uncertified_basis_falls_back_to_the_gram_route(self, monkeypatch, which):
         rng = np.random.default_rng(10)
         tau = 0.5
-        k = {"orthogonal_to_the_top": 3, "narrower_than_the_rank": 20, "missing_kept_vectors": 6}[which]
+        k = {"orthogonal_to_the_top": 3, "narrower_than_the_rank": 20, "missing_kept_vectors": 6,
+             "out_of_steps": 3}[which]
         u, s, v = self.spectrum(rng, 300, 300, k, tau)
         a = (u * s) @ v.T
         stale = {
@@ -283,24 +287,40 @@ class TestWarmSVT:
             "narrower_than_the_rank": v[:, :8],
             # 3 of the 6 kept directions and 5 that are not kept
             "missing_kept_vectors": v[:, [0, 1, 2, 10, 11, 12, 13, 14]],
+            # the 3 kept directions and 5 more, turned off them: certified, but not in one step
+            "out_of_steps": np.linalg.qr(v[:, :8] + 0.1 * rng.standard_normal((300, 8)))[0],
         }[which]
         choleskys = self.count_calls(monkeypatch, "cholesky")
+        eighs = self.count_calls(monkeypatch, "eigh")
+        if which == "out_of_steps":
+            svt(a, tau, SvtBasis(stale.copy()))
+            assert eighs.count(300) == 0 and len(choleskys) == 1  # certified within the default steps
+            monkeypatch.setattr(matops, "_WARM_MAX_STEPS", 1)
+            eighs.clear()
+            choleskys.clear()
         basis = SvtBasis(stale.copy())
         out = svt(a, tau, basis)
+        # The warm route gave up and the Gram route decomposed the Gram matrix once.
+        assert eighs.count(300) == 1
         fresh = SvtBasis()
         assert np.array_equal(out, svt(a, tau, fresh))
         assert np.array_equal(basis.v, fresh.v)
         assert basis.v.shape == (300, k + 5)
         # The stale bases that converge on their own span reach the certificate
-        # and fail it; the narrow one has no Ritz value below tau^2 to spare.
-        assert len(choleskys) == (0 if which == "narrower_than_the_rank" else 1)
+        # and fail it; the narrow one has no Ritz value below tau^2 to spare,
+        # and the one out of steps never converges.
+        assert len(choleskys) == (1 if which in ("orthogonal_to_the_top", "missing_kept_vectors") else 0)
 
-    def test_above_the_guard_takes_the_full_svd(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        u, s, v = self.spectrum(rng, 200, 200, 3, 1.0)
-        a = (u * (s * 40.0)) @ v.T
-        tau = np.linalg.norm(a) / 100.0 * (1.0 - 1e-9)
-        basis = SvtBasis(v[:, :8].copy())
+    @pytest.mark.parametrize("k", [3, 20])
+    @pytest.mark.parametrize("shape", [(200, 200), (300, 200), (200, 300)], ids=["square", "tall", "wide"])
+    def test_above_the_guard_takes_the_full_svd(self, monkeypatch, shape, k):
+        rng = np.random.default_rng([11, *shape, k])
+        tau = 1.0
+        u, s, v = self.spectrum(rng, *shape, k, tau)
+        s[:k] *= 100.0  # the kept values in [150, 400] tau put ||a||_F past 100 tau
+        a = (u * s) @ v.T
+        assert np.linalg.norm(a) > 100.0 * tau and self.kept_rank(a, tau) == k
+        basis = SvtBasis((u if shape[0] < shape[1] else v)[:, :8].copy())
         before = basis.v
         calls = TestSVT.count_svds(monkeypatch)
         out = svt(a, tau, basis)
