@@ -1,3 +1,7 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,8 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from expmc import ObservationSet
+from expmc import io
 from expmc.io import (
-    _float_reprs,
+    _float_text,
+    _interval,
+    _shortest,
     load_observations_csv,
     save_matrix_csv,
     save_observations_csv,
@@ -117,21 +124,162 @@ def test_matrix_of_any_floats_written_by_repr(tmp_path_factory, a):
     assert_matrix_written_by_repr(tmp_path_factory.mktemp("m") / "a.csv", a)
 
 
+def block_texts(x):
+    """The text the block formatter gives each entry of the 1-d block ``x``."""
+    (text, stop), _ = _float_text(np.asarray(x, dtype=np.float64))
+    assert np.all(text[np.arange(len(text)), stop] == 0)  # the separator's place is free
+    return [bytes(row[:end][row[:end] != 0]).decode() for row, end in zip(text, stop)]
+
+
 @pytest.mark.parametrize("repeats", [4, 1], ids=["table", "per-entry"])
-def test_signed_zeros_and_non_finite_values_kept_apart(tmp_path, repeats):
+def test_signed_zeros_and_non_finite_values_kept_apart(tmp_path, monkeypatch, repeats):
     rng = np.random.default_rng(0)
     a = np.stack([rng.permutation(np.array(EDGE_VALUES * repeats)) for _ in range(3)])
+    formatted = []
+    text_each = io._text_each
+    monkeypatch.setattr(io, "_text_each", lambda x: formatted.append(x.copy()) or text_each(x))
     for row in a:
-        texts = _float_reprs(row)
-        if repeats == 1:
-            assert texts is None  # all distinct: formatted entry by entry
-        else:
-            assert texts == list(map(repr, row.tolist()))
-            # Equal texts are one str object: each distinct value was formatted once.
-            assert len(set(map(id, texts))) == len(EDGE_VALUES)
+        formatted.clear()
+        assert block_texts(row) == list(map(repr, row.tolist()))
+        # One call: with repeats, on each distinct bit pattern once; else on every entry.
+        (values,) = formatted
+        assert np.unique(values.view(np.uint64)).size == values.size == len(EDGE_VALUES)
     assert_matrix_written_by_repr(tmp_path / "a.csv", a)
     assert_matrix_written_by_repr(tmp_path / "t.csv", a.T)  # rows are strided views
     assert "-0.0" in (tmp_path / "a.csv").read_text()
+
+
+def assert_formatted_like_repr(x):
+    """Each float of ``x``, formatted in the writers' blocks, is its ``repr``."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    lines = []
+    for start in range(0, x.size, io._BLOCK):
+        (text, stop), _ = _float_text(x[start:start + io._BLOCK])
+        text[np.arange(len(text)), stop] = ord("\n")
+        lines.append(text[text != 0].tobytes())
+    got = b"".join(lines).decode()
+    expected = "\n".join(map(repr, x.tolist())) + "\n"
+    if got != expected:  # name the first few values that differ
+        bad = [(g, e) for g, e in zip(got.split("\n"), expected.split("\n")) if g != e]
+        raise AssertionError(f"formatted, repr: {bad[:5]}")
+
+
+def ulp_neighbours(x, ulps=40):
+    """``x`` and its floats 1..``ulps`` ulps above and below, for positive finite ``x``."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_any_bit_pattern_formatted_like_repr(bits):
+    assert_formatted_like_repr(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_any_float_formatted_like_repr(values):
+    assert_formatted_like_repr(values)
+
+
+def test_powers_of_two_and_ten_and_their_neighbours_formatted_like_repr():
+    powers = [2.0**q for q in range(-13, 53)] + [float(f"1e{e}") for e in range(-4, 16)]
+    assert_formatted_like_repr(ulp_neighbours(powers))
+    assert_formatted_like_repr(-ulp_neighbours(powers))
+
+
+def test_range_edges_taken_by_the_kernel():
+    # Inside [1e-4, 2**53) every value is formatted without repr, ties aside.
+    x = ulp_neighbours([1e-4, 2.0**53])
+    assert_formatted_like_repr(x)
+    assert_formatted_like_repr(-x)
+    fast = _shortest(x)[3]
+    assert np.array_equal(fast, (x >= 1e-4) & (x < 2.0**53))
+
+
+def test_integers_and_rounded_decimals_formatted_like_repr():
+    rng = np.random.default_rng(7)
+    assert_formatted_like_repr(np.arange(-20000, 20000))
+    assert_formatted_like_repr(rng.integers(-(2**53), 2**53, 50000))
+    values = rng.standard_normal(50000) * 10.0 ** rng.integers(-3, 12, 50000)
+    places = rng.integers(0, 16, 50000).tolist()
+    assert_formatted_like_repr([round(v, d) for v, d in zip(values.tolist(), places)])
+
+
+def test_a_million_uniform_values_formatted_like_repr():
+    rng = np.random.default_rng(8)
+    assert_formatted_like_repr(rng.random(500_000))
+    assert_formatted_like_repr(rng.uniform(-1.0, 1.0, 500_000) * 10.0 ** rng.uniform(-5.0, 17.0, 500_000))
+
+
+def test_rounding_interval_matches_exact_fractions():
+    # Odd and even significands, powers of two, and [2**52, 2**53), where
+    # the interval's ends are whole numbers once scaled.
+    rng = np.random.default_rng(9)
+    x = np.concatenate([
+        ulp_neighbours([2.0**q for q in range(-13, 53)], ulps=2),
+        ulp_neighbours([1e-4, 0.1, 1.0, 1e15], ulps=2),
+        2.0**52 + rng.integers(0, 2**52, 500), rng.random(500), -rng.random(100) * 1e6,
+    ])
+    x = x[(np.abs(x) >= 1e-4) & (np.abs(x) < 2.0**53)]
+    e, v, f, s, low, high, fast = _interval(x)
+    assert fast.all()
+    for k, value in enumerate(x.tolist()):
+        mantissa, exponent = math.frexp(abs(value))
+        c, q = int(mantissa * 2**53), exponent - 53
+        ulp_above = Fraction(2) ** q
+        ulp_below = ulp_above / 2 if c == 2**52 else ulp_above
+        scale = Fraction(10) ** (17 - int(e[k]))
+        scaled = Fraction(abs(value)) * scale
+        assert int(v[k]) + Fraction(int(f[k]), 2 ** int(s[k])) == scaled
+        assert 10**17 <= scaled < 10**18
+        lo_end, hi_end = scaled - ulp_below / 2 * scale, scaled + ulp_above / 2 * scale
+        if c % 2 == 0:  # the ends read back as x, by round-half-even
+            expected = math.ceil(lo_end), math.floor(hi_end)
+        else:
+            expected = math.floor(lo_end) + 1, math.ceil(hi_end) - 1
+        assert (int(low[k]), int(high[k])) == expected, value
+
+
+def test_digit_arrays_stay_unsigned_64_bit():
+    # A uint64 array mixed with an int64 one becomes float64 and loses digits.
+    x = np.array([1e-4, 0.1, 1.0, 2.0 / 3.0, 123456.789, 2.0**53 - 1.0])
+    digits, e, nd, fast = _shortest(x)
+    assert all(a.dtype == np.uint64 for a in _interval(x)[1:6])
+    assert digits.dtype == np.uint64
+    assert fast.all()
+    assert digits.tolist() == [
+        100000000000000000, 100000000000000000, 100000000000000000,
+        666666666666666600, 123456789000000000, 900719925474099100,
+    ]
+    assert e.tolist() == [-4, -1, 0, -1, 5, 15] and nd.tolist() == [1, 1, 1, 16, 9, 16]
+
+
+@pytest.mark.parametrize("n", [1_005, 10_005, 100_005])
+def test_i_column_gaining_a_digit_inside_a_block(tmp_path, n):
+    # 999 -> 1,000, 9,999 -> 10,000 and 99,999 -> 100,000 each fall inside a block.
+    assert all((k - 1) % io._BLOCK for k in (1_000, 10_000, 100_000))
+    rng = np.random.default_rng(n)
+    m1, m2 = 1000, 12
+    obs = ObservationSet(
+        m1=m1, m2=m2, rows=rng.integers(0, m1, n), cols=rng.integers(0, m2, n), ys=rng.standard_normal(n)
+    )
+    path = tmp_path / "observations.csv"
+    save_observations_csv(path, obs)
+    assert_same_observations_text(path.read_text(), obs)
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (1200, 7), (2, 9000), (1, 20000)])
+@pytest.mark.parametrize("values", ["repeated", "distinct"])
+def test_matrix_blocks_ending_mid_row_written_by_repr(tmp_path, shape, values):
+    # Blocks end inside rows of 300 and 7 columns, and a row of 9,000 or
+    # 20,000 entries spans blocks.
+    assert io._BLOCK % 300 and io._BLOCK % 7 and io._BLOCK < 9000
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(shape)
+    if values == "repeated":
+        a = np.where(a > 0, 2.8499999999999996, -0.0)
+    assert_matrix_written_by_repr(tmp_path / "a.csv", a)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 0), (0, 3)])
@@ -181,6 +329,15 @@ def test_i_column_must_count_from_one(tmp_path, i_col):
     write_obs(path, "i,row,col,y", [(i, 1, 2, 0.5) for i in i_col])
     with pytest.raises(ValueError, match="column i"):
         load_observations_csv(path, M1, M2)
+
+
+def test_header_only_file_rejected(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_text("i,row,col,y\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no observations"):
+            load_observations_csv(path, M1, M2)
 
 
 def test_hand_written_file_loads(tmp_path):

@@ -11,8 +11,9 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
 * the median over the traced runs of the work and quality counters that
   explain the time: SVT calls and seconds, SVD calls, the seconds spent
   in operator norms, in ``simulate``, in the random-sign norm estimate
-  and in ``interval_constants``, solver iterations, median Frobenius risk
-  and the failed share of ops.
+  and in ``interval_constants``, the seconds in the matrix and observation
+  CSV writers and the bytes the writers wrote, solver iterations, median
+  Frobenius risk and the failed share of ops.
 
 The machine block is the one the runs recorded; runs with differing
 machine blocks are refused. That does not tell two builds of one checkout
@@ -44,6 +45,9 @@ TRACED = (
     "bench.simulate.s",
     "sampling.rademacher_norm_estimate.s",
     "families.interval_constants.s",
+    "io.save_matrix_csv.s",
+    "io.save_observations_csv.s",
+    "io.bytes_written",
     "estimator.fit.iterations",
     "frob_risk_p50",
     "failed_frac",
