@@ -203,7 +203,7 @@ class ExperimentConfig:
         else:
             box = ParameterBox.symmetric(float_from_config(d.get("gamma", 1.0), "gamma"))
         family.validate_box(box)
-        m1, m2 = int_from_config(d["m1"], "m1"), int_from_config(d["m2"], "m2")
+        m1, m2 = int_from_config(d["m1"], "m1", 1), int_from_config(d["m2"], "m2", 1)
         n_single = int_from_config(d["n"], "n", 1) if "n" in d else None
         n_grid = _typed_from_config(d.get("n_grid", [n_single] if "n" in d else []), "n_grid", list, "a list")
         n_grid = [int_from_config(v, "n_grid", 1) for v in n_grid]

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bench
 from .estimator import fit as solve
+from .families import DomainError
 from .io import (
     load_matrix_csv,
     load_observations_csv,
@@ -30,12 +31,17 @@ def _read_config(config_path) -> bench.ExperimentConfig:
 
 
 def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
-    """The truth at the config's ``truth_path``, or None when it has none; it must be ``m1 x m2``."""
+    """The truth at the config's ``truth_path``, or None when it has none; it must be
+    ``m1 x m2`` with every entry inside the model's open domain (so finite)."""
     if cfg.truth_path is None:
         return None
     x_bar = load_matrix_csv(cfg.truth_path)
     if x_bar.shape != (cfg.m1, cfg.m2):
         raise ValueError(f"truth {cfg.truth_path} has shape {x_bar.shape}, expected {(cfg.m1, cfg.m2)}")
+    try:
+        cfg.family.mean(x_bar)  # a DomainError unless every entry is inside the domain
+    except DomainError as exc:
+        raise ValueError(f"truth {cfg.truth_path}: {exc}") from None
     return bench.GroundTruth(x_bar=x_bar)
 
 

@@ -25,6 +25,9 @@ The base measure of the density never needs to be evaluated: it enters
 every likelihood only as an additive constant, so all objectives in
 :mod:`expmc.estimator` drop it.
 
+The box constants come from G' and G'' at the box ends; binomial adds its
+peak ``trials / 4``.
+
 The special functions the models need (the logistic function, the normal
 distribution function and log-factorials) are computed here from numpy and
 :mod:`math`, so the package needs no scipy at run time.
@@ -142,7 +145,9 @@ class IntervalConstants:
 
 
 class ExponentialFamily:
-    """Base class; concrete models implement the log-partition hooks."""
+    """Base class; a model implements six hooks: ``_g``, ``_g1``, ``_g2`` (G, G', G''),
+    ``_bregman``, ``_sample`` and ``_abs_exp_moment``. The box constants need no more:
+    G' is monotone, and so is G'' but for binomial's peak, which it adds itself."""
 
     name: str = ""
     # Open natural-parameter domain (domain_lo, domain_hi).
@@ -169,24 +174,26 @@ class ExponentialFamily:
         out = hook(*params)
         return float(out) if scalar else out
 
-    def validate_box(self, box: ParameterBox):
-        """Reject boxes that are not strictly inside the domain (:class:`DomainError`),
-        and boxes over which the closed-form curvature bounds ``sigma_lo^2``,
-        ``sigma_hi^2`` or their reciprocals are not finite and positive (ValueError)."""
+    def validate_box(self, box: ParameterBox) -> tuple[float, float]:
+        """The curvature bounds ``(sigma_lo^2, sigma_hi^2)`` over the box. Boxes not
+        strictly inside the domain are a :class:`DomainError`; boxes over which the
+        bounds or their reciprocals are not finite and positive, a ValueError."""
         if not (box.lo > self.domain_lo and box.hi < self.domain_hi):
             raise DomainError(
                 f"box [{box.lo}, {box.hi}] is not strictly inside the "
                 f"{self.name} domain ({self.domain_lo}, {self.domain_hi})"
             )
         try:
-            ok = all(0.0 < v < math.inf and 1.0 / v < math.inf for v in self._variance_bounds(box))
-        except (OverflowError, ZeroDivisionError):
+            bounds = self._variance_bounds(box)
+            ok = all(0.0 < v < math.inf and 1.0 / v < math.inf for v in bounds)
+        except OverflowError:
             ok = False
         if not ok:
             raise ValueError(
                 f"the {self.name} model's curvature bounds over box [{box.lo}, {box.hi}] "
                 "or their reciprocals are not finite and positive"
             )
+        return bounds
 
     def check_support(self, ys: np.ndarray):
         """Reject observations outside the closed range a draw can take."""
@@ -214,12 +221,6 @@ class ExponentialFamily:
     def _sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def _variance_bounds(self, box: ParameterBox) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def _mean_abs_max(self, box: ParameterBox) -> float:
-        raise NotImplementedError
-
     def _abs_exp_moment(self, x: np.ndarray):
         """The function ``scale -> E[exp(|Y - G'(x)| / scale)]`` for each x of a grid.
 
@@ -227,6 +228,13 @@ class ExponentialFamily:
         returned function is +inf where the moment diverges or overflows.
         """
         raise NotImplementedError
+
+    def _variance_bounds(self, box: ParameterBox) -> tuple[float, float]:
+        """G'' at the box ends: its extremes, as G'' is monotone over the box. A model
+        whose G'' peaks inside some box overrides this."""
+        with np.errstate(all="ignore"):
+            ends = self._g2(np.array([box.lo, box.hi]))
+        return float(ends.min()), float(ends.max())
 
     # -- public vectorized operations ------------------------------------
 
@@ -254,28 +262,27 @@ class ExponentialFamily:
         return self._checked(lambda v: np.asarray(self._sample(v, rng), dtype=float), x)
 
     def variance_bounds(self, box: ParameterBox) -> tuple[float, float]:
-        """Closed-form (min, max) of the variance map G'' over the box."""
-        self.validate_box(box)
-        return self._variance_bounds(box)
+        """(min, max) of the variance map G'' over the box."""
+        return self.validate_box(box)
 
     # -- interval constants -----------------------------------------------
 
     def interval_constants(self, box: ParameterBox) -> IntervalConstants:
         """Curvature bounds, mean-map bound and sub-exponential scale over a box.
 
-        The variance bounds and ``sup |G'|`` are closed-form for every supported
-        model. ``delta_gamma`` is found by bisection: the smallest scale in
-        ``[1e-6, 1e6]`` (within bisection resolution) at which
+        The variance bounds and ``sup |G'|`` come from G' and G'' at the box ends;
+        binomial adds its peak ``trials / 4``. ``delta_gamma`` is found by
+        bisection: the smallest scale in ``[1e-6, 1e6]`` (within bisection
+        resolution) at which
         ``E[exp(|Y - G'(x)| / delta)] <= e`` holds on a uniform grid of 101
         parameters spanning the box. Binomial ``trials`` above 200,000, or a
         Poisson box whose largest intensity ``e^hi`` exceeds 200,000, is a
         ``ValueError``, raised before any other work on the box.
         """
-        self.validate_box(box)
+        lo_sq, hi_sq = self.validate_box(box)
         with np.errstate(over="ignore"):
             moment = self._abs_exp_moment(np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS))
-        lo_sq, hi_sq = self._variance_bounds(box)
-        l_gamma = self._mean_abs_max(box)
+            l_gamma = float(np.abs(self._g1(np.array([box.lo, box.hi]))).max())
         if not math.isfinite(l_gamma):
             raise ValueError(f"sup |G'| is not finite for box [{box.lo}, {box.hi}]")
         delta = _solve_delta(moment, box)
@@ -332,12 +339,6 @@ class Gaussian(ExponentialFamily):
     def _sample(self, x, rng):
         return rng.normal(loc=self.sigma**2 * x, scale=self.sigma)
 
-    def _variance_bounds(self, box):
-        return self.sigma**2, self.sigma**2
-
-    def _mean_abs_max(self, box):
-        return self.sigma**2 * box.radius
-
     def _abs_exp_moment(self, x):
         def moment(scale):
             # |Y - mean| is a folded normal; the moment does not depend on x.
@@ -382,12 +383,8 @@ class Binomial(ExponentialFamily):
         return rng.binomial(self.trials, _expit(x))
 
     def _variance_bounds(self, box):
-        ends = [float(self._g2(np.asarray(v))) for v in (box.lo, box.hi)]
-        hi = 0.25 * self.trials if box.lo <= 0.0 <= box.hi else max(ends)
-        return min(ends), hi
-
-    def _mean_abs_max(self, box):
-        return float(self.trials * _expit(box.hi))
+        lo_sq, hi_sq = super()._variance_bounds(box)
+        return lo_sq, 0.25 * self.trials if box.lo <= 0.0 <= box.hi else hi_sq
 
     def _abs_exp_moment(self, x):
         # exp(log p_k + |k - mean| / scale) summed over the support: an overflow to inf is
@@ -427,12 +424,6 @@ class Poisson(ExponentialFamily):
 
     def _sample(self, x, rng):
         return rng.poisson(np.exp(x))
-
-    def _variance_bounds(self, box):
-        return math.exp(box.lo), math.exp(box.hi)
-
-    def _mean_abs_max(self, box):
-        return math.exp(box.hi)
 
     def _abs_exp_moment(self, x):
         # With t = 1/scale, E[e^{t|Y - lam|}] is the MGF term E[e^{t(Y - lam)}] =
@@ -490,12 +481,6 @@ class Exponential(ExponentialFamily):
 
     def _sample(self, x, rng):
         return rng.exponential(scale=-1.0 / x)
-
-    def _variance_bounds(self, box):
-        return 1.0 / box.lo**2, 1.0 / box.hi**2
-
-    def _mean_abs_max(self, box):
-        return -1.0 / box.hi
 
     def _abs_exp_moment(self, x):
         # Closed form for the folded exponential; diverges once the tilt

@@ -256,6 +256,8 @@ class TestConfig:
         ("n_grid", {"n_grid": [0, 100]}),
         ("replicates", {"replicates": 0}),
         ("reps", {"reps": 0}),
+        ("m1", {"m1": 0}),
+        ("m2", {"m2": -3}),
     ])
     def test_sample_sizes_below_one_rejected(self, key, overrides):
         with pytest.raises(ValueError, match=f"config key '{key}' must be >= 1"):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,23 @@ class TestGenSimulateFit:
             result = runner.invoke(main, [command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
             assert isinstance(result.exception, ValueError)
             assert f"has shape {truth_shape}, expected ({m}, {m})" in str(result.exception)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("family, box, bad", [
+        ({"family": "gaussian"}, {"lo": -1.0, "hi": 1.0}, math.nan),
+        ({"family": "exponential"}, {"lo": -2.0, "hi": -0.5}, 0.5),
+    ], ids=["gaussian-nan", "exponential-positive"])
+    def test_truth_outside_the_domain_rejected(self, runner, tmp_path, family, box, bad):
+        truth = np.full((8, 8), 0.5 * (box["lo"] + box["hi"]))
+        truth[3, 5] = bad
+        save_matrix_csv(tmp_path / "truth.csv", truth)
+        cfg = write_cfg(tmp_path, family=family, box=box, gamma=-box["lo"], n=100, lambda_mode=0.1,
+                        truth_path=str(tmp_path / "truth.csv"))
+        for command in ("simulate", "fit"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+            assert isinstance(result.exception, ValueError)
+            assert str(result.exception).startswith(f"truth {tmp_path / 'truth.csv'}: natural parameter outside")
             assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["likelihood", "known_sampling"])

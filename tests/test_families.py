@@ -227,6 +227,17 @@ class TestIntervalConstants:
             ParameterBox(-2.0, -0.5)
         ).l_gamma == pytest.approx(2.0)
 
+    def test_constants_are_the_extremes_on_a_grid(self, family_case):
+        # The extremes sit at grid points (the box ends, and 0 for binomial), so they match exactly.
+        fam, box = family_case
+        xs = np.linspace(box.lo, box.hi, 4001)
+        if box.lo <= 0.0 <= box.hi:
+            xs = np.append(xs, 0.0)
+        consts = fam.interval_constants(box)
+        assert consts.l_gamma == np.abs(fam.mean(xs)).max()
+        g2 = fam.variance(xs)
+        assert (consts.sigma_lo_sq, consts.sigma_hi_sq) == (g2.min(), g2.max())
+
     def test_grid_matches_closed_form(self, family_case):
         fam, box = family_case
         lo_sq, hi_sq = fam.variance_bounds(box)
