@@ -32,7 +32,8 @@ def _read_config(config_path) -> bench.ExperimentConfig:
 
 def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
     """The truth at the config's ``truth_path``, or None when it has none; it must be
-    ``m1 x m2`` with every entry inside the model's open domain (so finite)."""
+    ``m1 x m2`` with every entry inside the model's open domain (so finite) and
+    inside the config's box, the set the estimator searches."""
     if cfg.truth_path is None:
         return None
     x_bar = load_matrix_csv(cfg.truth_path)
@@ -42,6 +43,11 @@ def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
         cfg.family.mean(x_bar)  # a DomainError unless every entry is inside the domain
     except DomainError as exc:
         raise ValueError(f"truth {cfg.truth_path}: {exc}") from None
+    box, lo, hi = cfg.box, float(x_bar.min()), float(x_bar.max())
+    if lo < box.lo or hi > box.hi:
+        raise ValueError(
+            f"truth {cfg.truth_path}: entry {lo if lo < box.lo else hi!r} outside the box [{box.lo}, {box.hi}]"
+        )
     return bench.GroundTruth(x_bar=x_bar)
 
 

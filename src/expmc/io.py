@@ -7,8 +7,10 @@ Formats:
   indices are 1-based on disk, converted to 0-based arrays in memory;
 * result tables — CSV whose header is the first row's keys, which
   every row must repeat in the same order;
-* manifests — sorted-key JSON recording config, seed, config hash and
-  library versions (no timestamps, so reruns are reproducible).
+* manifests — sorted-key JSON recording config, seed, config hash,
+  library versions, and the BLAS numpy was built against with the thread
+  settings that steer it (no timestamps, so reruns are reproducible).
+  Byte-identical outputs hold for one BLAS and thread setting.
 
 A float's text is the same as Python's shortest round-trip ``repr``
 (``-0.0`` keeps its sign), so a file reads back bit-exact. Matrices and
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -359,12 +362,21 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+_THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(out_dir, command: str, config: dict, seed: int) -> Path:
     import platform
 
     from . import __version__
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
+        "blas": {
+            "name": blas.get("name"),
+            "version": blas.get("version"),
+            **{key: os.environ.get(key) for key in _THREAD_SETTINGS},
+        },
         "command": command,
         "config": config,
         "config_hash": config_hash(config),

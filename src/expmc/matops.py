@@ -11,9 +11,12 @@ the smaller Gram matrix while the input's Frobenius norm is at most 100
 thresholds, a full SVD otherwise, and, for a caller that passes an
 :class:`SvtBasis` to a sequence of calls as ``fit`` does, a certified
 subspace iteration from the last call's right singular subspace at
-``min(m1, m2) >= 200``. One exit thresholds what the route kept. The
-``svt`` docstring gives the identities, the certificate, the measured
-crossover and the accuracy.
+``min(m1, m2) >= 200``; the first such call starts from a randomized
+range finder's block. One exit thresholds what the route kept and leaves
+the thresholded values on the holder, so the caller reads the output's
+nuclear norm without another SVD. The ``svt`` docstring gives the
+identities, the certificate, the cold start, the measured crossover and
+the accuracy.
 """
 
 from __future__ import annotations
@@ -112,13 +115,18 @@ def operator_norm(a: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class SvtBasis:
-    """The right basis one :func:`svt` call leaves for the next.
+    """What one :func:`svt` call leaves for the next call and for its caller.
 
     A caller that thresholds a slowly moving sequence of matrices passes one
-    holder to every call; ``v`` is ``None`` until a Gram-route call seeds it.
+    holder to every call. ``v`` is the right basis the warm route starts
+    from, ``None`` until a call at ``min(m1, m2) >= _WARM_MIN_DIM`` leaves
+    one. ``shrunk`` holds the last call's kept thresholded singular values
+    ``s_k - tau``, so its sum is the nuclear norm of that call's output; it
+    is ``None`` after a ``tau == 0`` call, which decomposes nothing.
     """
 
     v: np.ndarray | None = None
+    shrunk: np.ndarray | None = None
 
 
 def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
@@ -131,9 +139,11 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     kept singular values ``s_k > tau`` of ``B``, their right singular vectors
     ``V_k`` and the basis for the next call. As ``U_k = B V_k diag(s_k)**-1``,
     one exit forms the result ``B V_k diag(1 - tau / s_k) V_k^T``, transposed
-    back for a wide ``a``, and stores the basis: the Gram and warm routes
-    leave the kept vectors plus ``_WARM_EXTRA`` more in ``basis.v``, the full
-    route leaves ``basis`` as it is, and without a ``basis`` none is stored.
+    back for a wide ``a``. Given a ``basis``, it stores ``s_k - tau`` in
+    ``basis.shrunk`` on every route, so a caller has the output's nuclear
+    norm without another decomposition; the Gram and warm routes also leave
+    the kept vectors plus ``_WARM_EXTRA`` more in ``basis.v``, and the full
+    route leaves ``basis.v`` as it is.
 
     **Gram route.** While ``||a||_F <= _GRAM_GUARD * tau``, ``G = B^T B`` is
     formed once; its eigenpairs with ``w_k > tau**2`` give ``s_k = sqrt(w_k)``
@@ -151,10 +161,10 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     of 1e2 to 1e8 the relative error was 3e-16 to 1.1e-15, against 5e-16 to
     7e-15 for ``U diag(max(s - tau, 0)) V^T`` from the same SVD.
 
-    **Warm route.** Given a ``basis`` whose ``v`` an earlier call left, a
-    Gram-route input with ``min(m1, m2) >= _WARM_MIN_DIM`` replaces the
-    eigendecomposition by block subspace iteration on ``G = B^T B`` from
-    ``v``, with Rayleigh-Ritz on every step, until each Ritz pair
+    **Warm route.** Given a ``basis``, a Gram-route input with
+    ``min(m1, m2) >= _WARM_MIN_DIM`` replaces the eigendecomposition by block
+    subspace iteration on ``G = B^T B`` from ``basis.v``, with Rayleigh-Ritz
+    on every step, until each Ritz pair
     ``(theta_i, v_i)`` with ``theta_i > tau**2`` has
     ``||G v_i - theta_i v_i|| <= _WARM_RTOL * theta_1`` (at most
     ``_WARM_MAX_STEPS`` steps). The kept rank ``k`` is then certified.
@@ -168,6 +178,18 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     residual stop. It gives way to the Gram route, on the same ``G``, when
     the iteration does not converge, when fewer than ``_WARM_EXTRA`` Ritz
     values fall below ``tau**2``, or when the factorisation fails.
+
+    **Cold start.** While ``basis.v`` is ``None``, the warm route starts
+    from a fixed-seed Gaussian block of ``2 * _WARM_EXTRA`` columns after two
+    steps ``q = qr(G q)[0]``, a randomized range finder (Halko, Martinsson &
+    Tropp, SIAM Rev. 2011). Without those steps every Ritz value of the
+    block starts below ``tau**2``, the iteration stops at ``k = 0`` and the
+    certificate refuses it. The same certificate decides, so a first call
+    that keeps more than ``_WARM_EXTRA`` values, or whose block does not
+    converge, decomposes ``G`` as the Gram route does. In the ``fit`` of
+    each of 32 300×300 binomial problems (``n = 120,000``, oracle penalty)
+    the first call certified; on one core of a 2-vCPU VM it took 8.2 ms in
+    the median against 13.7 ms on the Gram route.
 
     Measured on one core of a 2-vCPU VM, per call, on sequences whose steps
     add noise of operator norm ``0.002 tau`` to spectra with ``k`` values in
@@ -194,6 +216,8 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("svt requires finite input")
     if tau == 0.0:
+        if basis is not None:
+            basis.shrunk = None
         return a.copy()
     wide = a.shape[0] < a.shape[1]
     b = a.T if wide else a
@@ -204,17 +228,30 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
         kept = s[keep], vt[keep].T, basis.v if warm else None
     else:
         g = b.T @ b
-        kept = _warm_svt(g, tau * tau, basis.v) if warm and basis.v is not None else None
+        kept = None
+        if warm:
+            kept = _warm_svt(g, tau * tau, _cold_start(g) if basis.v is None else basis.v)
         if kept is None:
             w, v = np.linalg.eigh(g)
             keep = w > tau * tau
             top = v[:, ::-1][:, :np.count_nonzero(keep) + _WARM_EXTRA]
             kept = np.sqrt(w[keep]), v[:, keep], top.copy()
     s_k, v_k, v_next = kept
+    if basis is not None:
+        basis.shrunk = s_k - tau
     if warm:
         basis.v = v_next
     out = b @ (v_k * (1.0 - tau / s_k)) @ v_k.T
     return out.T if wide else out
+
+
+def _cold_start(g: np.ndarray) -> np.ndarray:
+    """The warm route's start without a last basis: a fixed-seed Gaussian block of
+    ``2 * _WARM_EXTRA`` columns after two steps ``q = qr(g q)[0]``."""
+    q = np.random.default_rng(0).standard_normal((g.shape[0], 2 * _WARM_EXTRA))
+    for _ in range(2):
+        q = np.linalg.qr(g @ q)[0]
+    return q
 
 
 def _warm_svt(g: np.ndarray, tau_sq: float, q: np.ndarray):

@@ -55,6 +55,18 @@ class TestGenSimulateFit:
         assert manifest["command"] == "gen"
         assert sorted(manifest["versions"]) == ["expmc", "numpy", "python"]
 
+    def test_manifest_records_the_blas_and_its_thread_settings(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        out = tmp_path / "out"
+        invoke(runner, ["gen", "--config", str(write_cfg(tmp_path)), "--seed", "7", "--out", str(out)])
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert json.loads((out / "manifest.json").read_text())["blas"] == {
+            "name": blas["name"], "version": blas["version"],
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
+        }
+
     def test_simulate_then_fit_from_files(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, n=300)
         sim_out = tmp_path / "sim"
@@ -176,6 +188,36 @@ class TestGenSimulateFit:
             assert isinstance(result.exception, ValueError)
             assert str(result.exception).startswith(f"truth {tmp_path / 'truth.csv'}: natural parameter outside")
             assert not out.exists()
+
+    @pytest.mark.parametrize("family, bad, extreme", [
+        ({"family": "poisson"}, 50.0, "50.0"),
+        ({"family": "gaussian", "sigma": 1.0}, -5.0, "-5.0"),
+    ], ids=["poisson-above", "gaussian-below"])
+    def test_truth_outside_the_box_rejected_before_any_draw(self, runner, tmp_path, family, bad, extreme):
+        # Both entries lie inside the model's domain; a Poisson rate e^50 once
+        # failed inside numpy's sampler, a Gaussian -5 was fitted without complaint.
+        truth = np.full((8, 8), 0.5)
+        truth[3, 5] = bad
+        save_matrix_csv(tmp_path / "truth.csv", truth)
+        cfg = write_cfg(tmp_path, family=family, box={"lo": -1.0, "hi": 1.0}, n=100, lambda_mode=0.1,
+                        truth_path=str(tmp_path / "truth.csv"))
+        for command in ("simulate", "fit"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+            assert isinstance(result.exception, ValueError)
+            assert str(result.exception) == (
+                f"truth {tmp_path / 'truth.csv'}: entry {extreme} outside the box [-1.0, 1.0]"
+            )
+            assert not out.exists()
+
+    def test_truth_on_the_box_edges_accepted(self, runner, tmp_path):
+        truth = np.full((8, 8), 0.25)
+        truth[0, 0], truth[7, 7] = -1.0, 1.0
+        save_matrix_csv(tmp_path / "truth.csv", truth)
+        cfg = write_cfg(tmp_path, family={"family": "poisson"}, box={"lo": -1.0, "hi": 1.0}, n=100,
+                        lambda_mode=0.1, truth_path=str(tmp_path / "truth.csv"))
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
+        assert load_matrix_csv(tmp_path / "out" / "estimate.csv").shape == (8, 8)
 
     @pytest.mark.parametrize("mode", ["likelihood", "known_sampling"])
     def test_sampling_table_of_another_shape_rejected(self, runner, tmp_path, mode):

@@ -30,9 +30,40 @@ from expmc import (
     uniform_scheme,
 )
 from expmc import estimator, matops
-from expmc.bench import gen_truth, observe_every_entry, simulate, solver_from_config
+from expmc.bench import (
+    ExperimentConfig,
+    gen_truth,
+    observe_every_entry,
+    resolve_lambda,
+    simulate,
+    solver_from_config,
+)
 
 BOX1 = ParameterBox.symmetric(1.0)
+
+# The configs of two benchmark workloads: a binomial 300x300 likelihood fit
+# and a box-bound Gaussian 60x60 known-sampling fit, both at the oracle level.
+BINOM300 = {
+    "family": {"family": "binomial", "trials": 1}, "sampling": {"sampling": "uniform"},
+    "m1": 300, "m2": 300, "rank": 3, "gamma": 1.0, "truth": "flat",
+    "n": 120000, "lambda_mode": "oracle", "mode": "likelihood",
+}
+KS_G60 = {
+    "family": {"family": "gaussian", "sigma": 1.0}, "sampling": {"sampling": "uniform"},
+    "m1": 60, "m2": 60, "rank": 3, "gamma": 1.0, "truth": "flat",
+    "n": 24000, "lambda_mode": "oracle", "mode": "known_sampling",
+}
+
+
+def config_problem(config, seed):
+    """The problem ``expmc fit`` solves for ``config`` at ``--seed seed``, at its penalty level."""
+    cfg = ExperimentConfig.from_dict(config)
+    rng = np.random.default_rng([seed, 0])
+    scheme = cfg.scheme()
+    truth = cfg.truth(rng)
+    probe = cfg.problem(simulate(truth, cfg.family, scheme, cfg.n_single, rng), scheme)
+    lam = resolve_lambda(cfg, cfg.family.interval_constants(cfg.box), probe, truth.x_bar)
+    return probe.with_lambda(lam)
 
 
 def single_obs_problem(y=2.0, lam=0.0, m1=2, m2=2):
@@ -443,7 +474,8 @@ class TestFit:
 
     def test_warm_started_fit_repeats_and_matches_cold_svts(self, monkeypatch):
         # At 300x300 every SVT after the first starts from the last one's
-        # right singular subspace, so only the first decomposes a Gram matrix.
+        # right singular subspace, and the first from the certified cold
+        # block, so no SVT decomposes a Gram matrix of order 300.
         rng = np.random.default_rng(15)
         fam = Binomial(trials=1)
         truth = gen_truth(300, 300, 3, BOX1, rng, style="flat")
@@ -459,11 +491,19 @@ class TestFit:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         res, again = fit(p), fit(p)
-        assert orders.count(300) == 2 and len(orders) > 2 * res.iterations
+        assert orders.count(300) == 0 and len(orders) > 2 * res.iterations
         assert np.array_equal(res.x_hat, again.x_hat)
         assert (res.iterations, res.objective_trace) == (again.iterations, again.objective_trace)
         svt = matops.svt
-        monkeypatch.setattr(matops, "svt", lambda a, tau, basis=None: svt(a, tau))
+
+        def gram_route_svt(a, tau, basis=None):
+            # svt without a basis takes the Gram route; the holder still gets
+            # the thresholded spectrum, so the fit ends at the last SVT output too.
+            s = np.linalg.svd(a, compute_uv=False)
+            basis.shrunk = s[s > tau] - tau
+            return svt(a, tau)
+
+        monkeypatch.setattr(matops, "svt", gram_route_svt)
         cold = fit(p)
         assert cold.iterations == res.iterations
         assert np.abs(cold.x_hat - res.x_hat).max() <= 1e-10
@@ -589,6 +629,87 @@ class TestDavisYinSolver:
         assert len(decomposed) == decompositions and all(x.any() for x in decomposed)
         x0 = np.clip(np.zeros(p.shape), box.lo, box.hi)
         assert res.objective_trace[0] == neg_loglik(p, x0) + p.lam * nuclear_norm(x0)
+
+    @pytest.mark.parametrize("config, seed", [
+        (BINOM300, 1000), (BINOM300, 1001),
+        ({**KS_G60, "mode": "likelihood", "n": 48000}, 1000),
+    ], ids=["binom300-1000", "binom300-1001", "gaussian60-likelihood"])
+    def test_converged_exit_objective_from_the_last_svt_spectrum(self, monkeypatch, config, seed):
+        # These fits converge with the last SVT output inside the box, so the
+        # estimate is that output and no SVD runs at the exit.
+        p = config_problem(config, seed)
+        decomposed = []
+
+        def recording_nuclear_norm(x):
+            decomposed.append(x)
+            return nuclear_norm(x)
+
+        monkeypatch.setattr(estimator, "nuclear_norm", recording_nuclear_norm)
+        res = fit(p)
+        assert res.converged and not decomposed and res.x_hat.any()
+        assert p.box.contains(res.x_hat)
+        assert res.objective_trace[-1] == pytest.approx(estimator._objective(p, res.x_hat), rel=1e-12, abs=0.0)
+
+    def test_fit_short_of_tol_ends_at_the_clipped_iterate(self, monkeypatch):
+        p = config_problem(BINOM300, 1000)
+        svts, svt = [], matops.svt
+
+        def recording_svt(a, tau, basis=None):
+            svts.append(svt(a, tau, basis))
+            return svts[-1]
+
+        monkeypatch.setattr(matops, "svt", recording_svt)
+        res = fit(p, SolverConfig(max_iters=3))
+        assert not res.converged and res.iterations == 3
+        # The third y is a clip of w, not the last SVT output.
+        assert not np.array_equal(res.x_hat, svts[-1])
+        assert res.objective_trace[-1] == estimator._objective(p, res.x_hat)
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    def test_kept_anderson_gram_equals_the_rebuilt_one(self, monkeypatch, seed):
+        # Box-bound known-sampling fits halve the step and drop extrapolations,
+        # so their histories are reset and refilled.
+        p = config_problem(KS_G60, seed)
+        res = fit(p)
+        extrapolate, sizes = estimator._extrapolate, []
+
+        def rebuilding(w_next, r, history):
+            rebuilt = np.array([[np.vdot(a[1], b[1]) for b in history.diffs] for a in history.diffs])
+            assert history.gram.dtype == rebuilt.dtype == np.float32
+            assert np.array_equal(history.gram, rebuilt)
+            sizes.append(len(history.diffs))
+            return extrapolate(w_next, r, estimator._History(history.diffs, rebuilt))
+
+        monkeypatch.setattr(estimator, "_extrapolate", rebuilding)
+        ref = fit(p)
+        assert max(sizes) == estimator._MEMORY
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # at least one reset
+        assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+        assert np.array_equal(res.x_hat, ref.x_hat)
+        assert res.objective_trace == ref.objective_trace
+
+    def test_cold_first_svt_certifies_on_the_binomial_300_config(self, monkeypatch):
+        eighs, choleskys = [], []  # the order of each decomposition
+        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+
+        def recording_eigh(a):
+            eighs.append(a.shape[0])
+            return eigh(a)
+
+        def recording_cholesky(a):
+            choleskys.append(a.shape[0])
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        for seed in (1000, 1001, 1002, 1003):
+            p = config_problem(BINOM300, seed)
+            eighs.clear()
+            choleskys.clear()
+            fit(p, SolverConfig(max_iters=1))
+            # Every SVT, the first included, was the warm route's and certified.
+            assert eighs and max(eighs) <= 10
+            assert choleskys and set(choleskys) == {300}
 
     def test_extrapolation_that_raises_the_residual_is_dropped(self, monkeypatch):
         # Every extrapolated point is pushed far outside the box, where its

@@ -267,8 +267,10 @@ class TestWarmSVT:
             out = svt(a, tau, basis)
             assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
             assert basis.v.shape == (min(shape), self.kept_rank(a, tau) + 5)
-            # Only the first call, with no basis yet, decomposes the Gram matrix.
-            assert max(eighs[n_ref:]) == (min(shape) if step == 0 else k + 5)
+            # The first call starts from the cold block of 10 columns, which
+            # certifies 3 kept values; at 20 it gives way to the Gram route.
+            first = 10 if k <= 5 else min(shape)
+            assert max(eighs[n_ref:]) == (first if step == 0 else k + 5)
 
     @pytest.mark.parametrize(
         "which", ["orthogonal_to_the_top", "narrower_than_the_rank", "missing_kept_vectors", "out_of_steps"]
@@ -302,14 +304,14 @@ class TestWarmSVT:
         out = svt(a, tau, basis)
         # The warm route gave up and the Gram route decomposed the Gram matrix once.
         assert eighs.count(300) == 1
-        fresh = SvtBasis()
-        assert np.array_equal(out, svt(a, tau, fresh))
-        assert np.array_equal(basis.v, fresh.v)
-        assert basis.v.shape == (300, k + 5)
         # The stale bases that converge on their own span reach the certificate
         # and fail it; the narrow one has no Ritz value below tau^2 to spare,
         # and the one out of steps never converges.
         assert len(choleskys) == (1 if which in ("orthogonal_to_the_top", "missing_kept_vectors") else 0)
+        # Without a basis, svt takes the Gram route; the basis left is its top k + 5 eigenvectors.
+        assert np.array_equal(out, svt(a, tau))
+        assert np.array_equal(basis.v, np.linalg.eigh(a.T @ a)[1][:, ::-1][:, :k + 5])
+        assert basis.v.shape == (300, k + 5)
 
     @pytest.mark.parametrize("k", [3, 20])
     @pytest.mark.parametrize("shape", [(200, 200), (300, 200), (200, 300)], ids=["square", "tall", "wide"])
@@ -327,6 +329,39 @@ class TestWarmSVT:
         assert len(calls) == 1
         assert basis.v is before
         assert np.linalg.norm(out - svd_threshold(a, tau)) <= 1e-12 * np.linalg.norm(out)
+
+    @pytest.mark.parametrize("route", ["gram", "full", "warm", "cold", "tau_zero"])
+    def test_basis_holds_the_thresholded_spectrum(self, route):
+        rng = np.random.default_rng(13)
+        tau = 0.5
+        m = 300 if route in ("warm", "cold") else 40
+        u, s, v = self.spectrum(rng, m, m - 10, 3, tau)
+        if route == "full":
+            s[:3] *= 100.0  # past the Gram guard
+        a = (u * s) @ v.T
+        basis = SvtBasis(v[:, :8].copy() if route == "warm" else None)
+        out = svt(a, 0.0 if route == "tau_zero" else tau, basis)
+        if route == "tau_zero":
+            assert basis.shrunk is None
+            return
+        assert basis.shrunk.shape == (3,)
+        assert np.allclose(np.sort(basis.shrunk)[::-1], s[:3] - tau, rtol=1e-12, atol=0.0)
+        assert float(basis.shrunk.sum()) == pytest.approx(nuclear_norm(out), rel=1e-12)
+
+    def test_cold_call_keeping_more_than_the_block_certifies_falls_back(self, monkeypatch):
+        # The cold block has 10 columns, so it certifies at most 5 kept values; at 8
+        # the first call decomposes the Gram matrix once, as svt without a basis does.
+        rng = np.random.default_rng(14)
+        tau = 0.5
+        u, s, v = self.spectrum(rng, 300, 300, 8, tau)
+        a = (u * s) @ v.T
+        eighs = self.count_calls(monkeypatch, "eigh")
+        basis = SvtBasis()
+        out = svt(a, tau, basis)
+        assert eighs.count(300) == 1
+        ref = svt(a, tau)
+        assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+        assert basis.v.shape == (300, 8 + 5) and self.kept_rank(a, tau) == 8
 
     def test_below_the_floor_ignores_the_basis(self, monkeypatch):
         rng = np.random.default_rng(12)
