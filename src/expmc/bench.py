@@ -202,7 +202,7 @@ class ExperimentConfig:
                 raise ValueError(f"gamma {d['gamma']} differs from the box radius {box.radius}")
         else:
             box = ParameterBox.symmetric(float_from_config(d.get("gamma", 1.0), "gamma"))
-        family.validate_box(box)
+        family.variance_bounds(box)
         m1, m2 = int_from_config(d["m1"], "m1", 1), int_from_config(d["m2"], "m2", 1)
         n_single = int_from_config(d["n"], "n", 1) if "n" in d else None
         n_grid = _typed_from_config(d.get("n_grid", [n_single] if "n" in d else []), "n_grid", list, "a list")

@@ -113,7 +113,7 @@ class CompletionProblem:
                 raise ValueError("known_sampling mode requires a sampling scheme")
             if (self.scheme.m1, self.scheme.m2) != (self.obs.m1, self.obs.m2):
                 raise ValueError("scheme dimensions do not match the observations")
-        self.family.validate_box(self.box)
+        self.family.variance_bounds(self.box)
         self.family.check_support(self.obs.ys)
         shape, n = (self.obs.m1, self.obs.m2), self.obs.n
         size = shape[0] * shape[1]

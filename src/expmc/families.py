@@ -174,10 +174,10 @@ class ExponentialFamily:
         out = hook(*params)
         return float(out) if scalar else out
 
-    def validate_box(self, box: ParameterBox) -> tuple[float, float]:
-        """The curvature bounds ``(sigma_lo^2, sigma_hi^2)`` over the box. Boxes not
-        strictly inside the domain are a :class:`DomainError`; boxes over which the
-        bounds or their reciprocals are not finite and positive, a ValueError."""
+    def variance_bounds(self, box: ParameterBox) -> tuple[float, float]:
+        """The curvature bounds ``(sigma_lo^2, sigma_hi^2)``, (min, max) of G'' over the box.
+        Boxes not strictly inside the domain are a :class:`DomainError`; boxes over which
+        the bounds or their reciprocals are not finite and positive, a ValueError."""
         if not (box.lo > self.domain_lo and box.hi < self.domain_hi):
             raise DomainError(
                 f"box [{box.lo}, {box.hi}] is not strictly inside the "
@@ -261,10 +261,6 @@ class ExponentialFamily:
         """One draw per natural parameter, using the caller-supplied generator."""
         return self._checked(lambda v: np.asarray(self._sample(v, rng), dtype=float), x)
 
-    def variance_bounds(self, box: ParameterBox) -> tuple[float, float]:
-        """(min, max) of the variance map G'' over the box."""
-        return self.validate_box(box)
-
     # -- interval constants -----------------------------------------------
 
     def interval_constants(self, box: ParameterBox) -> IntervalConstants:
@@ -279,7 +275,7 @@ class ExponentialFamily:
         Poisson box whose largest intensity ``e^hi`` exceeds 200,000, is a
         ``ValueError``, raised before any other work on the box.
         """
-        lo_sq, hi_sq = self.validate_box(box)
+        lo_sq, hi_sq = self.variance_bounds(box)
         with np.errstate(over="ignore"):
             moment = self._abs_exp_moment(np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS))
             l_gamma = float(np.abs(self._g1(np.array([box.lo, box.hi]))).max())

@@ -19,9 +19,9 @@ of a finite normal ``|x|`` in ``[1e-4, 2**53)``, where ``repr`` writes fixed
 notation, come from exact integer arithmetic on the block. The other values
 go through ``repr`` one at a time: ±0, subnormals, ``|x| < 1e-4`` or
 ``>= 2**53``, infinities, NaNs, and the exact ties between two shortest
-candidates. A block whose values repeat (a flat truth, 0/1 or count
-observations) has each distinct value formatted once, and the next block
-with the same distinct values reuses that text.
+candidates. A block in which at most half the values are distinct (a flat
+truth, 0/1 or count observations) puts each distinct value through ``repr``
+once and gathers its text.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ _D0 = 22  # the 4-digit words "00d_0d_1", ... fill bytes 20..39, 4-byte aligned
 _INT_COLS = 17  # sign and up to 16 integer digits (|x| < 2**53)
 _FRAC_COLS = 21  # up to 20 fraction digits (|x| >= 1e-4) and the separator
 _ROW = _D0 + 18 + _FRAC_COLS - 1  # the fraction window of e = 15 ends at the last byte
-_LONGEST_REPR = 24  # "-2.2250738585072014e-308"
 _ZERO = np.uint8(ord("0"))
 
 
@@ -213,37 +212,41 @@ def _text_each(x: np.ndarray):
     stop = _INT_COLS + end - e
     if not fast.all():
         rows = np.flatnonzero(~fast)
-        reprs = list(map(repr, x[rows].tolist()))
         start = _INT_COLS - 3  # "0.0" where "1.0" stands, and the longest repr fits
+        reprs, stop[rows] = _repr_text(x[rows], start)
         text[rows] = 0
-        padded = np.array(reprs, dtype=f"S{_LONGEST_REPR}").view(np.uint8).reshape(rows.size, -1)
-        text[rows, start:start + _LONGEST_REPR] = padded
-        stop[rows] = start + np.array(list(map(len, reprs)))
+        text[rows, :reprs.shape[1]] = reprs
     return text, stop
 
 
-def _float_text(x: np.ndarray, table=None):
+def _repr_text(x: np.ndarray, start: int = 0):
+    """``repr`` of each entry of the 1-d float64 ``x``, one at a time, as
+    ``_text_each`` gives it, with the text from column ``start`` on and one
+    NUL column after the longest."""
+    reprs = list(map(repr, x.tolist()))
+    chars = np.array(reprs, dtype="S").view(np.uint8).reshape(x.size, -1)
+    text = np.zeros((x.size, start + chars.shape[1] + 1), np.uint8)
+    text[:, start:-1] = chars
+    return text, start + np.array(list(map(len, reprs)))
+
+
+def _float_text(x: np.ndarray):
     """``repr`` of each entry of the 1-d float64 block ``x``, as ``_text_each`` gives it.
 
-    When at most half the entries are distinct, each distinct value is
-    formatted once and its text gathered; ``table`` is the distinct values
-    and their text from an earlier block, reused when this block's distinct
-    values are the same. Returns ``((text, stop), table)``. Values are told
-    apart by their bits, so ``0.0`` and ``-0.0``, and NaNs of other bit
-    patterns, stay apart.
+    When at most half the entries are distinct, each distinct value goes
+    through ``repr`` once and its text is gathered. Values are told apart by
+    their bits, so ``0.0`` and ``-0.0``, and NaNs of other bit patterns, stay
+    apart.
     """
     bits = x.view(np.uint64)
     ordered = np.sort(bits)
     new = ordered[1:] != ordered[:-1]
     if 2 * (1 + np.count_nonzero(new)) > x.size:
-        return _text_each(x), table
+        return _text_each(x)
     distinct = np.concatenate([ordered[:1], ordered[1:][new]])
-    if table is None or not np.array_equal(table[0], distinct):
-        text, stop = _text_each(distinct.view(np.float64))
-        first = np.argmax(text.any(axis=0))  # the columns no distinct text uses are not gathered
-        table = distinct, text[:, first:stop.max() + 1], stop - first
+    text, stop = _repr_text(distinct.view(np.float64))
     at = np.searchsorted(distinct, bits)
-    return (table[1][at], table[2][at]), table
+    return text[at], stop[at]
 
 
 def _index_fields(first: int, count: int) -> np.ndarray:
@@ -277,9 +280,8 @@ def save_matrix_csv(path, a: np.ndarray) -> None:
     with open(_creating(path), "wb") as fh:
         if values.size == 0:
             fh.write(b"\n" * max(m1, 1))  # empty lines, or one newline for no rows
-        table = None
         for start in range(0, values.size, _BLOCK):
-            (text, stop), table = _float_text(values[start:start + _BLOCK], table)
+            text, stop = _float_text(values[start:start + _BLOCK])
             k = np.arange(len(text))
             text[k, stop] = np.where((start + k + 1) % m2 == 0, ord("\n"), ord(","))
             _write_rows(fh, text)
@@ -298,10 +300,9 @@ def save_observations_csv(path, obs: ObservationSet) -> None:
     col_text = _index_fields(1, obs.m2)
     with open(_creating(path), "wb") as fh:
         fh.write(_OBS_HEADER.encode() + b"\n")
-        table = None
         for start in range(0, obs.n, _BLOCK):
             block = slice(start, start + _BLOCK)
-            (ys, stop), table = _float_text(obs.ys[block], table)
+            ys, stop = _float_text(obs.ys[block])
             ys[np.arange(len(ys)), stop] = ord("\n")
             i_text = _index_fields(start + 1, len(ys))
             fields = [i_text, row_text[obs.rows[block]], col_text[obs.cols[block]], ys]
@@ -311,8 +312,9 @@ def save_observations_csv(path, obs: ObservationSet) -> None:
 def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
     """Read an observations CSV.
 
-    Rejects a wrong header, a file without observations, fractional indices
-    and an ``i`` column that is not 1..n in order.
+    Rejects a wrong header, a file without observations and an ``i`` column
+    that is not 1..n in order; :class:`ObservationSet` rejects fractional or
+    out-of-range indices and non-finite values.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -326,18 +328,13 @@ def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
         raise ValueError(f"observations CSV {path} has no observations, only the header")
     if raw.shape[1] != 4:
         raise ValueError(f"observations CSV must have columns {_OBS_HEADER}")
-    idx = raw[:, 1:3]
-    if not np.all(idx == np.round(idx)):
-        raise ValueError("observation row/col indices must be integers")
     if not np.array_equal(raw[:, 0], np.arange(1, raw.shape[0] + 1)):
         raise ValueError("observations CSV column i must count 1..n in order")
-    return ObservationSet(
-        m1=m1,
-        m2=m2,
-        rows=raw[:, 1].astype(np.int64) - 1,
-        cols=raw[:, 2].astype(np.int64) - 1,
-        ys=raw[:, 3],
-    )
+    # To 0-based. x - 1 rounds a fraction within about 1e-16 of 0 to the integer -1;
+    # it goes on as NaN, which ObservationSet reports as not an integer.
+    idx = raw[:, 1:3] - 1
+    idx[(idx == -1) & (raw[:, 1:3] != 0)] = np.nan
+    return ObservationSet(m1=m1, m2=m2, rows=idx[:, 0], cols=idx[:, 1], ys=raw[:, 3])
 
 
 def write_rows_csv(path, rows: list[dict]) -> None:

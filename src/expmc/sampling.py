@@ -147,7 +147,10 @@ class SamplingScheme:
 
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """Sample of observed entries: 0-based cell indices and one value per draw."""
+    """Sample of observed entries: 0-based cell indices and one value per draw.
+
+    Indices that are not integers (integral floats are) or out of range, and
+    non-finite values, are a ValueError."""
 
     m1: int
     m2: int
@@ -156,17 +159,21 @@ class ObservationSet:
     ys: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         ys = np.asarray(self.ys, dtype=float)
         if not (rows.shape == cols.shape == ys.shape) or rows.ndim != 1:
             raise ValueError("rows, cols and ys must be 1-d arrays of equal length")
         if rows.size < 1:
             raise ValueError("an observation set needs at least one sample")
+        # Checked as values, before the int64 cast: it would truncate 0.7 to 0 and wrap 1e20.
+        for idx in (rows, cols):
+            if idx.dtype.kind not in "biu" and not np.all(np.isfinite(idx) & (idx == np.round(idx))):
+                raise ValueError("observation row/col indices must be integers")
         if rows.min() < 0 or rows.max() >= self.m1 or cols.min() < 0 or cols.max() >= self.m2:
             raise ValueError("observation indices out of range")
         if not np.all(np.isfinite(ys)):
             raise ValueError("observation values must be finite")
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         for name, arr in (("rows", rows), ("cols", cols), ("ys", ys)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -307,7 +307,7 @@ class TestIntervalConstants:
 
     @pytest.mark.parametrize("hi", [12.5, 800.0])
     def test_poisson_box_past_the_intensity_limit_rejected(self, hi):
-        # e^800 overflows a float, so validate_box rejects its curvature bound before the limit is read.
+        # e^800 overflows a float, so variance_bounds rejects its curvature bound before the limit is read.
         what = "poisson intensity" if hi < 700.0 else "poisson model's curvature bounds"
         with pytest.raises(ValueError, match=rf"{what} .* box \[-1.0, {hi}\]"):
             Poisson().interval_constants(ParameterBox(-1.0, hi))
@@ -356,7 +356,7 @@ class TestDomain:
 
     def test_exponential_rejects_box_touching_boundary(self):
         with pytest.raises(DomainError):
-            Exponential().validate_box(ParameterBox(-1.0, 0.0))
+            Exponential().variance_bounds(ParameterBox(-1.0, 0.0))
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):

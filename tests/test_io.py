@@ -82,15 +82,20 @@ def draw_ys(kind, n, rng):
 # At n = 8193 the last block holds one value, which is formatted on its own.
 @pytest.mark.parametrize("n", [8191, 8192, 8193])
 @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "rounded"])
-def test_repeated_observation_values_written_like_one_string(tmp_path, kind, n):
+def test_repeated_observation_values_written_like_one_string(tmp_path, monkeypatch, kind, n):
     rng = np.random.default_rng(n)
     m1, m2 = 300, 7
     obs = ObservationSet(
         m1=m1, m2=m2, rows=rng.integers(0, m1, n), cols=rng.integers(0, m2, n), ys=draw_ys(kind, n, rng)
     )
+    kernel_blocks = []
+    text_each = io._text_each
+    monkeypatch.setattr(io, "_text_each", lambda x: kernel_blocks.append(x.size) or text_each(x))
     path = tmp_path / "observations.csv"
     save_observations_csv(path, obs)
     assert_same_observations_text(path.read_text(), obs)
+    # Repeated blocks go through repr alone; only the last block of one value reaches the kernel.
+    assert kernel_blocks == ([1] if n % io._BLOCK == 1 else [])
 
 
 def matrix_text(a):
@@ -126,22 +131,23 @@ def test_matrix_of_any_floats_written_by_repr(tmp_path_factory, a):
 
 def block_texts(x):
     """The text the block formatter gives each entry of the 1-d block ``x``."""
-    (text, stop), _ = _float_text(np.asarray(x, dtype=np.float64))
+    text, stop = _float_text(np.asarray(x, dtype=np.float64))
     assert np.all(text[np.arange(len(text)), stop] == 0)  # the separator's place is free
     return [bytes(row[:end][row[:end] != 0]).decode() for row, end in zip(text, stop)]
 
 
-@pytest.mark.parametrize("repeats", [4, 1], ids=["table", "per-entry"])
-def test_signed_zeros_and_non_finite_values_kept_apart(tmp_path, monkeypatch, repeats):
+@pytest.mark.parametrize("repeats, spied", [(4, "_repr_text"), (1, "_text_each")], ids=["table", "per-entry"])
+def test_signed_zeros_and_non_finite_values_kept_apart(tmp_path, monkeypatch, repeats, spied):
     rng = np.random.default_rng(0)
     a = np.stack([rng.permutation(np.array(EDGE_VALUES * repeats)) for _ in range(3)])
     formatted = []
-    text_each = io._text_each
-    monkeypatch.setattr(io, "_text_each", lambda x: formatted.append(x.copy()) or text_each(x))
+    formatter = getattr(io, spied)
+    monkeypatch.setattr(io, spied, lambda x, *rest: formatted.append(x.copy()) or formatter(x, *rest))
     for row in a:
         formatted.clear()
         assert block_texts(row) == list(map(repr, row.tolist()))
-        # One call: with repeats, on each distinct bit pattern once; else on every entry.
+        # One call: with repeats, repr on each distinct bit pattern once (and no
+        # kernel call, whose fallback would call it again); else the kernel on every entry.
         (values,) = formatted
         assert np.unique(values.view(np.uint64)).size == values.size == len(EDGE_VALUES)
     assert_matrix_written_by_repr(tmp_path / "a.csv", a)
@@ -150,11 +156,11 @@ def test_signed_zeros_and_non_finite_values_kept_apart(tmp_path, monkeypatch, re
 
 
 def assert_formatted_like_repr(x):
-    """Each float of ``x``, formatted in the writers' blocks, is its ``repr``."""
+    """Each float of ``x``, formatted by the kernel in the writers' blocks, is its ``repr``."""
     x = np.asarray(x, dtype=np.float64).ravel()
     lines = []
     for start in range(0, x.size, io._BLOCK):
-        (text, stop), _ = _float_text(x[start:start + io._BLOCK])
+        text, stop = io._text_each(x[start:start + io._BLOCK])
         text[np.arange(len(text)), stop] = ord("\n")
         lines.append(text[text != 0].tobytes())
     got = b"".join(lines).decode()
@@ -306,6 +312,7 @@ def test_wrong_header_rejected(tmp_path, header):
     index=st.floats(0.0, 4.0).filter(lambda v: v != round(v)),
 )
 @example(which=1, index=2.7)  # truncation would read it as 0-based row 1
+@example(which=2, index=1.1754943508222875e-38)  # index - 1 rounds to the integer -1
 def test_fractional_index_rejected(tmp_path_factory, which, index):
     row = [2, 2, 3, 0.5]
     row[which] = index

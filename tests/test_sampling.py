@@ -302,6 +302,24 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet(m1=2, m2=2, rows=np.array([2]), cols=np.array([0]), ys=np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [[0.7, 1.9], [0.0, math.nan], [0.0, math.inf]], ids=["fractional", "nan", "inf"])
+    def test_fractional_or_non_finite_indices_rejected(self, bad):
+        # An int64 cast would read [0.7, 1.9] as rows 0 and 1.
+        with pytest.raises(ValueError, match="integers"):
+            ObservationSet(2, 2, rows=bad, cols=[0, 1], ys=[1.0, 2.0])
+        with pytest.raises(ValueError, match="integers"):
+            ObservationSet(2, 2, rows=[0, 1], cols=bad, ys=[1.0, 2.0])
+
+    def test_integral_float_indices_accepted(self):
+        obs = ObservationSet(2, 3, rows=[0.0, 1.0], cols=[2.0, 0.0], ys=[1.0, 2.0])
+        assert obs.rows.dtype == obs.cols.dtype == np.int64
+        assert obs.rows.tolist() == [0, 1] and obs.cols.tolist() == [2, 0]
+
+    @pytest.mark.parametrize("big", [1e20, -1e20, 2.0**63])
+    def test_huge_float_index_out_of_range_not_wrapped(self, big):
+        with pytest.raises(ValueError, match="out of range"):
+            ObservationSet(2, 2, rows=[0.0, big], cols=[0, 1], ys=[1.0, 2.0])
+
     def test_n(self):
         obs = ObservationSet(m1=2, m2=3, rows=np.array([0, 1]), cols=np.array([2, 0]), ys=np.array([1.0, 2.0]))
         assert obs.n == 2
