@@ -1,9 +1,12 @@
 """Command-line harness.
 
-Every command reads a JSON experiment config, a seed and an output
-directory, writes CSV artifacts plus a manifest, and prints the paths it
-produced. See the README for the config schema. The first file written
-creates the output directory, so a command that fails before it leaves none.
+One runner serves every command: it reads the JSON experiment config, the
+seed and the output directory, and calls the command's body, which writes the
+command's CSV artifacts and returns its result line. The runner then writes
+the manifest, after those outputs, and prints the line, which starts with the
+path of the command's main output. See the README for the config schema. The
+first file written creates the output directory, so a command that fails
+before it leaves none.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ from .io import (
     save_observations_csv,
     write_manifest,
 )
-
-
-def _read_config(config_path) -> bench.ExperimentConfig:
-    return bench.ExperimentConfig.from_dict(json.loads(Path(config_path).read_text()))
 
 
 def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
@@ -59,57 +58,56 @@ def _simulate_and_save(cfg: bench.ExperimentConfig, scheme, rng, out: Path):
     return truth, obs
 
 
-_shared = [
-    click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
-    click.option("--seed", required=True, type=int),
-    click.option("--out", required=True, type=click.Path(path_type=Path)),
-]
-
-
-def shared_options(f):
-    for opt in reversed(_shared):
-        f = opt(f)
-    return f
-
-
 @click.group()
 def main():
     """Low-rank matrix completion under exponential-family noise."""
 
 
-@main.command()
-@shared_options
-def gen(config_path, seed, out):
+def _command(name: str):
+    """Register ``body(cfg, seed, out)`` as the subcommand ``name``, with the
+    body's docstring as its help. The runner parses the config, calls the body,
+    then writes the manifest and prints the line the body returned."""
+
+    def register(body):
+        @main.command(name, help=body.__doc__)
+        @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+        @click.option("--seed", required=True, type=int)
+        @click.option("--out", required=True, type=click.Path(path_type=Path))
+        def run(config_path, seed, out):
+            cfg = bench.ExperimentConfig.from_dict(json.loads(Path(config_path).read_text()))
+            line = body(cfg, seed, out)
+            write_manifest(out, name, cfg.raw, seed)
+            click.echo(line)
+
+        return body
+
+    return register
+
+
+@_command("gen")
+def gen(cfg, seed, out):
     """Generate a ground-truth matrix and write it as truth.csv."""
-    cfg = _read_config(config_path)
     save_matrix_csv(out / "truth.csv", cfg.truth(np.random.default_rng([seed, 0])).x_bar)
-    write_manifest(out, "gen", cfg.raw, seed)
-    click.echo(str(out / "truth.csv"))
+    return str(out / "truth.csv")
 
 
-@main.command()
-@shared_options
-def simulate(config_path, seed, out):
+@_command("simulate")
+def simulate(cfg, seed, out):
     """Draw observations from a truth matrix (generated unless truth_path is set)."""
-    cfg = _read_config(config_path)
     _simulate_and_save(cfg, cfg.scheme(), np.random.default_rng([seed, 0]), out)
-    write_manifest(out, "simulate", cfg.raw, seed)
-    click.echo(str(out / "observations.csv"))
+    return str(out / "observations.csv")
 
 
-@main.command("fit")
-@shared_options
-def fit_cmd(config_path, seed, out):
+@_command("fit")
+def fit_cmd(cfg, seed, out):
     """Fit the penalized estimator on observations (observations_path or simulated)."""
-    cfg = _read_config(config_path)
-    rng = np.random.default_rng([seed, 0])
     scheme = cfg.scheme()
     consts = cfg.family.interval_constants(cfg.box)
     if cfg.observations_path is not None:
         truth = _load_truth(cfg)
         obs = load_observations_csv(cfg.observations_path, cfg.m1, cfg.m2)
     else:
-        truth, obs = _simulate_and_save(cfg, scheme, rng, out)
+        truth, obs = _simulate_and_save(cfg, scheme, np.random.default_rng([seed, 0]), out)
 
     if cfg.lambda_mode == "oracle" and truth is None:
         raise click.UsageError("lambda_mode 'oracle' needs a truth_path")
@@ -126,52 +124,39 @@ def fit_cmd(config_path, seed, out):
         "objective_last": result.objective_trace[-1],
     }
     (out / "fit.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, "fit", cfg.raw, seed)
-    click.echo(str(out / "estimate.csv"))
+    return str(out / "estimate.csv")
 
 
-@main.command("rate-sweep")
-@shared_options
-def rate_sweep_cmd(config_path, seed, out):
+@_command("rate-sweep")
+def rate_sweep_cmd(cfg, seed, out):
     """Run the risk-versus-rate sweep and write rate_sweep.csv."""
-    cfg = _read_config(config_path)
     result = bench.rate_sweep(cfg, seed, out_dir=out)
-    write_manifest(out, "rate-sweep", cfg.raw, seed)
-    click.echo(f"{out / 'rate_sweep.csv'} slope={result.slope!r}")
+    return f"{out / 'rate_sweep.csv'} slope={result.slope!r}"
 
 
-@main.command("oracle-check")
-@shared_options
-def oracle_check_cmd(config_path, seed, out):
+@_command("oracle-check")
+def oracle_check_cmd(cfg, seed, out):
     """Run oracle-inequality checks and write oracle_check.csv."""
-    cfg = _read_config(config_path)
     result = bench.oracle_check(cfg, seed, out_dir=out)
-    write_manifest(out, "oracle-check", cfg.raw, seed)
-    click.echo(f"{out / 'oracle_check.csv'} all_passed={result.all_passed}")
+    return f"{out / 'oracle_check.csv'} all_passed={result.all_passed}"
 
 
-@main.command("concentration")
-@shared_options
-def concentration_cmd(config_path, seed, out):
+@_command("concentration")
+def concentration_cmd(cfg, seed, out):
     """Run concentration diagnostics and write concentration.csv."""
-    cfg = _read_config(config_path)
     result = bench.concentration_check(cfg, seed, out_dir=out)
-    write_manifest(out, "concentration", cfg.raw, seed)
-    click.echo(
+    return (
         f"{out / 'concentration.csv'} rademacher={result.rademacher_estimate!r} "
         f"bound={result.rademacher_bound!r}"
     )
 
 
-@main.command("lower-bound")
-@shared_options
-def lower_bound_cmd(config_path, seed, out):
+@_command("lower-bound")
+def lower_bound_cmd(cfg, seed, out):
     """Build/verify a packing, fit its members, write lower_bound.csv."""
-    cfg = _read_config(config_path)
     result = bench.lowerbound_run(cfg, seed, out_dir=out)
-    write_manifest(out, "lower-bound", cfg.raw, seed)
     passed = all(row["conditions_passed"] for row in result.summary_rows)
-    click.echo(f"{out / 'lower_bound_summary.csv'} conditions_passed={passed}")
+    return f"{out / 'lower_bound_summary.csv'} conditions_passed={passed}"
 
 
 if __name__ == "__main__":

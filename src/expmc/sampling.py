@@ -150,7 +150,9 @@ class ObservationSet:
     """Sample of observed entries: 0-based cell indices and one value per draw.
 
     Indices that are not integers (integral floats are) or out of range, and
-    non-finite values, are a ValueError."""
+    non-finite values, are a ValueError. The set shares memory with int64
+    ``rows``/``cols`` and float64 ``ys`` it is given: it holds read-only views
+    of them, and the caller's arrays stay writeable."""
 
     m1: int
     m2: int
@@ -175,6 +177,7 @@ class ObservationSet:
             raise ValueError("observation values must be finite")
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         for name, arr in (("rows", rows), ("cols", cols), ("ys", ys)):
+            arr = arr.view()  # freezing the caller's own array would make it read-only too
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

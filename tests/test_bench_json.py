@@ -67,3 +67,9 @@ def test_traced_metrics_are_benchmark_layers():
     layers = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert "families.interval_constants.s" in bench_json.TRACED
     assert set(bench_json.TRACED) <= layers
+
+
+def test_end_to_end_metrics_are_the_benchmarks():
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert "wall_s" in bench_json.END_TO_END
+    assert list(bench_json.END_TO_END) == names

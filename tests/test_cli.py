@@ -282,6 +282,34 @@ class TestHarnessCommands:
         assert (out / "rate_sweep.csv").exists()
 
 
+# Every command with the main output whose path starts its result line.
+MAIN_OUTPUT = {
+    "gen": "truth.csv",
+    "simulate": "observations.csv",
+    "fit": "estimate.csv",
+    "rate-sweep": "rate_sweep.csv",
+    "oracle-check": "oracle_check.csv",
+    "concentration": "concentration.csv",
+    "lower-bound": "lower_bound_summary.csv",
+}
+
+
+def test_every_command_is_registered():
+    assert sorted(main.commands) == sorted(MAIN_OUTPUT)
+
+
+@pytest.mark.parametrize("command", sorted(MAIN_OUTPUT))
+def test_command_writes_its_manifest_and_prints_its_main_output(runner, tmp_path, command):
+    cfg = write_cfg(tmp_path, mode="known_sampling", n=250, n_grid=[250], replicates=1, alpha=0.1, reps=5)
+    out = tmp_path / "out"
+    result = invoke(runner, [command, "--config", str(cfg), "--seed", "3", "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command and manifest["seed"] == 3
+    assert (out / MAIN_OUTPUT[command]).is_file()
+    line, path = result.output.rstrip("\n"), str(out / MAIN_OUTPUT[command])
+    assert line == path or line.startswith(path + " ")
+
+
 # The result tables by file, with the full header line each must have.
 RESULT_HEADERS = {
     "rate_sweep.csv": "config_hash,family,mode,m1,m2,rank,gamma,n,replicate,lambda_mode,lambda,"

@@ -324,6 +324,15 @@ class TestObservationSet:
         obs = ObservationSet(m1=2, m2=3, rows=np.array([0, 1]), cols=np.array([2, 0]), ys=np.array([1.0, 2.0]))
         assert obs.n == 2
 
+    def test_callers_arrays_stay_writeable_and_shared(self):
+        given = {"rows": np.array([0, 1], dtype=np.int64), "cols": np.array([1, 0], dtype=np.int64),
+                 "ys": np.array([0.5, -0.5])}
+        obs = ObservationSet(2, 2, **given)
+        for name, arr in given.items():
+            held = getattr(obs, name)
+            assert arr.flags.writeable and not held.flags.writeable, name
+            assert np.shares_memory(arr, held), name
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

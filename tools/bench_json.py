@@ -4,8 +4,9 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
 ``perfbench/run.py`` writes in this checkout and writes, per workload:
 
 * the benchmark seeds of the untraced runs and of the traced runs;
-* the median over the untraced runs of each end-to-end metric (scaled by
-  the speed probe, as ``run.py`` reports them) and of its unscaled value;
+* the median over the untraced runs of each end-to-end metric that
+  ``BENCHMARK.json`` names (scaled by the speed probe, as ``run.py``
+  reports them) and of its unscaled value;
 * the median final objective of the untraced runs' ops, when any op
   reports one (concentration ops fit nothing);
 * the median over the traced runs of the work and quality counters that
@@ -36,7 +37,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-END_TO_END = ("wall_s", "op_s_p50", "op_s_tail", "setup_s", "peak_rss_mb")
+END_TO_END = tuple(m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"])
 TRACED = (
     "matops.svt.calls",
     "matops.svt.s",
