@@ -2,13 +2,18 @@
 sweeps, oracle-inequality runs, concentration checks and lower-bound runs,
 with CSV persistence.
 
-Replicates use derived seeds ``(seed, n_index, replicate)``, so a run is
-reproducible from its config and seed alone: identical inputs produce
-byte-identical CSV output. Every emitted row carries the config hash.
+A parsed config owns its sampling scheme and the box constants, each built
+once, on first use, and every replicate is drawn through
+:meth:`ExperimentConfig.replicate`: the truth, the observations and the
+problem at penalty level zero. Replicates use derived seeds ``(seed,
+n_index, replicate)``, so a run is reproducible from its config and seed
+alone: identical inputs produce byte-identical CSV output. Every emitted row
+carries the config hash.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,7 +32,7 @@ from .estimator import (
     oracle_lambda,
     theorem_lambda,
 )
-from .families import Binomial, Exponential, ExponentialFamily, Gaussian, ParameterBox, Poisson
+from .families import Binomial, Exponential, ExponentialFamily, Gaussian, IntervalConstants, ParameterBox, Poisson
 from .io import config_hash, load_matrix_csv, write_rows_csv
 from .lowerbound import build_packing, kappa, save_packing, verify_conditions
 from .matops import nuclear_norm, numerical_rank, operator_norm
@@ -217,6 +222,8 @@ class ExperimentConfig:
         lambda_mode = d.get("lambda_mode", "oracle")
         if not isinstance(lambda_mode, str):
             lambda_mode = float_from_config(lambda_mode, "lambda_mode")
+            if lambda_mode < 0:
+                raise ValueError(f"config key 'lambda_mode' must be >= 0, got {lambda_mode!r}")
         elif lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be a number or one of {LAMBDA_MODES}")
         mode = d.get("mode", LIKELIHOOD)
@@ -254,19 +261,36 @@ class ExperimentConfig:
         """Sup-norm radius of the box, the amplitude bound the risk bounds take."""
         return self.box.radius
 
+    @functools.cached_property
     def scheme(self) -> SamplingScheme:
-        """The configured sampling scheme; a table is loaded from its file here."""
+        """The configured sampling scheme; a table is loaded from its file on first use."""
         return scheme_from_config(self.sampling_spec, self.m1, self.m2)
+
+    @functools.cached_property
+    def constants(self) -> IntervalConstants:
+        """The family's interval constants over the box, computed on first use."""
+        return self.family.interval_constants(self.box)
 
     def truth(self, rng: np.random.Generator) -> GroundTruth:
         """A random truth of the configured size, rank, box and style."""
         return gen_truth(self.m1, self.m2, self.rank, self.box, rng, style=self.truth_style)
 
-    def problem(self, obs: ObservationSet, scheme: SamplingScheme) -> CompletionProblem:
+    def problem(self, obs: ObservationSet) -> CompletionProblem:
         """The configured problem on ``obs`` at penalty level zero."""
         return CompletionProblem(
-            obs=obs, family=self.family, box=self.box, lam=0.0, mode=self.mode, scheme=scheme
+            obs=obs, family=self.family, box=self.box, lam=0.0, mode=self.mode, scheme=self.scheme
         )
+
+    def replicate(
+        self, n: int, rng: np.random.Generator, truth: GroundTruth | None = None
+    ) -> tuple[GroundTruth, CompletionProblem]:
+        """The truth (drawn from ``rng`` unless given), then ``n`` observations
+        drawn from ``rng`` at it, with the configured problem on them at
+        penalty level zero."""
+        if truth is None:
+            truth = self.truth(rng)
+        obs = simulate(truth, self.family, self.scheme, n, rng, noiseless=self.noiseless)
+        return truth, self.problem(obs)
 
     @property
     def hash(self) -> str:
@@ -386,9 +410,7 @@ def observe_every_entry(
     return ObservationSet(m1=m1, m2=m2, rows=rows, cols=cols, ys=ys)
 
 
-def resolve_lambda(
-    cfg: ExperimentConfig, consts, probe: CompletionProblem, x_bar: np.ndarray | None
-) -> float:
+def resolve_lambda(cfg: ExperimentConfig, probe: CompletionProblem, x_bar: np.ndarray | None) -> float:
     """Penalty level for one replicate according to the configured mode.
 
     ``probe`` is the replicate's problem at penalty level zero; its sample
@@ -400,21 +422,13 @@ def resolve_lambda(
     if cfg.lambda_mode == "oracle":
         return max(oracle_lambda(probe, x_bar), _LAMBDA_FLOOR)
     which = LIKELIHOOD if cfg.lambda_mode == "theorem_likelihood" else KNOWN_SAMPLING
-    return theorem_lambda(which, consts, probe.scheme, probe.obs.n, cfg.solver.c_gamma)
+    return theorem_lambda(which, cfg.constants, probe.scheme, probe.obs.n, cfg.solver.c_gamma)
 
 
-def _simulate_replicate(cfg, scheme, n, rng, truth=None):
-    """Draw a truth (unless given) and n observations; return it with the problem at penalty zero."""
-    if truth is None:
-        truth = cfg.truth(rng)
-    obs = simulate(truth, cfg.family, scheme, n, rng, noiseless=cfg.noiseless)
-    return truth, cfg.problem(obs, scheme)
-
-
-def _fit_replicate(cfg, scheme, consts, n, rng, truth=None):
-    """Simulate one replicate, resolve its penalty level and fit it."""
-    truth, probe = _simulate_replicate(cfg, scheme, n, rng, truth)
-    problem = probe.with_lambda(resolve_lambda(cfg, consts, probe, truth.x_bar))
+def _fit_replicate(cfg, n, rng, truth=None):
+    """Draw one replicate, resolve its penalty level and fit it."""
+    truth, probe = cfg.replicate(n, rng, truth)
+    problem = probe.with_lambda(resolve_lambda(cfg, probe, truth.x_bar))
     return truth, problem, fit(problem, cfg.solver)
 
 
@@ -449,8 +463,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
     plus the fitted log-log slope of the per-n median risk against the
     predictor (non-convergent fits are excluded from the slope).
     """
-    scheme = cfg.scheme()
-    consts = cfg.family.interval_constants(cfg.box)
+    scheme, consts = cfg.scheme, cfg.constants
     mu = scheme.mu_constant()
     nu = scheme.nu_constant()
     big_m = max(cfg.m1, cfg.m2)
@@ -464,7 +477,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
         rad = rademacher_norm_estimate(scheme, n, _RADEMACHER_REPS, rad_rng)
         for rep in range(cfg.replicates):
             rng = np.random.default_rng([seed, i_n, rep])
-            truth, problem, result = _fit_replicate(cfg, scheme, consts, n, rng)
+            truth, problem, result = _fit_replicate(cfg, n, rng)
             bounds = bound_value(
                 m1=cfg.m1, m2=cfg.m2, n=n, rank=cfg.rank, gamma=cfg.gamma,
                 mu=mu, nu=nu, lam=problem.lam,
@@ -532,8 +545,7 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
     """
     if cfg.mode != KNOWN_SAMPLING:
         raise ValueError("oracle_check requires mode == known_sampling")
-    scheme = cfg.scheme()
-    consts = cfg.family.interval_constants(cfg.box)
+    scheme, consts = cfg.scheme, cfg.constants
     mu = scheme.mu_constant()
     chash = cfg.hash
     slack = 10.0 * cfg.solver.tol
@@ -543,7 +555,7 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
         thm = theorem_lambda(KNOWN_SAMPLING, consts, scheme, n, cfg.solver.c_gamma)
         for rep in range(cfg.replicates):
             rng = np.random.default_rng([seed, i_n, rep])
-            truth, probe = _simulate_replicate(cfg, scheme, n, rng)
+            truth, probe = cfg.replicate(n, rng)
             required = oracle_lambda(probe, truth.x_bar)
             lam = max(required, thm)
             result = fit(probe.with_lambda(lam), cfg.solver)
@@ -588,8 +600,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     operator norm at the truth against half the prescribed penalty, and
     the exceedance frequency with target ``1/d``.
     """
-    scheme = cfg.scheme()
-    consts = cfg.family.interval_constants(cfg.box)
+    scheme = cfg.scheme
     n = cfg.n_single
     d = cfg.m1 + cfg.m2
     m = min(cfg.m1, cfg.m2)
@@ -599,6 +610,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     precondition_ok = n >= m * math.log(d) / (9.0 * nu)
     sigma_z = math.sqrt(nu / m)
     rad_bound = C_STAR * sigma_z * math.sqrt(2.0 * math.e * math.log(d) / n)
+    level = theorem_lambda(LIKELIHOOD, cfg.constants, scheme, n, cfg.solver.c_gamma) / 2.0
     rad_est = rademacher_norm_estimate(scheme, n, cfg.reps, np.random.default_rng([seed, 1]))
 
     rows = [{
@@ -607,8 +619,6 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
         "satisfied": rad_est <= rad_bound, "precondition_ok": precondition_ok,
     }]
 
-    lam_thm = theorem_lambda(LIKELIHOOD, consts, scheme, n, cfg.solver.c_gamma)
-    level = lam_thm / 2.0
     truth = cfg.truth(np.random.default_rng([seed, 2]))
     exceed = 0
     grad_rng = np.random.default_rng([seed, 3])
@@ -657,9 +667,7 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
     entries are 0 and ``kappa * gamma``, so a box that does not contain
     both, at every n, is rejected before any fit.
     """
-    scheme = cfg.scheme()
-    consts = cfg.family.interval_constants(cfg.box)
-    sigma_hi_sq = consts.sigma_hi_sq
+    sigma_hi_sq = cfg.constants.sigma_hi_sq
     chash = cfg.hash
     amps = [kappa(cfg.alpha, cfg.m1, cfg.rank, cfg.gamma, sigma_hi_sq, n) * cfg.gamma for n in cfg.n_grid]
     if not cfg.box.contains([0.0, *amps]):
@@ -671,14 +679,14 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
     for i_n, n in enumerate(cfg.n_grid):
         rng = np.random.default_rng([seed, 11, i_n])
         packing = build_packing(cfg.m1, cfg.m2, cfg.rank, cfg.gamma, cfg.alpha, sigma_hi_sq, n, rng)
-        report = verify_conditions(packing, cfg.family, scheme, n, cfg.box)
+        report = verify_conditions(packing, cfg.family, cfg.scheme, n, cfg.box)
         reports.append(report)
 
         max_risk, n_not_converged = 0.0, 0
         for j, member in enumerate(packing.members):
             mem_rng = np.random.default_rng([seed, 12, i_n, j])
             truth = GroundTruth(x_bar=member)
-            _, problem, result = _fit_replicate(cfg, scheme, consts, n, mem_rng, truth)
+            _, problem, result = _fit_replicate(cfg, n, mem_rng, truth)
             risk = frobenius_risk(result.x_hat, member)
             if result.converged:
                 max_risk = max(max_risk, risk)

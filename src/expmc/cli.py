@@ -6,7 +6,7 @@ command's CSV artifacts and returns its result line. The runner then writes
 the manifest, after those outputs, and prints the line, which starts with the
 path of the command's main output. See the README for the config schema. The
 first file written creates the output directory, so a command that fails
-before it leaves none.
+before it leaves none; ``fit`` writes nothing until its fit has returned.
 """
 
 from __future__ import annotations
@@ -46,16 +46,17 @@ def _load_truth(cfg: bench.ExperimentConfig) -> bench.GroundTruth | None:
     return bench.GroundTruth(x_bar=x_bar)
 
 
-def _simulate_and_save(cfg: bench.ExperimentConfig, scheme, rng, out: Path):
-    """Draw ``n`` observations at the loaded truth (or at a new one, saved as
-    truth.csv) and save them as observations.csv."""
-    truth = _load_truth(cfg)
-    if truth is None:
-        truth = cfg.truth(rng)
+def _replicate(cfg: bench.ExperimentConfig, seed: int):
+    """The truth (loaded from ``truth_path``, else drawn) and the problem on
+    ``n`` observations drawn at it, at penalty level zero."""
+    return cfg.replicate(cfg.n_single, np.random.default_rng([seed, 0]), _load_truth(cfg))
+
+
+def _save_replicate(cfg: bench.ExperimentConfig, out: Path, truth, probe) -> None:
+    """Save a drawn truth as truth.csv (a loaded one is not saved) and the observations as observations.csv."""
+    if cfg.truth_path is None:
         save_matrix_csv(out / "truth.csv", truth.x_bar)
-    obs = bench.simulate(truth, cfg.family, scheme, cfg.n_single, rng, noiseless=cfg.noiseless)
-    save_observations_csv(out / "observations.csv", obs)
-    return truth, obs
+    save_observations_csv(out / "observations.csv", probe.obs)
 
 
 @click.group()
@@ -94,26 +95,25 @@ def gen(cfg, seed, out):
 @_command("simulate")
 def simulate(cfg, seed, out):
     """Draw observations from a truth matrix (generated unless truth_path is set)."""
-    _simulate_and_save(cfg, cfg.scheme(), np.random.default_rng([seed, 0]), out)
+    _save_replicate(cfg, out, *_replicate(cfg, seed))
     return str(out / "observations.csv")
 
 
 @_command("fit")
 def fit_cmd(cfg, seed, out):
     """Fit the penalized estimator on observations (observations_path or simulated)."""
-    scheme = cfg.scheme()
-    consts = cfg.family.interval_constants(cfg.box)
-    if cfg.observations_path is not None:
-        truth = _load_truth(cfg)
-        obs = load_observations_csv(cfg.observations_path, cfg.m1, cfg.m2)
+    cfg.constants  # computed before any draw or output, whatever the penalty mode
+    if cfg.observations_path is None:
+        truth, probe = _replicate(cfg, seed)
     else:
-        truth, obs = _simulate_and_save(cfg, scheme, np.random.default_rng([seed, 0]), out)
-
-    if cfg.lambda_mode == "oracle" and truth is None:
-        raise click.UsageError("lambda_mode 'oracle' needs a truth_path")
-    probe = cfg.problem(obs, scheme)
-    lam = bench.resolve_lambda(cfg, consts, probe, truth.x_bar if truth else None)
+        truth, obs = _load_truth(cfg), load_observations_csv(cfg.observations_path, cfg.m1, cfg.m2)
+        if cfg.lambda_mode == "oracle" and truth is None:
+            raise click.UsageError("lambda_mode 'oracle' needs a truth_path")
+        probe = cfg.problem(obs)
+    lam = bench.resolve_lambda(cfg, probe, truth.x_bar if truth else None)
     result = solve(probe.with_lambda(lam), cfg.solver)
+    if cfg.observations_path is None:
+        _save_replicate(cfg, out, truth, probe)
     save_matrix_csv(out / "estimate.csv", result.x_hat)
     report = {
         "converged": result.converged,

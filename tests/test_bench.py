@@ -8,6 +8,7 @@ from expmc import (
     Binomial,
     CompletionProblem,
     DomainError,
+    ExponentialFamily,
     Gaussian,
     ParameterBox,
     Poisson,
@@ -227,6 +228,7 @@ class TestConfig:
             make_cfg(**overrides)
 
     def test_integers_accepted_as_reals(self):
+        assert make_cfg(lambda_mode=0).lambda_mode == 0.0
         cfg = make_cfg(gamma=2, lambda_mode=1, alpha=0, family={"family": "gaussian", "sigma": 2},
                        solver={"tol": 0, "c_gamma": 3})
         values = (cfg.gamma, cfg.lambda_mode, cfg.alpha, cfg.family.sigma, cfg.solver.tol, cfg.solver.c_gamma)
@@ -272,7 +274,7 @@ class TestConfig:
     ])
     def test_bad_nested_keys_rejected(self, key, overrides):
         with pytest.raises(ValueError, match=f"'{key}'"):
-            make_cfg(**overrides).scheme()
+            make_cfg(**overrides).scheme
 
     @pytest.mark.parametrize("pattern, overrides", [
         ("config key 'family' must be an object", {"family": "gaussian"}),
@@ -286,11 +288,31 @@ class TestConfig:
         (r"unknown uniform sampling config keys: \['pi'\]", {"sampling": {"sampling": "uniform", "pi": "pi.csv"}}),
         ("box config must be a JSON object", {"box": 1.0}),
         ("solver config must be a JSON object", {"solver": "fast"}),
+        (r"config needs an n_grid \(or a single n\)", {"n_grid": []}),
+        (r"rank must satisfy 1 <= rank <= min\(m1, m2\)", {"rank": 0}),
+        ("truth must be 'factor' or 'flat'", {"truth": "lowrank"}),
+        ("config key 'lambda_mode' must be >= 0", {"lambda_mode": -0.5}),
     ], ids=["family", "sampling", "n_grid", "truth_path", "observations_path", "table_path", "sampling_kind",
-            "sampling_missing_key", "sampling_extra_key", "box", "solver"])
+            "sampling_missing_key", "sampling_extra_key", "box", "solver", "empty_n_grid", "rank_zero",
+            "truth_style", "negative_lambda"])
     def test_malformed_values_rejected_when_read(self, pattern, overrides):
         with pytest.raises(ValueError, match=pattern):
             make_cfg(**overrides)
+
+    def test_scheme_and_constants_built_once_on_first_use(self, tmp_path, monkeypatch):
+        boxes, interval_constants = [], ExponentialFamily.interval_constants
+
+        def recording(family, box):
+            boxes.append(box)
+            return interval_constants(family, box)
+
+        monkeypatch.setattr(ExponentialFamily, "interval_constants", recording)
+        pi = tmp_path / "pi.csv"
+        cfg = make_cfg(sampling={"sampling": "table", "path": str(pi)})  # parsing opens no file
+        assert boxes == []
+        save_matrix_csv(pi, np.full((12, 12), 1 / 144))
+        assert cfg.scheme is cfg.scheme
+        assert cfg.constants is cfg.constants and boxes == [cfg.box]
 
     def test_paths_parsed(self):
         cfg = make_cfg(truth_path="truth.csv", observations_path="obs.csv")
@@ -322,25 +344,19 @@ class TestConfig:
 class TestResolveLambda:
     def test_fixed_value(self):
         cfg = make_cfg(lambda_mode=0.125)
-        assert resolve_lambda(cfg, None, None, None) == 0.125
+        assert resolve_lambda(cfg, None, None) == 0.125
 
     def test_theorem_modes(self):
         cfg = make_cfg(lambda_mode="theorem_likelihood")
-        consts = cfg.family.interval_constants(cfg.box)
-        scheme = cfg.scheme()
-        rng = np.random.default_rng(3)
-        probe = cfg.problem(simulate(cfg.truth(rng), cfg.family, scheme, 400, rng), scheme)
-        lam = resolve_lambda(cfg, consts, probe, None)
+        _, probe = cfg.replicate(400, np.random.default_rng(3))
+        lam = resolve_lambda(cfg, probe, None)
         assert lam == pytest.approx(2 * math.sqrt(2 * math.log(24) / (12 * 400)), rel=1e-12)
 
     def test_oracle_floor_positive_on_noiseless(self):
         cfg = make_cfg(noiseless=True)
-        consts = cfg.family.interval_constants(cfg.box)
-        scheme = cfg.scheme()
         rng = np.random.default_rng(12)
-        truth = gen_truth(12, 12, 2, cfg.box, rng)
-        obs = simulate(truth, cfg.family, scheme, 200, rng, noiseless=True)
-        lam = resolve_lambda(cfg, consts, cfg.problem(obs, scheme), truth.x_bar)
+        truth, probe = cfg.replicate(200, rng, gen_truth(12, 12, 2, cfg.box, rng))
+        lam = resolve_lambda(cfg, probe, truth.x_bar)
         assert lam > 0
 
 
@@ -378,7 +394,7 @@ class TestRateSweep:
         save_matrix_csv(tmp_path / "pi.csv", pi / pi.sum())
         cfg = make_cfg(m1=20, m2=20, n_grid=[800, 1600],
                        sampling={"sampling": "table", "path": str(tmp_path / "pi.csv")})
-        assert cfg.scheme().mu_constant() != 1.0
+        assert cfg.scheme.mu_constant() != 1.0
         for row in rate_sweep(cfg, seed=6).rows:
             assert row["bound_likelihood_risk"] == max(
                 row["bound_likelihood_risk_main"], row["bound_likelihood_risk_edge"]

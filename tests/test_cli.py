@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import expmc
-from expmc import ObservationSet
+from expmc import ExponentialFamily, ObservationSet
 from expmc.cli import main
 from expmc.io import load_matrix_csv, load_observations_csv, save_matrix_csv, save_observations_csv
 
@@ -133,6 +133,10 @@ class TestGenSimulateFit:
         {"family": {"family": "binomial", "trials": 200_001}},
         {"family": {"family": "gaussian", "sigma": 1e200}},
         {"family": {"family": "exponential"}, "box": {"lo": -2.0, "hi": -1e-170}, "gamma": 2.0},
+        {"lambda_mode": -0.5},
+        # Passes the config checks; the fit's start step overflows after the draw.
+        {"family": {"family": "exponential"}, "box": {"lo": -1e154, "hi": -5e153}, "gamma": 1e154,
+         "truth": "factor", "lambda_mode": 0.1},
     ])
     def test_bad_config_rejected_before_any_output(self, runner, tmp_path, bad):
         cfg = write_cfg(tmp_path, **{"n": 100, **bad})
@@ -146,6 +150,7 @@ class TestGenSimulateFit:
         ("lower-bound", {"box": {"lo": 0.5, "hi": 1.0}}, "excludes a packing entry"),
         ("oracle-check", {"mode": "likelihood"}, "oracle_check requires mode == known_sampling"),
         ("fit", {"lambda_mode": "oracle", "observations_path": "obs.csv"}, "needs a truth_path"),
+        ("lower-bound", {"m1": 1, "rank": 1}, "dimensions must be >= 2"),
     ])
     def test_failure_before_the_first_write_creates_no_out(
         self, runner, tmp_path, monkeypatch, command, overrides, error
@@ -294,13 +299,17 @@ MAIN_OUTPUT = {
 }
 
 
+# A config every command runs on.
+EVERY_COMMAND = dict(mode="known_sampling", n=250, n_grid=[250], replicates=1, alpha=0.1, reps=5)
+
+
 def test_every_command_is_registered():
     assert sorted(main.commands) == sorted(MAIN_OUTPUT)
 
 
 @pytest.mark.parametrize("command", sorted(MAIN_OUTPUT))
 def test_command_writes_its_manifest_and_prints_its_main_output(runner, tmp_path, command):
-    cfg = write_cfg(tmp_path, mode="known_sampling", n=250, n_grid=[250], replicates=1, alpha=0.1, reps=5)
+    cfg = write_cfg(tmp_path, **EVERY_COMMAND)
     out = tmp_path / "out"
     result = invoke(runner, [command, "--config", str(cfg), "--seed", "3", "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
@@ -308,6 +317,24 @@ def test_command_writes_its_manifest_and_prints_its_main_output(runner, tmp_path
     assert (out / MAIN_OUTPUT[command]).is_file()
     line, path = result.output.rstrip("\n"), str(out / MAIN_OUTPUT[command])
     assert line == path or line.startswith(path + " ")
+
+
+@pytest.mark.parametrize("command", sorted(MAIN_OUTPUT))
+def test_box_constants_computed_once_before_any_output(runner, tmp_path, monkeypatch, command):
+    # gen and simulate never compute them; every other command computes them
+    # once, before its first file creates --out, though its prescribed
+    # penalty levels read them again.
+    out = tmp_path / "out"
+    out_existed, interval_constants = [], ExponentialFamily.interval_constants
+
+    def recording(family, box):
+        out_existed.append(out.exists())
+        return interval_constants(family, box)
+
+    monkeypatch.setattr(ExponentialFamily, "interval_constants", recording)
+    cfg = write_cfg(tmp_path, **EVERY_COMMAND, lambda_mode="theorem_known_sampling")
+    invoke(runner, [command, "--config", str(cfg), "--seed", "3", "--out", str(out)])
+    assert out_existed == ([] if command in ("gen", "simulate") else [False])
 
 
 # The result tables by file, with the full header line each must have.

@@ -58,12 +58,8 @@ KS_G60 = {
 def config_problem(config, seed):
     """The problem ``expmc fit`` solves for ``config`` at ``--seed seed``, at its penalty level."""
     cfg = ExperimentConfig.from_dict(config)
-    rng = np.random.default_rng([seed, 0])
-    scheme = cfg.scheme()
-    truth = cfg.truth(rng)
-    probe = cfg.problem(simulate(truth, cfg.family, scheme, cfg.n_single, rng), scheme)
-    lam = resolve_lambda(cfg, cfg.family.interval_constants(cfg.box), probe, truth.x_bar)
-    return probe.with_lambda(lam)
+    truth, probe = cfg.replicate(cfg.n_single, np.random.default_rng([seed, 0]))
+    return probe.with_lambda(resolve_lambda(cfg, probe, truth.x_bar))
 
 
 def single_obs_problem(y=2.0, lam=0.0, m1=2, m2=2):

@@ -298,11 +298,18 @@ def test_matrix_shapes_written_by_repr(tmp_path, shape, values):
     assert_matrix_written_by_repr(tmp_path / "a.csv", a)
 
 
-@pytest.mark.parametrize("header", ["x,y,z,w", "row,col,i,y", "", "1,1,1,0.5"])
-def test_wrong_header_rejected(tmp_path, header):
+@pytest.mark.parametrize("header, rows, pattern", [
+    ("x,y,z,w", [(1, 1, 1, 0.5), (2, 2, 3, 1.5)], "header"),
+    ("row,col,i,y", [(1, 1, 1, 0.5), (2, 2, 3, 1.5)], "header"),
+    ("", [(1, 1, 1, 0.5), (2, 2, 3, 1.5)], "header"),
+    ("1,1,1,0.5", [(1, 1, 1, 0.5), (2, 2, 3, 1.5)], "header"),
+    ("i,row,col,y", [(1, 1, 0.5), (2, 2, 1.5)], "must have columns i,row,col,y"),
+], ids=["x,y,z,w", "row,col,i,y", "", "1,1,1,0.5", "three-fields"])
+def test_wrong_header_rejected(tmp_path, header, rows, pattern):
+    # The last file has the right header over rows of three fields.
     path = tmp_path / "obs.csv"
-    write_obs(path, header, [(1, 1, 1, 0.5), (2, 2, 3, 1.5)])
-    with pytest.raises(ValueError, match="header"):
+    write_obs(path, header, rows)
+    with pytest.raises(ValueError, match=pattern):
         load_observations_csv(path, M1, M2)
 
 
