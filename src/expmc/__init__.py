@@ -53,7 +53,6 @@ from .estimator import (
 )
 from .metrics import (
     OracleInequalityReport,
-    RiskReport,
     bound_value,
     bregman_empirical,
     bregman_integrated,

@@ -26,6 +26,7 @@ from .estimator import (
     KNOWN_SAMPLING,
     LIKELIHOOD,
     CompletionProblem,
+    FitResult,
     SolverConfig,
     fit,
     gradient,
@@ -51,6 +52,7 @@ __all__ = [
     "simulate",
     "observe_every_entry",
     "resolve_lambda",
+    "fit_columns",
     "rate_sweep",
     "RateSweepResult",
     "oracle_check",
@@ -425,6 +427,12 @@ def resolve_lambda(cfg: ExperimentConfig, probe: CompletionProblem, x_bar: np.nd
     return theorem_lambda(which, cfg.constants, probe.scheme, probe.obs.n, cfg.solver.c_gamma)
 
 
+def fit_columns(result: FitResult) -> dict:
+    """The result columns every fitting output shares: the penalty level of the
+    fit, whether it converged and its iteration count, in that order."""
+    return {"lambda": result.lambda_used, "converged": result.converged, "iterations": result.iterations}
+
+
 def _fit_replicate(cfg, n, rng, truth=None):
     """Draw one replicate, resolve its penalty level and fit it."""
     truth, probe = cfg.replicate(n, rng, truth)
@@ -485,20 +493,15 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
                 l_gamma=consts.l_gamma, c_gamma=cfg.solver.c_gamma,
                 rademacher_norm=rad, nuclear_norm_bar=nuclear_norm(truth.x_bar),
             )
-            report = risk_report(cfg.family, scheme, problem.obs, result.x_hat, truth.x_bar)
             rows.append({
                 "config_hash": chash,
                 "family": cfg.family_label,
                 "mode": cfg.mode,
                 "m1": cfg.m1, "m2": cfg.m2, "rank": cfg.rank, "gamma": cfg.gamma,
                 "n": n, "replicate": rep,
-                "lambda_mode": cfg.lambda_mode, "lambda": problem.lam,
-                "converged": result.converged, "iterations": result.iterations,
+                "lambda_mode": cfg.lambda_mode, **fit_columns(result),
                 "n_condition_ok": n >= n_threshold,
-                "frob_risk": report.frob_risk,
-                "kl_integrated": report.kl_integrated,
-                "kl_empirical": report.kl_empirical,
-                "rank_bar": report.rank_bar,
+                **risk_report(cfg.family, scheme, problem.obs, result.x_hat, truth.x_bar),
                 "predictor": big_m * cfg.rank * log_d / n,
                 **{f"bound_{name}": val for name, val in bounds.items()},
             })
@@ -569,10 +572,9 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
             rows.append({
                 "config_hash": chash, "family": cfg.family_label,
                 "m1": cfg.m1, "m2": cfg.m2, "rank": cfg.rank, "n": n, "replicate": rep,
-                "lambda": lam, "required_lambda": required,
-                "applicable": report.applicable, "converged": result.converged,
-                "lhs": report.lhs, "margin_flat": report.margin_flat,
-                "margin_rank": report.margin_rank,
+                **fit_columns(result), "required_lambda": required,
+                "applicable": report.applicable, "lhs": report.lhs,
+                "margin_flat": report.margin_flat, "margin_rank": report.margin_rank,
                 "passed_flat": report.passed_flat, "passed_rank": report.passed_rank,
                 "n_candidates": len(candidates),
             })
@@ -613,11 +615,14 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     level = theorem_lambda(LIKELIHOOD, cfg.constants, scheme, n, cfg.solver.c_gamma) / 2.0
     rad_est = rademacher_norm_estimate(scheme, n, cfg.reps, np.random.default_rng([seed, 1]))
 
-    rows = [{
-        "config_hash": chash, "metric": "rademacher_norm", "replicate": -1, "n": n,
-        "value": rad_est, "reference_value": rad_bound,
-        "satisfied": rad_est <= rad_bound, "precondition_ok": precondition_ok,
-    }]
+    def row(metric: str, replicate: int, value: float, reference: float) -> dict:
+        return {
+            "config_hash": chash, "metric": metric, "replicate": replicate, "n": n,
+            "value": value, "reference_value": reference,
+            "satisfied": value <= reference, "precondition_ok": precondition_ok,
+        }
+
+    rows = [row("rademacher_norm", -1, rad_est, rad_bound)]
 
     truth = cfg.truth(np.random.default_rng([seed, 2]))
     exceed = 0
@@ -628,17 +633,9 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
         gnorm = operator_norm(gradient(probe, truth.x_bar))
         if gnorm > level:
             exceed += 1
-        rows.append({
-            "config_hash": chash, "metric": "grad_norm", "replicate": rep, "n": n,
-            "value": gnorm, "reference_value": level,
-            "satisfied": gnorm <= level, "precondition_ok": precondition_ok,
-        })
+        rows.append(row("grad_norm", rep, gnorm, level))
     freq = exceed / cfg.reps
-    rows.append({
-        "config_hash": chash, "metric": "grad_exceedance", "replicate": -1, "n": n,
-        "value": freq, "reference_value": 1.0 / d,
-        "satisfied": freq <= 1.0 / d, "precondition_ok": precondition_ok,
-    })
+    rows.append(row("grad_exceedance", -1, freq, 1.0 / d))
 
     if out_dir is not None:
         write_rows_csv(Path(out_dir) / "concentration.csv", rows)
@@ -663,13 +660,15 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
     not converge and so is left out of that maximum. Each member's row
     carries the numerical rank of its estimate, ``rank_hat``. The run does
     not show that achievable risk sits above the rate: at the sizes
-    measured so far every member's fit is the zero matrix. The packing's
-    entries are 0 and ``kappa * gamma``, so a box that does not contain
-    both, at every n, is rejected before any fit.
+    measured so far every member's fit is the zero matrix. The packing is
+    built along the longer side, so its ``kappa`` takes ``max(m1, m2)``, as
+    the rate does. Its entries are 0 and ``kappa * gamma``, so a box that
+    does not contain both, at every n, is rejected before any fit.
     """
     sigma_hi_sq = cfg.constants.sigma_hi_sq
     chash = cfg.hash
-    amps = [kappa(cfg.alpha, cfg.m1, cfg.rank, cfg.gamma, sigma_hi_sq, n) * cfg.gamma for n in cfg.n_grid]
+    big_m = max(cfg.m1, cfg.m2)
+    amps = [kappa(cfg.alpha, big_m, cfg.rank, cfg.gamma, sigma_hi_sq, n) * cfg.gamma for n in cfg.n_grid]
     if not cfg.box.contains([0.0, *amps]):
         raise ValueError(f"box [{cfg.box.lo}, {cfg.box.hi}] excludes a packing entry among 0 and {amps}")
 
@@ -686,15 +685,14 @@ def lowerbound_run(cfg: ExperimentConfig, seed: int, out_dir=None) -> LowerBound
         for j, member in enumerate(packing.members):
             mem_rng = np.random.default_rng([seed, 12, i_n, j])
             truth = GroundTruth(x_bar=member)
-            _, problem, result = _fit_replicate(cfg, n, mem_rng, truth)
+            _, _, result = _fit_replicate(cfg, n, mem_rng, truth)
             risk = frobenius_risk(result.x_hat, member)
             if result.converged:
                 max_risk = max(max_risk, risk)
             else:
                 n_not_converged += 1
             member_rows.append({
-                "config_hash": chash, "n": n, "member": j, "lambda": problem.lam,
-                "converged": result.converged, "iterations": result.iterations,
+                "config_hash": chash, "n": n, "member": j, **fit_columns(result),
                 "frob_risk": risk, "rank_hat": numerical_rank(result.x_hat),
             })
 

@@ -116,9 +116,7 @@ def fit_cmd(cfg, seed, out):
         _save_replicate(cfg, out, truth, probe)
     save_matrix_csv(out / "estimate.csv", result.x_hat)
     report = {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "lambda": result.lambda_used,
+        **bench.fit_columns(result),
         "prox_residual": result.prox_residual,
         "objective_first": result.objective_trace[0],
         "objective_last": result.objective_trace[-1],

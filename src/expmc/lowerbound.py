@@ -1,13 +1,13 @@
 """Minimax lower-bound construction: packing sets and their conditions.
 
-The packing consists of block matrices built from random binary blocks
-scaled by ``kappa * gamma``, kept only when their Hamming distance to
-every previously kept block is at least ``m1 r / 8`` (the
-Varshamov-Gilbert separation level), then replicated column-wise to the
-full width. The zero matrix is always the first member. The achievable
-cardinality target is ``2**ceil(m1 r / 8) + 1``, capped for desk-scale
-verification; the cap preserves every pairwise and average condition
-being checked.
+The packing is built along the longer side ``M = max(m1, m2)``: random
+binary ``M x r`` blocks scaled by ``kappa * gamma``, kept only when their
+Hamming distance to every previously kept block is at least ``M r / 8``
+(the Varshamov-Gilbert separation level), then replicated column-wise to
+the shorter side, and transposed when ``m1 < m2``. The zero matrix is
+always the first member. The achievable cardinality target is
+``2**ceil(M r / 8) + 1``, capped for desk-scale verification; the cap
+preserves every pairwise and average condition being checked.
 
 ``verify_conditions`` re-checks at runtime what the construction is
 supposed to deliver: pairwise Frobenius separation, the average
@@ -52,7 +52,8 @@ class PackingError(RuntimeError):
 
 
 def kappa(alpha: float, m1: int, r: int, gamma: float, sigma_hi_sq: float, n: int) -> float:
-    """Entry amplitude factor min(1/2, sqrt(alpha m1 r) / (2 gamma sqrt(sigma_hi_sq) sqrt(n)))."""
+    """Entry amplitude factor min(1/2, sqrt(alpha m1 r) / (2 gamma sqrt(sigma_hi_sq) sqrt(n))),
+    with ``m1`` the side a packing is built along, ``max(m1, m2)``."""
     if not 0 < alpha < 0.125:
         raise ValueError("alpha must lie in (0, 1/8)")
     if min(m1, r, n) < 1 or gamma <= 0 or sigma_hi_sq <= 0:
@@ -110,13 +111,19 @@ def build_packing(
 ) -> PackingSet:
     """Rejection-sample a packing of {0, kappa*gamma}-valued block matrices.
 
-    Raises :class:`PackingError` with the achieved size if the target is
+    A wide shape (``m1 < m2``) gets the transpose of the ``m2 x m1`` packing,
+    so that ``kappa`` and the cardinality take ``max(m1, m2)``, as the rate
+    does. Raises :class:`PackingError` with the achieved size if the target is
     not reached within ``_MAX_ATTEMPTS`` candidate draws.
     """
     if m1 < 2 or m2 < 2:
         raise ValueError("dimensions must be >= 2")
     if not 1 <= r <= min(m1, m2):
         raise ValueError("rank must satisfy 1 <= r <= min(m1, m2)")
+    if m1 < m2:
+        packing = build_packing(m2, m1, r, gamma, alpha, sigma_hi_sq, n, rng)
+        packing.members = [member.T.copy() for member in packing.members]
+        return packing
     kap = kappa(alpha, m1, r, gamma, sigma_hi_sq, n)
     target = min(2 ** math.ceil(m1 * r / 8) + 1, _MAX_CARDINALITY)
     separation = m1 * r / 8.0

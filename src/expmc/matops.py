@@ -210,7 +210,7 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     steps, 7 in the median. The warm route agrees with the Gram route to
     1e-11 relative on such sequences.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN fails too
         raise ValueError("tau must be >= 0")
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):

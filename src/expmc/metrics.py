@@ -6,11 +6,11 @@ empirical Bregman average over the observed cells and the integrated
 Bregman average weighted by the sampling table (the Kullback-Leibler
 prediction risk for exponential-family noise).
 
-``bound_value`` evaluates every closed-form risk-bound expression of one
-fit in a single call and returns them keyed by name, in the order of
-their result columns; the abstract numerical constants are taken at one,
-so comparisons against these values are scaling checks rather than
-sharp-constant checks.
+``risk_report`` returns the risks of one fit and ``bound_value`` every
+closed-form risk-bound expression of it, each in a single call, keyed by
+name in the order of their result columns. The bounds' abstract
+numerical constants are taken at one, so comparisons against these
+values are scaling checks rather than sharp-constant checks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .matops import numerical_rank, nuclear_norm
 from .sampling import ObservationSet, SamplingScheme
 
 __all__ = [
-    "RiskReport",
     "risk_report",
     "frobenius_risk",
     "bregman_empirical",
@@ -38,34 +37,24 @@ __all__ = [
 _HALF_ONE_PLUS_SQRT2_SQ = ((1.0 + math.sqrt(2.0)) / 2.0) ** 2
 
 
-@dataclass(eq=False)
-class RiskReport:
-    """Per-fit risk summary."""
-
-    frob_risk: float
-    kl_integrated: float
-    kl_empirical: float
-    rank_bar: int
-
-    def __post_init__(self):
-        if self.frob_risk < 0 or self.kl_integrated < -1e-15 or self.kl_empirical < -1e-15:
-            raise ValueError("risks must be nonnegative")
-
-
 def risk_report(
     family: ExponentialFamily,
     scheme: SamplingScheme,
     obs: ObservationSet,
     x_hat: np.ndarray,
     x_bar: np.ndarray,
-) -> RiskReport:
-    """Bundle the three risks and the truth's numerical rank."""
-    return RiskReport(
-        frob_risk=frobenius_risk(x_hat, x_bar),
-        kl_integrated=bregman_integrated(family, scheme, x_hat, x_bar),
-        kl_empirical=bregman_empirical(family, obs, x_hat, x_bar),
-        rank_bar=numerical_rank(x_bar),
-    )
+) -> dict[str, float]:
+    """The three risks of one fit and the truth's numerical rank, keyed by name
+    in column order; a negative risk is a ValueError."""
+    report = {
+        "frob_risk": frobenius_risk(x_hat, x_bar),
+        "kl_integrated": bregman_integrated(family, scheme, x_hat, x_bar),
+        "kl_empirical": bregman_empirical(family, obs, x_hat, x_bar),
+        "rank_bar": numerical_rank(x_bar),
+    }
+    if report["frob_risk"] < 0 or report["kl_integrated"] < -1e-15 or report["kl_empirical"] < -1e-15:
+        raise ValueError("risks must be nonnegative")
+    return report
 
 
 def frobenius_risk(x_hat: np.ndarray, x_bar: np.ndarray) -> float:

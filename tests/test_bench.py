@@ -27,7 +27,7 @@ from expmc.bench import (
     resolve_lambda,
     simulate,
 )
-from expmc.io import save_matrix_csv
+from expmc.io import load_matrix_csv, save_matrix_csv
 
 BOX1 = ParameterBox.symmetric(1.0)
 
@@ -519,6 +519,23 @@ class TestLowerBoundRun:
         assert (tmp_path / "lower_bound_summary.csv").exists()
         assert (tmp_path / "packing_n600" / "manifest.json").exists()
         assert len(res.member_rows) == summary["cardinality"]
+
+    def test_packing_is_built_along_the_longer_side(self, tmp_path):
+        # A wide config gets the transpose of its tall twin's packing, so its
+        # kappa and cardinality take max(m1, m2), as its rate values do.
+        summaries, members = [], []
+        for m1, m2 in ((16, 8), (8, 16)):
+            cfg = make_cfg(m1=m1, m2=m2, rank=2, n_grid=[2000], alpha=0.1, lambda_mode=0.05)
+            out = tmp_path / f"{m1}x{m2}"
+            summaries.append(lowerbound_run(cfg, seed=3, out_dir=out).summary_rows[0])
+            members.append([load_matrix_csv(p) for p in sorted((out / "packing_n2000").glob("member_*.csv"))])
+        tall, wide = summaries
+        assert tall["cardinality"] == 17 and tall["conditions_passed"] and wide["conditions_passed"]
+        for key in ("kappa", "cardinality", "lower_bound_value", "delta_value"):
+            assert tall[key] == wide[key], key
+        assert len(members[0]) == len(members[1])
+        for a, b in zip(*members):
+            assert np.array_equal(a, b.T)
 
     @pytest.mark.parametrize("max_iters", [1, 20])
     def test_fits_short_of_tol_counted(self, max_iters):

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import expmc
 from expmc import ExponentialFamily, ObservationSet
 from expmc.cli import main
-from expmc.io import load_matrix_csv, load_observations_csv, save_matrix_csv, save_observations_csv
+from expmc.io import fmt_value, load_matrix_csv, load_observations_csv, save_matrix_csv, save_observations_csv
 
 
 @pytest.fixture
@@ -345,8 +345,8 @@ RESULT_HEADERS = {
     "bound_likelihood_risk_subexp,bound_known_sampling_risk,bound_known_sampling_risk_uniform,"
     "bound_minimax_lower",
     "rate_sweep_slope.csv": "config_hash,slope,intercept,n_points",
-    "oracle_check.csv": "config_hash,family,m1,m2,rank,n,replicate,lambda,required_lambda,applicable,"
-    "converged,lhs,margin_flat,margin_rank,passed_flat,passed_rank,n_candidates",
+    "oracle_check.csv": "config_hash,family,m1,m2,rank,n,replicate,lambda,converged,iterations,"
+    "required_lambda,applicable,lhs,margin_flat,margin_rank,passed_flat,passed_rank,n_candidates",
     "concentration.csv": "config_hash,metric,replicate,n,value,reference_value,satisfied,precondition_ok",
     "lower_bound.csv": "config_hash,n,member,lambda,converged,iterations,frob_risk,rank_hat",
     "lower_bound_summary.csv": "config_hash,n,kappa,cardinality,cardinality_target,max_frob_risk,"
@@ -377,6 +377,40 @@ def test_result_table_header(result_tables, name):
     assert lines[0] == RESULT_HEADERS[name]
     assert len(lines) > 1
     assert all(line.count(",") == lines[0].count(",") for line in lines)
+
+
+@pytest.mark.parametrize("command, table, overrides", [
+    ("rate-sweep", "rate_sweep.csv", {}),
+    ("oracle-check", "oracle_check.csv", {"mode": "known_sampling", "n_grid": [250]}),
+    ("lower-bound", "lower_bound.csv", {"n_grid": [500]}),
+    ("fit", "fit.json", {"n": 300}),
+])
+def test_each_fit_writes_its_own_fit_columns(tmp_path, monkeypatch, command, table, overrides):
+    # Each row of a fitting table, and fit.json, carries fit_columns of the fit made for it.
+    owner, name = (expmc.cli, "solve") if command == "fit" else (expmc.bench, "fit")
+    solve, fits = getattr(owner, name), []
+
+    def recording(*args, **kwargs):
+        fits.append(solve(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(owner, name, recording)
+    cfg = write_cfg(tmp_path, **overrides)
+    invoke(CliRunner(), [command, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out")])
+    text = (tmp_path / "out" / table).read_text()
+    if command == "fit":
+        (result,) = fits
+        columns = expmc.bench.fit_columns(result)
+        report = json.loads(text)
+        assert {key: report[key] for key in columns} == columns
+        return
+    header, *lines = (line.split(",") for line in text.splitlines())
+    assert len(lines) == len(fits) > 1
+    start = header.index("lambda")
+    for line, result in zip(lines, fits):
+        columns = expmc.bench.fit_columns(result)
+        assert header[start:start + len(columns)] == list(columns)
+        assert line[start:start + len(columns)] == [fmt_value(v) for v in columns.values()]
 
 
 # A fresh interpreter imports the package and CLI and fits an 8x8 table of each

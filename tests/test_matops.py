@@ -152,8 +152,9 @@ class TestSVT:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             svt(np.array([[np.nan, 0.0]]), 1.0)
-        with pytest.raises(ValueError):
-            svt(np.eye(2), -0.1)
+        for tau in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                svt(np.eye(2), tau)
 
     @staticmethod
     def count_svds(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import expmc.metrics
 from expmc import (
     Binomial,
     Gaussian,
@@ -15,9 +16,9 @@ from expmc import (
     frobenius_risk,
     nuclear_norm,
     oracle_inequality_check,
+    risk_report,
     uniform_scheme,
 )
-from expmc.metrics import RiskReport
 
 
 class TestFrobeniusRisk:
@@ -156,13 +157,8 @@ class TestBoundValue:
 
 
 class TestRiskReport:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RiskReport(frob_risk=-1.0, kl_integrated=0.0, kl_empirical=0.0, rank_bar=1)
-
-    def test_compiled_report(self):
-        from expmc import ObservationSet, risk_report
-
+    @staticmethod
+    def report():
         rng = np.random.default_rng(5)
         fam = Gaussian(sigma=1.0)
         scheme = uniform_scheme(3, 3)
@@ -170,11 +166,20 @@ class TestRiskReport:
         x_hat = x_bar + 0.1
         obs = ObservationSet(m1=3, m2=3, rows=np.array([0, 2]), cols=np.array([1, 2]),
                              ys=np.array([0.3, -0.2]))
-        report = risk_report(fam, scheme, obs, x_hat, x_bar)
-        assert report.frob_risk == pytest.approx(0.01, rel=1e-12)
-        assert report.kl_integrated == pytest.approx(0.005, rel=1e-12)
-        assert report.kl_empirical == pytest.approx(0.005, rel=1e-12)
-        assert report.rank_bar == 1
+        return risk_report(fam, scheme, obs, x_hat, x_bar)
+
+    def test_rejects_negative(self, monkeypatch):
+        monkeypatch.setattr(expmc.metrics, "bregman_integrated", lambda *args: -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            self.report()
+
+    def test_compiled_report(self):
+        report = self.report()
+        assert list(report) == ["frob_risk", "kl_integrated", "kl_empirical", "rank_bar"]
+        assert report["frob_risk"] == pytest.approx(0.01, rel=1e-12)
+        assert report["kl_integrated"] == pytest.approx(0.005, rel=1e-12)
+        assert report["kl_empirical"] == pytest.approx(0.005, rel=1e-12)
+        assert report["rank_bar"] == 1
 
 
 class TestOracleInequalityCheck:
