@@ -21,6 +21,7 @@ from .families import (
     Poisson,
 )
 from .sampling import (
+    CellSummary,
     CoverageError,
     ObservationSet,
     SamplingScheme,
@@ -86,6 +87,7 @@ from .bench import (
     sample_size_threshold,
     scheme_from_config,
     simulate,
+    simulate_cells,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,7 +38,7 @@ from .io import config_hash, load_matrix_csv, write_rows_csv
 from .lowerbound import build_packing, kappa, save_packing, verify_conditions
 from .matops import nuclear_norm, numerical_rank, operator_norm
 from .metrics import bound_value, frobenius_risk, oracle_inequality_check, risk_report
-from .sampling import ObservationSet, SamplingScheme, rademacher_norm_estimate, uniform_scheme
+from .sampling import CellSummary, ObservationSet, SamplingScheme, rademacher_norm_estimate, uniform_scheme
 
 __all__ = [
     "ExperimentConfig",
@@ -50,6 +50,7 @@ __all__ = [
     "GroundTruth",
     "gen_truth",
     "simulate",
+    "simulate_cells",
     "observe_every_entry",
     "resolve_lambda",
     "fit_columns",
@@ -393,6 +394,26 @@ def simulate(
     return ObservationSet(m1=m1, m2=m2, rows=rows, cols=cols, ys=ys)
 
 
+def simulate_cells(
+    truth: GroundTruth,
+    family: ExponentialFamily,
+    scheme: SamplingScheme,
+    n: int,
+    rng: np.random.Generator,
+    noiseless: bool = False,
+) -> CellSummary:
+    """Draw n cells from the scheme as :func:`simulate` does, then one value per
+    observed cell: the sum of its ``k`` observations at the truth, drawn from the
+    exact law of that sum, or ``k G'(x)`` when noiseless. No single observation is
+    drawn, so the values differ from :func:`simulate`'s from the same generator."""
+    counts = scheme.counts(n, rng)
+    seen = np.flatnonzero(counts)
+    k, vals = counts.reshape(-1)[seen], truth.x_bar.reshape(-1)[seen]
+    sums = np.zeros(counts.shape)
+    sums.reshape(-1)[seen] = k * family.mean(vals) if noiseless else family.sample(vals, rng, k)
+    return CellSummary(counts, sums)
+
+
 def observe_every_entry(
     x_bar: np.ndarray,
     family: ExponentialFamily,
@@ -600,7 +621,9 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     ``c* sigma_Z sqrt(2 e log(d) / n)`` (``sigma_Z^2 = nu / m`` and
     ``c* = 1 + sqrt(3)``), the Monte-Carlo distribution of the score
     operator norm at the truth against half the prescribed penalty, and
-    the exceedance frequency with target ``1/d``.
+    the exceedance frequency with target ``1/d``. The score reads only the
+    per-cell counts and sums, so each replicate draws them through
+    :func:`simulate_cells`: its ``n`` cells, then one sum per observed cell.
     """
     scheme = cfg.scheme
     n = cfg.n_single
@@ -628,8 +651,8 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     exceed = 0
     grad_rng = np.random.default_rng([seed, 3])
     for rep in range(cfg.reps):
-        obs = simulate(truth, cfg.family, scheme, n, grad_rng, noiseless=cfg.noiseless)
-        probe = CompletionProblem(obs=obs, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
+        cells = simulate_cells(truth, cfg.family, scheme, n, grad_rng, noiseless=cfg.noiseless)
+        probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
         gnorm = operator_norm(gradient(probe, truth.x_bar))
         if gnorm > level:
             exceed += 1

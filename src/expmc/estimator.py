@@ -34,7 +34,7 @@ from . import matops  # fit calls matops.svt, so wrappers installed on matops se
 from .families import DomainError, ExponentialFamily, ParameterBox
 # combined_prox is not used by the solver; perfbench/tracer.py counts its calls here.
 from .matops import box_clip, combined_prox, nuclear_norm, operator_norm  # noqa: F401
-from .sampling import ObservationSet, SamplingScheme
+from .sampling import CellSummary, ObservationSet, SamplingScheme
 
 __all__ = [
     "LIKELIHOOD",
@@ -85,15 +85,18 @@ def _check_lambda(lam: float) -> None:
 class CompletionProblem:
     """Observations plus model, box constraint and penalty level.
 
-    ``scheme`` is required in ``known_sampling`` mode and must match the
-    observation dimensions; ``likelihood`` mode ignores it. Observations
-    outside the family's range are rejected. The mode is read once, here:
+    ``obs`` is a sample of single observations or its per-cell counts and sums;
+    the problem reads only the counts and sums, so either gives the same
+    problem. ``scheme`` is required in ``known_sampling`` mode and must match the
+    observation dimensions; ``likelihood`` mode ignores it. An observation
+    outside the family's range is rejected, as is a cell sum of ``k``
+    observations outside ``k`` times that range. The mode is read once, here:
     it fixes the cells, weights, targets and divisor of the data term and
     the solver's start step (see the module docstring), and only the cells
     read must lie in the domain.
     """
 
-    obs: ObservationSet
+    obs: ObservationSet | CellSummary
     family: ExponentialFamily
     box: ParameterBox
     lam: float
@@ -114,13 +117,14 @@ class CompletionProblem:
             if (self.scheme.m1, self.scheme.m2) != (self.obs.m1, self.obs.m2):
                 raise ValueError("scheme dimensions do not match the observations")
         self.family.variance_bounds(self.box)
-        self.family.check_support(self.obs.ys)
-        shape, n = (self.obs.m1, self.obs.m2), self.obs.n
-        size = shape[0] * shape[1]
-        flat = self.obs.rows * shape[1] + self.obs.cols  # ObservationSet checked the ranges
-        # bincount adds in sample order, as np.add.at did: the sums are bit-identical.
-        self.counts = np.bincount(flat, minlength=size).astype(float).reshape(shape)
-        self.y_sum = np.bincount(flat, weights=self.obs.ys, minlength=size).reshape(shape)
+        if isinstance(self.obs, ObservationSet):
+            self.family.check_support(self.obs.ys)
+            cells = self.obs.summary()
+        else:
+            cells = self.obs
+            seen = cells.counts > 0  # only observed cells: 0 * inf is NaN
+            self.family.check_support(cells.sums[seen], cells.counts[seen])
+        self.counts, self.y_sum, n = cells.counts, cells.sums, cells.n
         # n stays out of the known-sampling weights: fit's step bound reads max(w) / d,
         # and (n pi).max() / n can round above pi.max().
         if self.mode == LIKELIHOOD:

@@ -19,7 +19,11 @@ exponential           x < 0             -log(-x)             [0, inf)
 A draw at parameter ``x`` has mean ``G'(x)`` and variance ``G''(x)``;
 in particular the Gaussian model produces ``Y ~ N(sigma^2 x, sigma^2)``
 and the exponential model produces an exponential variable with rate
-``-x``.
+``-x``. The sum of ``k`` independent draws is drawn in one step from its
+exact law: ``N(k sigma^2 x, k sigma^2)``, ``Binomial(k N, expit(x))``,
+``Poisson(k e^x)`` and ``Gamma(k, scale -1/x)``. At ``k = 1`` each is the
+single-draw numpy call on the same generator stream, bit for bit, and at
+``k = 0`` it is 0.
 
 The base measure of the density never needs to be evaluated: it enters
 every likelihood only as an additive constant, so all objectives in
@@ -146,7 +150,7 @@ class IntervalConstants:
 
 class ExponentialFamily:
     """Base class; a model implements six hooks: ``_g``, ``_g1``, ``_g2`` (G, G', G''),
-    ``_bregman``, ``_sample`` and ``_abs_exp_moment``. The box constants need no more:
+    ``_bregman``, ``_sample_sum`` and ``_abs_exp_moment``. The box constants need no more:
     G' is monotone, and so is G'' but for binomial's peak, which it adds itself."""
 
     name: str = ""
@@ -195,13 +199,14 @@ class ExponentialFamily:
             )
         return bounds
 
-    def check_support(self, ys: np.ndarray):
-        """Reject observations outside the closed range a draw can take."""
+    def check_support(self, ys: np.ndarray, k=1):
+        """Reject observations outside the closed range a draw can take, or, given
+        positive counts ``k``, sums outside ``k`` times it (the range of a sum of k draws)."""
         ys = np.asarray(ys, dtype=float)
-        if not (ys.min() >= self.support_lo and ys.max() <= self.support_hi):
+        if not (np.all(ys >= k * self.support_lo) and np.all(ys <= k * self.support_hi)):
+            what = "observations outside" if np.isscalar(k) else "sums of k observations outside k times"
             raise ValueError(
-                f"observations outside the range [{self.support_lo}, {self.support_hi}] "
-                f"of the {self.name} model"
+                f"{what} the range [{self.support_lo}, {self.support_hi}] of the {self.name} model"
             )
 
     # -- hooks implemented by subclasses ---------------------------------
@@ -218,7 +223,9 @@ class ExponentialFamily:
     def _bregman(self, x: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _sample_sum(self, x: np.ndarray, k, rng: np.random.Generator) -> np.ndarray:
+        """A draw of the sum of ``k`` independent observations at each ``x`` (the
+        nonnegative integer ``k`` broadcasts against ``x``)."""
         raise NotImplementedError
 
     def _abs_exp_moment(self, x: np.ndarray):
@@ -257,9 +264,15 @@ class ExponentialFamily:
         """
         return self._checked(self._bregman, x, x_ref)
 
-    def sample(self, x, rng: np.random.Generator):
-        """One draw per natural parameter, using the caller-supplied generator."""
-        return self._checked(lambda v: np.asarray(self._sample(v, rng), dtype=float), x)
+    def sample(self, x, rng: np.random.Generator, k=1):
+        """One draw per natural parameter of the sum of ``k`` independent observations
+        (a single observation at the default ``k = 1``, 0 at ``k = 0``), using the
+        caller-supplied generator. ``k`` holds nonnegative integers and broadcasts
+        against ``x``."""
+        k = np.asarray(k)
+        if k.dtype.kind not in "iu" or (k.size and k.min() < 0):
+            raise ValueError("observation counts k must be nonnegative integers")
+        return self._checked(lambda v: np.asarray(self._sample_sum(v, k, rng), dtype=float), x)
 
     # -- interval constants -----------------------------------------------
 
@@ -332,8 +345,8 @@ class Gaussian(ExponentialFamily):
     def _bregman(self, x, x_ref):
         return 0.5 * self.sigma**2 * (x - x_ref) ** 2
 
-    def _sample(self, x, rng):
-        return rng.normal(loc=self.sigma**2 * x, scale=self.sigma)
+    def _sample_sum(self, x, k, rng):
+        return rng.normal(loc=k * self.sigma**2 * x, scale=self.sigma * np.sqrt(k))
 
     def _abs_exp_moment(self, x):
         def moment(scale):
@@ -375,8 +388,8 @@ class Binomial(ExponentialFamily):
             _softplus(x) - _softplus(x_ref) - _expit(x_ref) * (x - x_ref)
         )
 
-    def _sample(self, x, rng):
-        return rng.binomial(self.trials, _expit(x))
+    def _sample_sum(self, x, k, rng):
+        return rng.binomial(k * self.trials, _expit(x))
 
     def _variance_bounds(self, box):
         lo_sq, hi_sq = super()._variance_bounds(box)
@@ -418,8 +431,8 @@ class Poisson(ExponentialFamily):
     def _bregman(self, x, x_ref):
         return np.exp(x_ref) * (np.expm1(x - x_ref) - (x - x_ref))
 
-    def _sample(self, x, rng):
-        return rng.poisson(np.exp(x))
+    def _sample_sum(self, x, k, rng):
+        return rng.poisson(k * np.exp(x))
 
     def _abs_exp_moment(self, x):
         # With t = 1/scale, E[e^{t|Y - lam|}] is the MGF term E[e^{t(Y - lam)}] =
@@ -475,8 +488,8 @@ class Exponential(ExponentialFamily):
         u = (x - x_ref) / x_ref
         return u - np.log1p(u)
 
-    def _sample(self, x, rng):
-        return rng.exponential(scale=-1.0 / x)
+    def _sample_sum(self, x, k, rng):
+        return rng.gamma(k, scale=-1.0 / x)
 
     def _abs_exp_moment(self, x):
         # Closed form for the folded exponential; diverges once the tilt

@@ -23,10 +23,15 @@ by binary search. Draws are therefore the same cells
 ``np.searchsorted(cdf, u, side="right")`` would pick, mostly in one step
 or none instead of a binary search. ``draw`` splits the flat cell index
 ``f`` into ``row = f // m2`` and ``col = f - row * m2`` (the values
-``np.divmod`` gives); ``simulate`` and ``CompletionProblem`` recombine
-them as ``row * m2 + col``. Schemes are immutable after
-construction; ``draw`` and ``rademacher_norm_estimate`` mutate only the
-caller-supplied generator.
+``np.divmod`` gives); ``simulate`` and :meth:`ObservationSet.summary`
+recombine them as ``row * m2 + col``. ``counts`` bincounts the same flat
+indices into a table, so it reads the generator as ``draw`` does.
+
+A :class:`CellSummary` holds a sample as the per-cell counts and sums of its
+observations, which is all the likelihood reads: an :class:`ObservationSet`
+gives its own, and a replicate can draw one without any single observation.
+Schemes are immutable after construction; ``draw``, ``counts`` and
+``rademacher_norm_estimate`` mutate only the caller-supplied generator.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "CoverageError",
     "SamplingScheme",
     "ObservationSet",
+    "CellSummary",
     "uniform_scheme",
     "product_scheme",
     "rademacher_norm_estimate",
@@ -125,6 +131,13 @@ class SamplingScheme:
         np.subtract(flat, cols, out=cols)
         return rows, cols
 
+    def counts(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """How many of n independent draws fell on each cell, as an int64 ``m1 x m2``
+        table: the bincount of the cells :meth:`draw` gives from the same generator state."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return np.bincount(self._draw_flat(n, rng), minlength=self.pi.size).reshape(self.pi.shape)
+
     def _draw_flat(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
         k = self.pi.size
@@ -184,6 +197,58 @@ class ObservationSet:
     @property
     def n(self) -> int:
         return self.rows.size
+
+    def summary(self) -> "CellSummary":
+        """The per-cell counts and sums of the sample."""
+        shape, size = (self.m1, self.m2), self.m1 * self.m2
+        flat = self.rows * self.m2 + self.cols
+        # bincount adds in sample order, as np.add.at did: the sums are bit-identical.
+        counts = np.bincount(flat, minlength=size).astype(float).reshape(shape)
+        return CellSummary(counts, np.bincount(flat, weights=self.ys, minlength=size).reshape(shape))
+
+
+@dataclass(frozen=True, eq=False)
+class CellSummary:
+    """A sample as per-cell tables: ``counts`` of the observations each cell of an
+    ``m1 x m2`` matrix received and ``sums`` of their values; ``n`` is the total count.
+
+    Tables that are not 2-d or differ in shape, counts that are not nonnegative
+    integers (integral floats are), non-finite sums, a nonzero sum on a cell with no
+    observation and an empty sample are a ValueError. Both tables are held as
+    read-only float64 views, of the caller's arrays where those are float64 already."""
+
+    counts: np.ndarray
+    sums: np.ndarray
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        counts, sums = np.asarray(self.counts, dtype=float), np.asarray(self.sums, dtype=float)
+        if counts.ndim != 2 or counts.shape != sums.shape:
+            raise ValueError(
+                f"counts and sums must be 2-d tables of one shape, got {counts.shape} and {sums.shape}"
+            )
+        if not np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.round(counts))):
+            raise ValueError("cell counts must be nonnegative integers")
+        if not np.all(np.isfinite(sums)):
+            raise ValueError("cell sums must be finite")
+        if np.any((counts == 0) & (sums != 0)):
+            raise ValueError("a cell with no observation has a nonzero sum")
+        n = int(counts.sum())
+        if n < 1:
+            raise ValueError("a cell summary needs at least one observation")
+        for name, arr in (("counts", counts), ("sums", sums)):
+            arr = arr.view()  # freezing the caller's own array would make it read-only too
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n", n)
+
+    @property
+    def m1(self) -> int:
+        return self.counts.shape[0]
+
+    @property
+    def m2(self) -> int:
+        return self.counts.shape[1]
 
 
 def uniform_scheme(m1: int, m2: int) -> SamplingScheme:

@@ -26,6 +26,7 @@ from expmc.bench import (
     rate_sweep,
     resolve_lambda,
     simulate,
+    simulate_cells,
 )
 from expmc.io import load_matrix_csv, save_matrix_csv
 
@@ -135,6 +136,36 @@ class TestSimulate:
         for arr in (obs.rows, obs.cols, obs.ys, prob.counts, prob.y_sum):
             h.update(arr.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
+    def test_simulate_cells_keeps_the_cell_stream(self, family_case, noiseless):
+        # The counts are the cells simulate draws from the same seed; the values
+        # are one sum per observed cell, k G'(x) when noiseless.
+        fam, box = family_case
+        scheme = product_scheme(np.linspace(1, 3, 6), np.linspace(1, 2, 7))
+        truth = gen_truth(6, 7, 2, box, np.random.default_rng(19))
+        obs = simulate(truth, fam, scheme, 60, np.random.default_rng(20), noiseless=noiseless)
+        cells = simulate_cells(truth, fam, scheme, 60, np.random.default_rng(20), noiseless=noiseless)
+        expected = obs.summary()
+        assert cells.n == 60 and np.array_equal(cells.counts, expected.counts)
+        seen = cells.counts > 0
+        assert np.all(cells.sums[~seen] == 0.0)
+        if noiseless:
+            assert np.array_equal(cells.sums[seen], cells.counts[seen] * fam.mean(truth.x_bar[seen]))
+        CompletionProblem(obs=cells, family=fam, box=box, lam=0.0)
+
+    def test_simulate_cells_draws_one_value_per_observed_cell(self, monkeypatch):
+        draws, sample = [], ExponentialFamily.sample
+
+        def counted(self, x, rng, k=1):
+            draws.append(k)
+            return sample(self, x, rng, k)
+
+        monkeypatch.setattr(ExponentialFamily, "sample", counted)
+        truth = gen_truth(10, 10, 2, BOX1, np.random.default_rng(21))
+        cells = simulate_cells(truth, Poisson(), uniform_scheme(10, 10), 400, np.random.default_rng(22))
+        (k,) = draws
+        assert k.size == np.count_nonzero(cells.counts) and k.sum() == 400
 
     def test_observe_every_entry_covers_once(self):
         fam = Gaussian(sigma=1.0)

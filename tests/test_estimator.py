@@ -10,6 +10,7 @@ from expmc import (
     KNOWN_SAMPLING,
     LIKELIHOOD,
     Binomial,
+    CellSummary,
     CompletionProblem,
     DomainError,
     Exponential,
@@ -182,6 +183,79 @@ class TestSampleSummaries:
         np.add.at(y_sum, (rows, cols), ys)
         assert np.array_equal(p.counts, counts)
         assert np.array_equal(p.y_sum, y_sum)
+
+    @pytest.mark.parametrize("mode", [LIKELIHOOD, KNOWN_SAMPLING])
+    def test_cell_summary_gives_the_observation_problem(self, family_case, mode):
+        # The data term reads only counts and sums: a problem built from them
+        # gives the one built from the observations bit for bit.
+        fam, box = family_case
+        rng = np.random.default_rng(21)
+        scheme = product_scheme([1.0, 2.0, 0.5, 3.0], [0.2, 1.0, 2.5, 1.0, 0.7])
+        truth = gen_truth(4, 5, 2, box, rng)
+        obs = simulate(truth, fam, scheme, 60, rng)
+        counts, sums = np.zeros((4, 5)), np.zeros((4, 5))
+        np.add.at(counts, (obs.rows, obs.cols), 1.0)
+        np.add.at(sums, (obs.rows, obs.cols), obs.ys)
+        assert (counts == 0).any() and counts.max() >= 2
+        kw = dict(family=fam, box=box, lam=0.0, mode=mode, scheme=scheme)
+        p_obs = CompletionProblem(obs=obs, **kw)
+        p_cells = CompletionProblem(obs=CellSummary(counts, sums), **kw)
+        assert p_cells.shape == p_obs.shape and p_cells.obs.n == obs.n
+        for x in (truth.x_bar, gen_truth(4, 5, 2, box, rng).x_bar):
+            assert neg_loglik(p_cells, x) == neg_loglik(p_obs, x)
+            assert np.array_equal(gradient(p_cells, x), gradient(p_obs, x))
+
+
+def cell_table(cells, shape=(2, 2)):
+    """A table of ``shape``, zero but at the cells of the dict ``{(row, col): value}``."""
+    out = np.zeros(shape)
+    for cell, value in cells.items():
+        out[cell] = value
+    return out
+
+
+class TestCellSummaryRejected:
+    """A bad cell summary fails when the problem is built, with a clear ValueError."""
+
+    @pytest.mark.parametrize("counts, sums, match", [
+        (cell_table({(0, 0): -1, (0, 1): 2}), cell_table({(0, 0): 1.0}), "nonnegative integers"),
+        (cell_table({(0, 0): 1.5}), cell_table({(0, 0): 1.0}), "nonnegative integers"),
+        (cell_table({(0, 0): math.inf}), cell_table({(0, 0): 1.0}), "nonnegative integers"),
+        (cell_table({(0, 0): 1}), np.zeros((2, 3)), "one shape"),
+        (np.ones(4), np.ones(4), "one shape"),
+        (cell_table({(0, 0): 1}), cell_table({(0, 0): math.nan}), "finite"),
+        (cell_table({(0, 0): 1}), cell_table({(0, 0): math.inf}), "finite"),
+        (cell_table({(0, 0): 1}), cell_table({(0, 0): 1.0, (1, 1): 2.0}), "no observation"),
+        (np.zeros((2, 2)), np.zeros((2, 2)), "at least one observation"),
+    ], ids=["negative-count", "fractional-count", "infinite-count", "shape-mismatch", "not-2d",
+            "nan-sum", "inf-sum", "sum-on-unobserved-cell", "empty"])
+    def test_malformed_summary(self, counts, sums, match):
+        with pytest.raises(ValueError, match=match):
+            CompletionProblem(obs=CellSummary(counts, sums), family=Gaussian(), box=BOX1, lam=0.0)
+
+    @pytest.mark.parametrize("family, box, count, total", [
+        (Binomial(trials=1), BOX1, 2, 3.0),
+        (Binomial(trials=3), BOX1, 2, -1.0),
+        (Poisson(), BOX1, 3, -1.0),
+        (Exponential(), ParameterBox(-2.0, -0.4), 1, -0.5),
+    ], ids=["binomial-above", "binomial-below", "poisson-negative", "exponential-negative"])
+    def test_sum_outside_k_times_the_range(self, family, box, count, total):
+        cells = CellSummary(cell_table({(0, 0): count, (1, 1): 1}), cell_table({(0, 0): total}))
+        with pytest.raises(ValueError, match=r"sums of k observations outside k times the range"):
+            CompletionProblem(obs=cells, family=family, box=box, lam=0.0)
+
+    @pytest.mark.parametrize("family, box, count, total", [
+        (Binomial(trials=1), BOX1, 2, 2.0),
+        (Binomial(trials=3), BOX1, 4, 12.0),
+        (Poisson(), BOX1, 3, 0.0),
+        (Exponential(), ParameterBox(-2.0, -0.4), 2, 0.0),
+        (Gaussian(), BOX1, 5, -1e6),
+    ], ids=["binomial-top", "binomial-4x3", "poisson-zero", "exponential-zero", "gaussian"])
+    def test_range_ends_accepted(self, family, box, count, total):
+        # The unobserved cells hold count 0 and sum 0; they are not compared, as 0 * inf is NaN.
+        cells = CellSummary(cell_table({(0, 0): count}), cell_table({(0, 0): total}))
+        p = CompletionProblem(obs=cells, family=family, box=box, lam=0.0)
+        assert p.obs.n == count and p.y_sum[0, 0] == total
 
 
 class TestNegLoglik:

@@ -194,6 +194,52 @@ class TestSampling:
         assert isinstance(val, float) and val >= 0.0
 
 
+def numpy_single_draw(fam, x, rng):
+    """One observation per parameter through the plain numpy call for the model."""
+    if isinstance(fam, Gaussian):
+        return rng.normal(loc=fam.sigma**2 * x, scale=fam.sigma)
+    if isinstance(fam, Binomial):
+        return rng.binomial(fam.trials, 1.0 / (1.0 + np.exp(-x)))
+    if isinstance(fam, Poisson):
+        return rng.poisson(np.exp(x))
+    return rng.exponential(scale=-1.0 / x)
+
+
+class TestSampleSum:
+    def test_one_observation_is_the_numpy_single_draw(self, family_case):
+        fam, box = family_case
+        x = np.random.default_rng(7).uniform(box.lo, box.hi, 5000)
+        expected = numpy_single_draw(fam, x, np.random.default_rng(46))
+        for k in ({}, {"k": 1}, {"k": np.ones(x.size, dtype=np.int64)}):
+            draws = fam.sample(x, np.random.default_rng(46), **k)
+            assert draws.dtype == np.float64
+            assert np.array_equal(draws, expected), k
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_sum_moments_within_five_standard_errors(self, family_case, k):
+        fam, box = family_case
+        x = 0.3 * box.lo + 0.7 * box.hi
+        n = 40_000
+        draws = fam.sample(np.full(n, x), np.random.default_rng(47), np.full(n, k))
+        mean, var = k * fam.mean(x), k * fam.variance(x)
+        assert abs(draws.mean() - mean) <= 5 * math.sqrt(var / n)
+        m4 = np.mean((draws - draws.mean()) ** 4)
+        assert abs(draws.var(ddof=1) - var) <= 5 * math.sqrt(max(m4 - var**2, 1e-12) / n)
+
+    def test_no_observation_sums_to_zero(self, family_case):
+        fam, box = family_case
+        x = np.linspace(box.lo, box.hi, 200)
+        k = np.tile([0, 3], 100)
+        draws = fam.sample(x, np.random.default_rng(48), k)
+        assert np.all(draws[k == 0] == 0.0)
+        assert fam.sample(x, np.random.default_rng(48), 0).tolist() == [0.0] * x.size
+
+    @pytest.mark.parametrize("k", [-1, np.array([2, -1]), 1.0, np.array([0.5, 2.0])], ids=repr)
+    def test_counts_must_be_nonnegative_integers(self, k):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            Poisson().sample(np.zeros(2), np.random.default_rng(0), k)
+
+
 class TestIntervalConstants:
     def test_gaussian_equal_curvatures(self):
         consts = Gaussian(sigma=2.0).interval_constants(ParameterBox.symmetric(0.7))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmc import (
+    CellSummary,
     CoverageError,
     ObservationSet,
     SamplingScheme,
@@ -130,6 +131,26 @@ class TestDraw:
         ref_rows, ref_cols = np.unravel_index(flat, shape)
         assert rows.dtype == cols.dtype == np.int64
         assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    @pytest.mark.parametrize("pi", [
+        np.full((7, 13), 1.0 / 91),
+        np.outer([1.0, 0.0, 3.0, 0.5], [0.2, 1.0, 0.0, 2.0, 0.8]) / (4.5 * 4.0),
+    ], ids=["uniform", "product-with-zero-cells"])
+    @pytest.mark.parametrize("n", [1, 40, 2000])
+    def test_counts_are_the_bincount_of_draw(self, pi, n):
+        # Same seed, same cells: the counts keep the cell stream, and leave the
+        # generator where draw leaves it.
+        s = SamplingScheme(pi)
+        rng_counts, rng_draw = np.random.default_rng(8), np.random.default_rng(8)
+        counts = s.counts(n, rng_counts)
+        rows, cols = s.draw(n, rng_draw)
+        expected = np.bincount(rows * s.m2 + cols, minlength=pi.size).reshape(pi.shape)
+        assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+        assert rng_counts.random() == rng_draw.random()
+
+    def test_counts_n_zero_rejected(self):
+        with pytest.raises(ValueError):
+            uniform_scheme(2, 2).counts(0, np.random.default_rng(0))
 
     def test_nonuniform_frequencies(self):
         s = product_scheme([1.0, 3.0], [1.0, 1.0])
@@ -337,6 +358,27 @@ class TestObservationSet:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ObservationSet(m1=2, m2=2, rows=np.array([0, 1]), cols=np.array([0, 1]), ys=np.array([0.5, bad]))
+
+    def test_summary(self):
+        obs = ObservationSet(2, 3, rows=[0, 1, 0, 0], cols=[2, 0, 2, 1], ys=[1.5, -2.0, 0.25, 3.0])
+        cells = obs.summary()
+        assert (cells.m1, cells.m2, cells.n) == (2, 3, 4)
+        assert cells.counts.tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]
+        assert cells.sums.tolist() == [[0.0, 3.0, 1.75], [-2.0, 0.0, 0.0]]
+
+
+class TestCellSummary:
+    def test_fields(self):
+        cells = CellSummary(np.array([[0, 2], [1, 0]]), np.array([[0.0, 1.5], [-1.0, 0.0]]))
+        assert (cells.m1, cells.m2, cells.n) == (2, 2, 3)
+        assert cells.counts.dtype == cells.sums.dtype == np.float64
+
+    def test_callers_arrays_stay_writeable_and_shared(self):
+        counts, sums = np.array([[1.0, 0.0]]), np.array([[2.5, 0.0]])
+        cells = CellSummary(counts, sums)
+        for arr, held in ((counts, cells.counts), (sums, cells.sums)):
+            assert arr.flags.writeable and not held.flags.writeable
+            assert np.shares_memory(arr, held)
 
 
 class TestConfig:

@@ -11,10 +11,11 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
   reports one (concentration ops fit nothing);
 * the median over the traced runs of the work and quality counters that
   explain the time: SVT calls and seconds, SVD calls, the seconds spent
-  in operator norms, in ``simulate``, in the random-sign norm estimate
-  and in ``interval_constants``, the seconds in the matrix and observation
-  CSV writers and the bytes the writers wrote, solver iterations, median
-  Frobenius risk and the failed share of ops.
+  in operator norms, in ``simulate``, in the family draws (``sample``), in
+  the random-sign norm estimate and in ``interval_constants``, the seconds
+  in the matrix and observation CSV writers and the bytes the writers
+  wrote, solver iterations, median Frobenius risk and the failed share of
+  ops.
 
 The machine block is the one the runs recorded; runs with differing
 machine blocks are refused. That does not tell two builds of one checkout
@@ -44,6 +45,7 @@ TRACED = (
     "linalg.svd.calls",
     "matops.operator_norm.s",
     "bench.simulate.s",
+    "families.sample.s",
     "sampling.rademacher_norm_estimate.s",
     "families.interval_constants.s",
     "io.save_matrix_csv.s",
