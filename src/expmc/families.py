@@ -40,6 +40,7 @@ distribution function and log-factorials) are computed here from numpy and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,12 +98,19 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ParameterBox:
-    """Closed interval ``[lo, hi]`` constraining the entries of a parameter matrix."""
+    """Closed interval ``[lo, hi]`` constraining the entries of a parameter matrix.
+    The endpoints must be real numbers and are stored as floats, so an integer
+    box gives the same constants."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            end = getattr(self, name)
+            if not isinstance(end, numbers.Real):
+                raise TypeError(f"box endpoint {name} must be a real number, got {type(end).__name__}")
+            object.__setattr__(self, name, float(end))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("box endpoints must be finite")
         if not self.lo < self.hi:

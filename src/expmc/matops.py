@@ -12,17 +12,20 @@ thresholds, a full SVD otherwise, and, for a caller that passes an
 :class:`SvtBasis` to a sequence of calls as ``fit`` does, a certified
 subspace iteration from the last call's right singular subspace at
 ``min(m1, m2) >= 200``; the first such call starts from a randomized
-range finder's block. One exit thresholds what the route kept and leaves
-the thresholded values on the holder, so the caller reads the output's
-nuclear norm without another SVD. The ``svt`` docstring gives the
-identities, the certificate, the cold start, the measured crossover and
-the accuracy.
+range finder's block. The warm route proves its kept rank with a Cholesky
+certificate, or, while the input stays close to the last one so proved,
+chains that proof by Weyl's inequality and factors nothing. One exit
+thresholds what the route kept and leaves the thresholded values on the
+holder, so the caller reads the output's nuclear norm without another SVD.
+The ``svt`` docstring gives the identities, the certificates, the cold
+start, the measured crossover and the accuracy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +116,15 @@ def operator_norm(a: np.ndarray) -> float:
     return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(b.T @ b)[-1])), e)
 
 
+class _Anchor(NamedTuple):
+    """The input ``b`` of a warm :func:`svt` call that proved its kept rank ``k``
+    by a dense certificate, and the level ``c > sigma_{k+1}(b)`` it proved."""
+
+    b: np.ndarray
+    c: float
+    k: int
+
+
 @dataclass(eq=False)
 class SvtBasis:
     """What one :func:`svt` call leaves for the next call and for its caller.
@@ -123,10 +135,15 @@ class SvtBasis:
     one. ``shrunk`` holds the last call's kept thresholded singular values
     ``s_k - tau``, so its sum is the nuclear norm of that call's output; it
     is ``None`` after a ``tau == 0`` call, which decomposes nothing.
+    ``anchor`` holds the input of the last warm-route call that proved its
+    kept rank by a dense certificate, with the bound it proved on the first
+    unkept singular value; a later warm call may chain its proof from it
+    (see :func:`svt`). It is ``None`` until such a call.
     """
 
     v: np.ndarray | None = None
     shrunk: np.ndarray | None = None
+    anchor: _Anchor | None = None
 
 
 def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
@@ -170,14 +187,36 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     ``_WARM_MAX_STEPS`` steps). The kept rank ``k`` is then certified.
     The Ritz values are lower bounds on the eigenvalues of ``G`` (Cauchy
     interlacing), so ``G`` has at least ``k`` eigenvalues above ``tau**2``.
-    A Cholesky factor of ``tau**2 I - G + V_k diag(theta_k) V_k^T`` proves
-    ``lambda_{k+1}(G) < tau**2``, because a PSD rank-``k`` update raises
-    ``lambda_{k+1}`` no higher than the largest eigenvalue of the deflated
-    matrix (Weyl), built in a new array. The route yields ``s_k = sqrt(theta_k)``
-    and ``V_k``: the Gram route's kept rank, with the error bounded by the
-    residual stop. It gives way to the Gram route, on the same ``G``, when
-    the iteration does not converge, when fewer than ``_WARM_EXTRA`` Ritz
-    values fall below ``tau**2``, or when the factorisation fails.
+    It has no more when ``sigma_{k+1}(B) < tau``, proved one of two ways:
+
+    * *Chained*: ``basis.anchor`` holds an earlier input ``B_0``, its kept
+      rank ``k_0`` and a level ``c > sigma_{k_0+1}(B_0)``. By Weyl's
+      inequality ``sigma_{k+1}(B) <= sigma_{k+1}(B_0) + ||B - B_0||_F``, so
+      ``k == k_0`` and ``c + ||B - B_0||_F < tau`` prove it for one Frobenius
+      norm of a difference. A chain proves nothing about a smaller rank: for
+      ``k < k_0`` it would need ``sigma_{k+1}(B_0)``, which may exceed ``tau``.
+    * *Dense*: a Cholesky factor of ``c**2 I - G + V_k diag(theta_k) V_k^T``
+      proves ``lambda_{k+1}(G) < c**2``, because a PSD rank-``k`` update raises
+      ``lambda_{k+1}`` no higher than the largest eigenvalue of the deflated
+      matrix (Weyl), built in a new array. The level is
+      ``c**2 = (theta_{k+1} + tau**2) / 2``, halfway from the first unkept Ritz
+      value (a lower bound on ``sigma_{k+1}**2``, so no lower level can succeed)
+      to ``tau**2``, which leaves later calls a margin ``tau - c`` to chain
+      in. ``B`` and ``c`` become the new anchor. A factor at ``c**2`` implies
+      one at ``tau**2``, but not the reverse: a call with
+      ``c**2 <= lambda_{k+1}(G) < tau**2`` takes the Gram route.
+
+    The route yields ``s_k = sqrt(theta_k)`` and ``V_k``: the Gram route's kept
+    rank, with the error bounded by the residual stop. It gives way to the
+    Gram route, on the same ``G``, when the iteration does not converge, when
+    fewer than ``_WARM_EXTRA`` Ritz values fall below ``tau**2``, or when
+    neither proof holds. In the ``fit`` of each of 32 300×300 binomial
+    problems, 160 of the 288 warm calls chained and every dense certificate
+    held at its level; in a 2000×2000 Poisson fit that keeps rank 4,
+    158 of 166 chained, and on one core of a 2-vCPU VM its SVT time fell
+    from 77 to 44 s. A chained call still forms ``G``; the subspace
+    iteration could run on ``B^T (B Q)`` instead, which pays only at orders
+    near 1000 and above.
 
     **Cold start.** While ``basis.v`` is ``None``, the warm route starts
     from a fixed-seed Gaussian block of ``2 * _WARM_EXTRA`` columns after two
@@ -230,7 +269,7 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
         g = b.T @ b
         kept = None
         if warm:
-            kept = _warm_svt(g, tau * tau, _cold_start(g) if basis.v is None else basis.v)
+            kept = _warm_svt(g, b, tau, basis)
         if kept is None:
             w, v = np.linalg.eigh(g)
             keep = w > tau * tau
@@ -254,10 +293,13 @@ def _cold_start(g: np.ndarray) -> np.ndarray:
     return q
 
 
-def _warm_svt(g: np.ndarray, tau_sq: float, q: np.ndarray):
-    """The warm route of :func:`svt` on the Gram matrix ``g`` from the basis ``q``:
+def _warm_svt(g: np.ndarray, b: np.ndarray, tau: float, basis: SvtBasis):
+    """The warm route of :func:`svt` on the Gram matrix ``g = b^T b`` from ``basis``:
     the kept singular values, their right vectors and the basis for the next call,
-    or ``None`` when the kept rank cannot be certified. ``g`` is not written."""
+    or ``None`` when the kept rank cannot be certified. A dense certificate leaves
+    ``b`` and the level it proved as ``basis.anchor``. ``g`` is not written."""
+    tau_sq = tau * tau
+    q = _cold_start(g) if basis.v is None else basis.v
     for _ in range(_WARM_MAX_STEPS):
         gq = g @ q
         theta, s = np.linalg.eigh(q.T @ gq)
@@ -273,14 +315,27 @@ def _warm_svt(g: np.ndarray, tau_sq: float, q: np.ndarray):
     else:
         return None
     vk, theta_k = v[:, :k], theta[:k]
-    cert = (vk * theta_k) @ vk.T  # becomes tau^2 I - G + V_k diag(theta_k) V_k^T
+    kept = np.sqrt(theta_k), vk, v[:, :k + _WARM_EXTRA]
+    if _chained(basis.anchor, b, k, tau):
+        return kept
+    # theta_{k+1} <= sigma_{k+1}^2, so no level at or below it can be proved.
+    level_sq = 0.5 * (theta[k] + tau_sq)
+    cert = (vk * theta_k) @ vk.T  # becomes c^2 I - G + V_k diag(theta_k) V_k^T
     cert -= g
-    cert.reshape(-1)[:: cert.shape[0] + 1] += tau_sq
+    cert.reshape(-1)[:: cert.shape[0] + 1] += level_sq
     try:
         np.linalg.cholesky(cert)
     except np.linalg.LinAlgError:
         return None
-    return np.sqrt(theta_k), vk, v[:, :k + _WARM_EXTRA]
+    basis.anchor = _Anchor(b.copy(), math.sqrt(level_sq), k)
+    return kept
+
+
+def _chained(anchor: _Anchor | None, b: np.ndarray, k: int, tau: float) -> bool:
+    """Whether ``anchor`` proves ``sigma_{k+1}(b) < tau`` by Weyl's inequality
+    ``sigma_{k+1}(b) <= sigma_{k+1}(b_0) + ||b - b_0||_F``: it must hold the same
+    kept rank ``k`` and leave ``c + ||b - b_0||_F < tau``."""
+    return anchor is not None and anchor.k == k and anchor.c + float(np.linalg.norm(b - anchor.b)) < tau
 
 
 def box_clip(a: np.ndarray, box: ParameterBox) -> np.ndarray:

@@ -431,6 +431,12 @@ class TestParameterBox:
         with pytest.raises(ValueError):
             ParameterBox(-math.inf, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [("-1", 1.0), (-1.0, "1"), (-1.0, None), (-1.0, 1j)])
+    def test_requires_real_numbers(self, lo, hi):
+        # The endpoints are converted with float(), which must not accept text.
+        with pytest.raises(TypeError):
+            ParameterBox(lo, hi)
+
     def test_symmetric_and_radius(self):
         box = ParameterBox.symmetric(2.0)
         assert (box.lo, box.hi) == (-2.0, 2.0)
@@ -442,6 +448,24 @@ class TestParameterBox:
         assert box.contains(np.array([[0.5, -1.0]]))
         assert not box.contains(np.array([1.0 + 1e-9]))
         assert box.contains(np.array([1.0 + 1e-9]), tol=1e-8)
+
+    @pytest.mark.parametrize("fam, lo, hi", [
+        (Gaussian(sigma=1.3), -1, 1),
+        (Gaussian(sigma=0.5), -2, 1),
+        (Binomial(trials=3), -1, 2),
+        (Binomial(trials=1), 1, 3),
+        (Poisson(), -1, 1),
+        (Exponential(), -3, -1),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_integer_box_gives_the_float_box_constants(self, fam, lo, hi):
+        # Gaussian's G'' is a full_like of the box ends, so integer ends once
+        # truncated sigma^2: 1.69 became 1, and 0.25 became 0 and was rejected.
+        box = ParameterBox(lo, hi)
+        assert type(box.lo) is float and type(box.hi) is float
+        assert fam.variance_bounds(box) == fam.variance_bounds(ParameterBox(float(lo), float(hi)))
+        assert fam.interval_constants(box) == fam.interval_constants(ParameterBox(float(lo), float(hi)))
+        if fam.name == "gaussian":
+            assert fam.variance_bounds(box) == (fam.sigma**2, fam.sigma**2)
 
 
 class TestConfig:

@@ -364,6 +364,77 @@ class TestWarmSVT:
         assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
         assert basis.v.shape == (300, 8 + 5) and self.kept_rank(a, tau) == 8
 
+    def anchored(self, monkeypatch, seed, near=False):
+        """A 300x300 input whose first warm call certifies 3 kept values densely, its
+        basis, and counters of later ``cholesky`` and ``eigh`` calls. ``near`` puts
+        the third value at 1.05 tau and the unkept ones in ``[0, 0.3] tau``."""
+        rng = np.random.default_rng(seed)
+        tau, k = 0.5, 3
+        u, s, v = self.spectrum(rng, 300, 300, k, tau)
+        if near:
+            s[2] = 1.05 * tau
+            s[3:] *= 0.3 / 0.8
+        a = (u * s) @ v.T
+        basis = SvtBasis()
+        assert basis.anchor is None  # a fresh basis cannot chain
+        choleskys = self.count_calls(monkeypatch, "cholesky")
+        eighs = self.count_calls(monkeypatch, "eigh")
+        svt(a, tau, basis)
+        assert len(choleskys) == 1 and eighs.count(300) == 0
+        anchor = basis.anchor
+        # The certificate proved the level halfway between the first unkept Ritz
+        # value and tau^2, above sigma_{k+1} and below tau.
+        assert anchor.k == k and np.array_equal(anchor.b, a)
+        assert s[k] < anchor.c < tau
+        choleskys.clear()
+        eighs.clear()
+        return rng, tau, u, s, v, a, basis, choleskys, eighs
+
+    def test_chained_calls_factor_nothing(self, monkeypatch):
+        rng, tau, _, _, _, a, basis, choleskys, eighs = self.anchored(monkeypatch, 15)
+        anchor = basis.anchor
+        for _ in range(4):
+            # Steps of Frobenius norm 0.01 tau leave the drift inside tau - c.
+            step = rng.standard_normal(a.shape)
+            a = a + 0.01 * tau * step / np.linalg.norm(step)
+            assert anchor.c + np.linalg.norm(a - anchor.b) < tau
+            out = svt(a, tau, basis)
+            ref = svt(a, tau)
+            assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+            assert basis.shrunk.size == self.kept_rank(a, tau) == 3
+            assert basis.anchor is anchor
+        assert not choleskys and eighs.count(300) == 4  # the four reference calls
+
+    def test_drift_past_the_budget_certifies_densely(self, monkeypatch):
+        rng, tau, _, _, _, a, basis, choleskys, eighs = self.anchored(monkeypatch, 16)
+        c = basis.anchor.c
+        # Frobenius norm 2 (tau - c), spread over every entry: the operator norm
+        # moves by about a tenth of that, and the kept rank stays 3.
+        step = rng.standard_normal(a.shape)
+        a = a + 2.0 * (tau - c) * step / np.linalg.norm(step)
+        assert self.kept_rank(a, tau) == 3
+        out = svt(a, tau, basis)
+        assert len(choleskys) == 1 and eighs.count(300) == 0
+        assert np.array_equal(basis.anchor.b, a) and basis.anchor.k == 3
+        ref = svt(a, tau)
+        assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_kept_value_pushed_below_tau_inside_the_budget_certifies_densely(self, monkeypatch):
+        # The third kept value moves from 1.05 tau to just below tau, inside the
+        # budget, and the kept rank falls to 2. The anchor proves only
+        # sigma_4 < tau, not sigma_3 < tau, so the call must not chain: a chain
+        # that admitted any kept rank that did not grow would keep 2 unproved.
+        _, tau, u, s, v, a, basis, choleskys, eighs = self.anchored(monkeypatch, 17, near=True)
+        s[2] = 0.99 * tau
+        a2 = (u * s) @ v.T
+        assert self.kept_rank(a2, tau) == 2
+        assert basis.anchor.c + np.linalg.norm(a2 - a) < tau
+        out = svt(a2, tau, basis)
+        assert len(choleskys) == 1 and eighs.count(300) == 0
+        assert basis.shrunk.size == 2 and basis.anchor.k == 2 and np.array_equal(basis.anchor.b, a2)
+        ref = svt(a2, tau)
+        assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+
     def test_below_the_floor_ignores_the_basis(self, monkeypatch):
         rng = np.random.default_rng(12)
         u, s, v = self.spectrum(rng, 199, 300, 3, 0.5)
