@@ -53,7 +53,6 @@ from .estimator import (
     theorem_lambda,
 )
 from .metrics import (
-    OracleInequalityReport,
     bound_value,
     bregman_empirical,
     bregman_integrated,
@@ -81,7 +80,6 @@ from .bench import (
     family_to_config,
     gen_truth,
     lowerbound_run,
-    observe_every_entry,
     oracle_check,
     rate_sweep,
     sample_size_threshold,

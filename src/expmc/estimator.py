@@ -27,7 +27,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -276,36 +275,16 @@ _RELAXATION = 1.35
 _MEMORY = 5  # past moves each extrapolation combines
 
 
-class _History(NamedTuple):
-    """Differences of recent ``(w_next, r)`` pairs at one step, each a float32
-    ``[dw, dr]`` pair (single precision: they only steer the extrapolation),
-    and the float32 Gram matrix of their ``dr``."""
-
-    diffs: list
-    gram: np.ndarray
-
-    def add(self, diff: np.ndarray) -> "_History":
-        """This history with ``diff`` last and the oldest dropped past ``_MEMORY``.
-        The Gram matrix keeps its entries and gains one row and column from the
-        same ``np.vdot`` of the same float32 pairs as a rebuild, so it is
-        bit-identical to one."""
-        diffs = self.diffs[1 - _MEMORY:] + [diff]
-        row = np.array([np.vdot(d[1], diff[1]) for d in diffs])
-        gram = np.empty((len(diffs), len(diffs)), np.float32)
-        gram[:-1, :-1] = self.gram[1 - _MEMORY:, 1 - _MEMORY:]
-        gram[-1], gram[:, -1] = row, row
-        return _History(diffs, gram)
-
-
-_NO_HISTORY = _History([], np.zeros((0, 0), np.float32))
-
-
-def _extrapolate(w_next: np.ndarray, r: np.ndarray, history: _History) -> np.ndarray:
+def _extrapolate(w_next: np.ndarray, r: np.ndarray, history: list) -> np.ndarray:
     """Anderson extrapolation of ``w -> w_next = w + r``: the affine combination
     of recent ``w_next`` whose moves ``r`` combine least in norm, from their
-    differences in ``history`` (Walker & Ni, SIAM J. Numer. Anal. 2011)."""
-    coef = np.linalg.lstsq(history.gram, [np.vdot(d[1], r) for d in history.diffs], rcond=None)[0]
-    return w_next - sum(c * d[0] for c, d in zip(coef, history.diffs))
+    differences in ``history``, each a float32 ``[dw, dr]`` pair, oldest first
+    (Walker & Ni, SIAM J. Numer. Anal. 2011). The Gram matrix of the ``dr`` is
+    built here, each entry from the ``np.vdot`` of its older pair with its newer."""
+    dr, k = [d[1] for d in history], len(history)
+    gram = np.array([[np.vdot(dr[min(i, j)], dr[max(i, j)]) for j in range(k)] for i in range(k)])
+    coef = np.linalg.lstsq(gram, [np.vdot(d, r) for d in dr], rcond=None)[0]
+    return w_next - sum(c * d[0] for c, d in zip(coef, history))
 
 
 def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitResult:
@@ -344,11 +323,12 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     SVD runs at the exit; any other fit ends at the last ``y``, whose nuclear
     norm takes an SVD. The estimate is that end point or the start point,
     whichever has the lower objective; ``objective_trace`` holds the
-    objectives of the start point and the estimate. The Anderson Gram matrix
-    is kept between iterations and grows by one row and column per move.
-    Every SVT shares one :class:`~expmc.matops.SvtBasis`, so at
-    ``min(m1, m2) >= 200`` most of them start from the last one's subspace and
-    chain its rank certificate instead of factoring a new one.
+    objectives of the start point and the estimate. The Anderson history is
+    a list of the last 5 float32 differences, and each extrapolation builds
+    its Gram matrix afresh. Every SVT shares one
+    :class:`~expmc.matops.SvtBasis`, so at ``min(m1, m2) >= 200`` most of
+    them start from the last one's subspace and chain its rank certificate
+    instead of factoring a new one.
     """
     cfg = config or SolverConfig()
     box, lam, shape = problem.box, problem.lam, problem.shape
@@ -365,7 +345,7 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     safe_step = 1.0 / (sigma_hi_sq * weight)
     y = w = x0
     basis = matops.SvtBasis()  # each SVT starts from the last one's right singular subspace
-    history, last = _NO_HISTORY, None  # differences of recent (w_next, r) at this step; the last pair
+    history, last = [], None  # float32 differences of recent (w_next, r) at this step; the last pair
     residual = last_residual = math.inf
     iterations, converged = 0, False
 
@@ -375,22 +355,22 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
         z = matops.svt(2.0 * y - w - step * g, step * lam, basis)
         while step > safe_step and not _sufficient_decrease(problem, y, g, z, step):
             step *= 0.5
-            w, history, last = 0.5 * (y + w), _NO_HISTORY, None
+            w, history, last = 0.5 * (y + w), [], None
             z = matops.svt(2.0 * y - w - step * g, step * lam, basis)
         residual = float(np.linalg.norm(z - y)) / step
         if residual <= cfg.tol:
             converged = True
             break
-        if history.diffs and residual > last_residual:  # w was extrapolated: step from last w_next instead
-            w, history, last = last[0], _NO_HISTORY, None
+        if history and residual > last_residual:  # w was extrapolated: step from last w_next instead
+            w, history, last = last[0], [], None
             continue
         last_residual = residual
         r = _RELAXATION * (z - y)
         w_next = w + r
         if last is not None:  # single precision: the differences only steer the extrapolation
-            history = history.add(np.array([w_next - last[0], r - last[1]], np.float32))
+            history = history[1 - _MEMORY:] + [np.array([w_next - last[0], r - last[1]], np.float32)]
         last = w_next, r
-        w = _extrapolate(w_next, r, history) if history.diffs else w_next
+        w = _extrapolate(w_next, r, history) if history else w_next
 
     if converged and basis.shrunk is not None and box.contains(z):
         x_end, f_end = z, neg_loglik(problem, z) + lam * float(basis.shrunk.sum())

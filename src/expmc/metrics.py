@@ -2,12 +2,14 @@
 
 The headline error metric is the normalized squared Frobenius distance
 between estimate and truth. Divergence risks come in two flavours: the
-empirical Bregman average over the observed cells and the integrated
-Bregman average weighted by the sampling table (the Kullback-Leibler
-prediction risk for exponential-family noise).
+empirical Bregman average over the observations, read from the per-cell
+counts the fit read, and the integrated Bregman average weighted by the
+sampling table (the Kullback-Leibler prediction risk for
+exponential-family noise).
 
-``risk_report`` returns the risks of one fit and ``bound_value`` every
-closed-form risk-bound expression of it, each in a single call, keyed by
+``risk_report`` returns the risks of one fit, ``bound_value`` every
+closed-form risk-bound expression of it and ``oracle_inequality_check``
+the outcome of both oracle inequalities, each in a single call, keyed by
 name in the order of their result columns. The bounds' abstract
 numerical constants are taken at one, so comparisons against these
 values are scaling checks rather than sharp-constant checks.
@@ -16,13 +18,12 @@ values are scaling checks rather than sharp-constant checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .families import ExponentialFamily
 from .matops import numerical_rank, nuclear_norm
-from .sampling import ObservationSet, SamplingScheme
+from .sampling import SamplingScheme
 
 __all__ = [
     "risk_report",
@@ -30,7 +31,6 @@ __all__ = [
     "bregman_empirical",
     "bregman_integrated",
     "bound_value",
-    "OracleInequalityReport",
     "oracle_inequality_check",
 ]
 
@@ -40,16 +40,17 @@ _HALF_ONE_PLUS_SQRT2_SQ = ((1.0 + math.sqrt(2.0)) / 2.0) ** 2
 def risk_report(
     family: ExponentialFamily,
     scheme: SamplingScheme,
-    obs: ObservationSet,
+    counts: np.ndarray,
     x_hat: np.ndarray,
     x_bar: np.ndarray,
 ) -> dict[str, float]:
     """The three risks of one fit and the truth's numerical rank, keyed by name
-    in column order; a negative risk is a ValueError."""
+    in column order; ``counts`` is the fit's per-cell count table. A negative
+    risk is a ValueError."""
     report = {
         "frob_risk": frobenius_risk(x_hat, x_bar),
         "kl_integrated": bregman_integrated(family, scheme, x_hat, x_bar),
-        "kl_empirical": bregman_empirical(family, obs, x_hat, x_bar),
+        "kl_empirical": bregman_empirical(family, counts, x_hat, x_bar),
         "rank_bar": numerical_rank(x_bar),
     }
     if report["frob_risk"] < 0 or report["kl_integrated"] < -1e-15 or report["kl_empirical"] < -1e-15:
@@ -68,14 +69,23 @@ def frobenius_risk(x_hat: np.ndarray, x_bar: np.ndarray) -> float:
 
 
 def bregman_empirical(
-    family: ExponentialFamily, obs: ObservationSet, x1: np.ndarray, x2: np.ndarray
+    family: ExponentialFamily, counts: np.ndarray, x1: np.ndarray, x2: np.ndarray
 ) -> float:
-    """Average Bregman divergence over the observed cells (with multiplicity)."""
+    """Average Bregman divergence over the observations, from the table ``counts``
+    of how many each cell received: ``sum_c k_c D(x1_c, x2_c) / sum_c k_c`` over
+    the cells with ``k_c > 0``, one divergence per observed cell. A table with
+    no observation, or of another shape than ``x1`` and ``x2``, is a ValueError."""
+    counts = np.asarray(counts, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    idx = (obs.rows, obs.cols)
-    vals = family.bregman(x1[idx], x2[idx])
-    return float(np.mean(vals))
+    if not counts.shape == x1.shape == x2.shape:
+        raise ValueError(f"count table and matrices differ in shape: {counts.shape}, {x1.shape}, {x2.shape}")
+    seen = np.flatnonzero(counts > 0)
+    if not seen.size:
+        raise ValueError("the count table holds no observation")
+    k = counts.reshape(-1)[seen]
+    divergences = family.bregman(x1.reshape(-1)[seen], x2.reshape(-1)[seen])
+    return float((k * divergences).sum() / k.sum())
 
 
 def bregman_integrated(
@@ -139,35 +149,6 @@ def bound_value(
     }
 
 
-@dataclass(eq=False)
-class OracleInequalityReport:
-    """Outcome of comparing a known-sampling fit against candidate trade-offs.
-
-    ``margin_*`` is (best right-hand side) minus (left-hand side); the
-    inequality passes when the margin is no smaller than ``-slack``.
-    """
-
-    applicable: bool
-    lhs: float
-    rhs_flat: list[float]
-    rhs_rank: list[float]
-    margin_flat: float
-    margin_rank: float
-    slack: float
-
-    @property
-    def passed_flat(self) -> bool:
-        return self.applicable and self.margin_flat >= -self.slack
-
-    @property
-    def passed_rank(self) -> bool:
-        return self.applicable and self.margin_rank >= -self.slack
-
-    @property
-    def passed(self) -> bool:
-        return self.passed_flat and self.passed_rank
-
-
 def oracle_inequality_check(
     family: ExponentialFamily,
     scheme: SamplingScheme,
@@ -179,7 +160,7 @@ def oracle_inequality_check(
     candidates: list[np.ndarray],
     slack: float = 1e-8,
     required_lambda: float | None = None,
-) -> OracleInequalityReport:
+) -> dict:
     """Verify both oracle trade-off inequalities for a known-sampling fit.
 
     For every candidate ``X`` the integrated divergence of the fit must
@@ -187,6 +168,12 @@ def oracle_inequality_check(
     ``D(X) + ((1+sqrt(2))/2)^2 (mu / sigma_lo_sq) m1 m2 lam^2 rank(X)``,
     up to ``slack``. When ``required_lambda`` is given and ``lam`` falls
     below it the check is reported as inapplicable instead of evaluated.
+
+    Returns, keyed by name in column order: ``applicable``; ``lhs``, the
+    fit's integrated divergence; ``margin_flat`` and ``margin_rank``, the
+    smallest right-hand side of each inequality minus ``lhs``; and
+    ``passed_flat`` and ``passed_rank``, whether the check applies and the
+    margin is no smaller than ``-slack``.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -202,12 +189,12 @@ def oracle_inequality_check(
             d_pi
             + _HALF_ONE_PLUS_SQRT2_SQ * (mu / sigma_lo_sq) * m1 * m2 * lam**2 * numerical_rank(cand)
         )
-    return OracleInequalityReport(
-        applicable=applicable,
-        lhs=lhs,
-        rhs_flat=rhs_flat,
-        rhs_rank=rhs_rank,
-        margin_flat=min(rhs_flat) - lhs,
-        margin_rank=min(rhs_rank) - lhs,
-        slack=slack,
-    )
+    margin_flat, margin_rank = min(rhs_flat) - lhs, min(rhs_rank) - lhs
+    return {
+        "applicable": applicable,
+        "lhs": lhs,
+        "margin_flat": margin_flat,
+        "margin_rank": margin_rank,
+        "passed_flat": applicable and margin_flat >= -slack,
+        "passed_rank": applicable and margin_rank >= -slack,
+    }

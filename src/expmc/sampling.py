@@ -22,10 +22,10 @@ after a few steps (behind a long run of zero or tiny cells) is finished
 by binary search. Draws are therefore the same cells
 ``np.searchsorted(cdf, u, side="right")`` would pick, mostly in one step
 or none instead of a binary search. ``draw`` splits the flat cell index
-``f`` into ``row = f // m2`` and ``col = f - row * m2`` (the values
-``np.divmod`` gives); ``simulate`` and :meth:`ObservationSet.summary`
-recombine them as ``row * m2 + col``. ``counts`` bincounts the same flat
-indices into a table, so it reads the generator as ``draw`` does.
+``f`` into ``row, col = np.divmod(f, m2)``; ``simulate`` and
+:meth:`ObservationSet.summary` recombine them as ``row * m2 + col``.
+``counts`` bincounts the same flat indices into a table, so it reads the
+generator as ``draw`` does.
 
 A :class:`CellSummary` holds a sample as the per-cell counts and sums of its
 observations, which is all the likelihood reads: an :class:`ObservationSet`
@@ -125,11 +125,7 @@ class SamplingScheme:
         """n independent cell indices (0-based row and column arrays)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        flat = self._draw_flat(n, rng)
-        rows = flat // self.m2
-        cols = rows * self.m2
-        np.subtract(flat, cols, out=cols)
-        return rows, cols
+        return np.divmod(self._draw_flat(n, rng), self.m2)
 
     def counts(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """How many of n independent draws fell on each cell, as an int64 ``m1 x m2``
@@ -162,10 +158,10 @@ class SamplingScheme:
 class ObservationSet:
     """Sample of observed entries: 0-based cell indices and one value per draw.
 
-    Indices that are not integers (integral floats are) or out of range, and
-    non-finite values, are a ValueError. The set shares memory with int64
-    ``rows``/``cols`` and float64 ``ys`` it is given: it holds read-only views
-    of them, and the caller's arrays stay writeable."""
+    Indices that are booleans, not integers (integral floats are) or out of
+    range, and non-finite values, are a ValueError. The set shares memory with
+    int64 ``rows``/``cols`` and float64 ``ys`` it is given: it holds read-only
+    views of them, and the caller's arrays stay writeable."""
 
     m1: int
     m2: int
@@ -182,7 +178,9 @@ class ObservationSet:
             raise ValueError("an observation set needs at least one sample")
         # Checked as values, before the int64 cast: it would truncate 0.7 to 0 and wrap 1e20.
         for idx in (rows, cols):
-            if idx.dtype.kind not in "biu" and not np.all(np.isfinite(idx) & (idx == np.round(idx))):
+            if idx.dtype.kind == "b":  # as int64, True and False would be read as cells 1 and 0
+                raise ValueError("observation row/col indices must be integers, not booleans")
+            if idx.dtype.kind not in "iu" and not np.all(np.isfinite(idx) & (idx == np.round(idx))):
                 raise ValueError("observation row/col indices must be integers")
         if rows.min() < 0 or rows.max() >= self.m1 or cols.min() < 0 or cols.max() >= self.m2:
             raise ValueError("observation indices out of range")
@@ -212,16 +210,19 @@ class CellSummary:
     """A sample as per-cell tables: ``counts`` of the observations each cell of an
     ``m1 x m2`` matrix received and ``sums`` of their values; ``n`` is the total count.
 
-    Tables that are not 2-d or differ in shape, counts that are not nonnegative
-    integers (integral floats are), non-finite sums, a nonzero sum on a cell with no
-    observation and an empty sample are a ValueError. Both tables are held as
-    read-only float64 views, of the caller's arrays where those are float64 already."""
+    Tables that are not 2-d or differ in shape, counts that are booleans or not
+    nonnegative integers (integral floats are), non-finite sums, a nonzero sum on
+    a cell with no observation and an empty sample are a ValueError. Both tables
+    are held as read-only float64 views, of the caller's arrays where those are
+    float64 already."""
 
     counts: np.ndarray
     sums: np.ndarray
     n: int = field(init=False)
 
     def __post_init__(self):
+        if np.asarray(self.counts).dtype.kind == "b":
+            raise ValueError("cell counts must be integers, not booleans")
         counts, sums = np.asarray(self.counts, dtype=float), np.asarray(self.sums, dtype=float)
         if counts.ndim != 2 or counts.shape != sums.shape:
             raise ValueError(

@@ -18,9 +18,9 @@ from conftest import FAMILY_CASES
 
 from expmc import (
     Binomial,
+    CellSummary,
     CompletionProblem,
     Gaussian,
-    ObservationSet,
     ParameterBox,
     SolverConfig,
     build_packing,
@@ -38,7 +38,7 @@ from expmc import (
     uniform_scheme,
     verify_conditions,
 )
-from expmc.bench import ExperimentConfig, gen_truth, observe_every_entry, oracle_check, rate_sweep, simulate
+from expmc.bench import ExperimentConfig, gen_truth, oracle_check, rate_sweep, simulate
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 _LINES: list[str] = []
@@ -77,7 +77,7 @@ def test_02_exact_recovery():
     for seed in range(20):
         rng = np.random.default_rng([101, seed])
         truth = gen_truth(30, 30, 3, box, rng)
-        obs = observe_every_entry(truth.x_bar, fam)
+        obs = CellSummary(np.ones(truth.x_bar.shape), fam.mean(truth.x_bar))
         problem = CompletionProblem(obs=obs, family=fam, box=box, lam=1e-8)
         res = fit(problem)
         rel = float(np.linalg.norm(res.x_hat - truth.x_bar) / np.linalg.norm(truth.x_bar))

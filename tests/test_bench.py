@@ -21,7 +21,6 @@ from expmc.bench import (
     concentration_check,
     gen_truth,
     lowerbound_run,
-    observe_every_entry,
     oracle_check,
     rate_sweep,
     resolve_lambda,
@@ -166,15 +165,6 @@ class TestSimulate:
         cells = simulate_cells(truth, Poisson(), uniform_scheme(10, 10), 400, np.random.default_rng(22))
         (k,) = draws
         assert k.size == np.count_nonzero(cells.counts) and k.sum() == 400
-
-    def test_observe_every_entry_covers_once(self):
-        fam = Gaussian(sigma=1.0)
-        truth = gen_truth(4, 5, 2, BOX1, np.random.default_rng(11))
-        obs = observe_every_entry(truth.x_bar, fam)
-        assert obs.n == 20
-        counts = np.zeros((4, 5))
-        np.add.at(counts, (obs.rows, obs.cols), 1)
-        assert np.all(counts == 1)
 
 
 class TestConfig:

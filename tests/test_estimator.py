@@ -34,7 +34,6 @@ from expmc import estimator, matops
 from expmc.bench import (
     ExperimentConfig,
     gen_truth,
-    observe_every_entry,
     resolve_lambda,
     simulate,
     solver_from_config,
@@ -158,7 +157,7 @@ class TestProblemValidation:
     def test_noiseless_means_accepted(self, family_case):
         family, box = family_case
         x_bar = np.linspace(box.lo, box.hi, 12).reshape(3, 4)
-        obs = observe_every_entry(x_bar, family)
+        obs = CellSummary(np.ones(x_bar.shape), family.mean(x_bar))
         CompletionProblem(obs=obs, family=family, box=box, lam=0.0)
 
 
@@ -280,7 +279,7 @@ class TestNegLoglik:
         rng = np.random.default_rng(1)
         fam = Gaussian(sigma=1.0)
         x_bar = gen_truth(2, 2, 1, BOX1, rng).x_bar
-        obs = observe_every_entry(x_bar, fam, rng, noiseless=False)
+        obs = CellSummary(np.ones(x_bar.shape), fam.sample(x_bar, rng))
         scheme = uniform_scheme(2, 2)
         p_lik = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
         p_known = CompletionProblem(
@@ -449,12 +448,27 @@ class TestFit:
         rng = np.random.default_rng(8)
         fam = Gaussian(sigma=1.0)
         truth = gen_truth(12, 10, 3, BOX1, rng)
-        obs = observe_every_entry(truth.x_bar, fam)
+        obs = CellSummary(np.ones(truth.x_bar.shape), fam.mean(truth.x_bar))
         p = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=1e-8)
         res = fit(p)
         rel = np.linalg.norm(res.x_hat - truth.x_bar) / np.linalg.norm(truth.x_bar)
         assert rel < 1e-4
         assert res.converged
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_design_fit_same_from_cell_tables_as_from_one_observation_per_cell(self, seed):
+        # The exact-recovery acceptance problems: a table of ones and the means
+        # give the fit that one observation per cell, in row-major order, gives.
+        fam = Gaussian(sigma=1.0)
+        x_bar = gen_truth(30, 30, 3, BOX1, np.random.default_rng([101, seed])).x_bar
+        rows, cols = np.divmod(np.arange(900), 30)
+        per_observation = ObservationSet(30, 30, rows, cols, fam.mean(x_bar[rows, cols]))
+        ref = fit(CompletionProblem(obs=per_observation, family=fam, box=BOX1, lam=1e-8))
+        cells = CellSummary(np.ones((30, 30)), fam.mean(x_bar))
+        res = fit(CompletionProblem(obs=cells, family=fam, box=BOX1, lam=1e-8))
+        assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+        assert np.array_equal(res.x_hat, ref.x_hat)
+        assert res.objective_trace == ref.objective_trace
 
     def test_zero_solution_above_spectral_threshold(self):
         # Noisy data around the zero truth: the estimate collapses to zero
@@ -734,29 +748,6 @@ class TestDavisYinSolver:
         # The third y is a clip of w, not the last SVT output.
         assert not np.array_equal(res.x_hat, svts[-1])
         assert res.objective_trace[-1] == estimator._objective(p, res.x_hat)
-
-    @pytest.mark.parametrize("seed", [1000, 1001])
-    def test_kept_anderson_gram_equals_the_rebuilt_one(self, monkeypatch, seed):
-        # Box-bound known-sampling fits halve the step and drop extrapolations,
-        # so their histories are reset and refilled.
-        p = config_problem(KS_G60, seed)
-        res = fit(p)
-        extrapolate, sizes = estimator._extrapolate, []
-
-        def rebuilding(w_next, r, history):
-            rebuilt = np.array([[np.vdot(a[1], b[1]) for b in history.diffs] for a in history.diffs])
-            assert history.gram.dtype == rebuilt.dtype == np.float32
-            assert np.array_equal(history.gram, rebuilt)
-            sizes.append(len(history.diffs))
-            return extrapolate(w_next, r, estimator._History(history.diffs, rebuilt))
-
-        monkeypatch.setattr(estimator, "_extrapolate", rebuilding)
-        ref = fit(p)
-        assert max(sizes) == estimator._MEMORY
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # at least one reset
-        assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
-        assert np.array_equal(res.x_hat, ref.x_hat)
-        assert res.objective_trace == ref.objective_trace
 
     def test_cold_first_svt_certifies_on_the_binomial_300_config(self, monkeypatch):
         eighs, choleskys = [], []  # the order of each decomposition

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FAMILY_CASES, family_case_id
+
 import expmc.metrics
 from expmc import (
     Binomial,
     Gaussian,
-    ObservationSet,
     ParameterBox,
     Poisson,
     bound_value,
@@ -45,9 +46,39 @@ class TestBregmanRisks:
         fam = Poisson()
         scheme = uniform_scheme(3, 3)
         x = np.linspace(-0.5, 0.5, 9).reshape(3, 3)
-        obs = ObservationSet(m1=3, m2=3, rows=np.array([0, 1]), cols=np.array([1, 2]), ys=np.array([1.0, 2.0]))
+        counts = np.zeros((3, 3))
+        counts[0, 1], counts[1, 2] = 1, 2
         assert bregman_integrated(fam, scheme, x, x) == 0.0
-        assert bregman_empirical(fam, obs, x, x) == 0.0
+        assert bregman_empirical(fam, counts, x, x) == 0.0
+
+    @pytest.mark.parametrize("family, box", FAMILY_CASES, ids=[family_case_id(c) for c in FAMILY_CASES])
+    def test_empirical_per_cell_equals_the_mean_over_observations(self, family, box):
+        # 600 draws on 36 cells: every cell repeats, and the counts weight them.
+        rng = np.random.default_rng(6)
+        x1, x2 = rng.uniform(box.lo, box.hi, (2, 6, 6))
+        rows, cols = uniform_scheme(6, 6).draw(600, rng)
+        counts = np.zeros((6, 6))
+        np.add.at(counts, (rows, cols), 1)
+        per_observation = float(np.mean(family.bregman(x1[rows, cols], x2[rows, cols])))
+        assert counts.max() > 1
+        assert bregman_empirical(family, counts, x1, x2) == pytest.approx(per_observation, rel=1e-12, abs=0.0)
+
+    def test_empirical_reads_only_observed_cells(self):
+        # The divergence at an unobserved cell never enters, even where it is not finite.
+        fam = Poisson()
+        x1, x2 = np.zeros((2, 2)), np.zeros((2, 2))
+        x1[1, 1] = math.inf
+        counts = np.array([[1, 3], [0, 0]])
+        assert bregman_empirical(fam, counts, x1, x2) == 0.0
+
+    @pytest.mark.parametrize("counts, match", [
+        (np.zeros((2, 2)), "no observation"),
+        (np.ones((2, 3)), "shape"),
+        (np.ones(4), "shape"),
+    ], ids=["empty", "other-shape", "not-2d"])
+    def test_empirical_rejects_a_bad_count_table(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            bregman_empirical(Poisson(), counts, np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_gaussian_uniform_is_half_frobenius_risk(self):
         rng = np.random.default_rng(1)
@@ -65,9 +96,7 @@ class TestBregmanRisks:
         x1 = rng.uniform(-1, 1, (5, 5))
         x2 = rng.uniform(-1, 1, (5, 5))
         n = 10**5
-        rows, cols = scheme.draw(n, rng)
-        obs = ObservationSet(m1=5, m2=5, rows=rows, cols=cols, ys=np.zeros(n))
-        emp = bregman_empirical(fam, obs, x1, x2)
+        emp = bregman_empirical(fam, scheme.counts(n, rng), x1, x2)
         integ = bregman_integrated(fam, scheme, x1, x2)
         per_cell = fam.bregman(x1, x2)
         se = math.sqrt(float((scheme.pi * (per_cell - integ) ** 2).sum()) / n)
@@ -164,9 +193,9 @@ class TestRiskReport:
         scheme = uniform_scheme(3, 3)
         x_bar = np.outer(rng.standard_normal(3), rng.standard_normal(3))
         x_hat = x_bar + 0.1
-        obs = ObservationSet(m1=3, m2=3, rows=np.array([0, 2]), cols=np.array([1, 2]),
-                             ys=np.array([0.3, -0.2]))
-        return risk_report(fam, scheme, obs, x_hat, x_bar)
+        counts = np.zeros((3, 3))
+        counts[0, 1] = counts[2, 2] = 1
+        return risk_report(fam, scheme, counts, x_hat, x_bar)
 
     def test_rejects_negative(self, monkeypatch):
         monkeypatch.setattr(expmc.metrics, "bregman_integrated", lambda *args: -1.0)
@@ -194,8 +223,15 @@ class TestOracleInequalityCheck:
             self.fam, self.scheme, self.x_bar, self.x_bar, lam=0.01, mu=1.0,
             sigma_lo_sq=1.0, candidates=[self.x_bar, np.zeros((4, 4))],
         )
-        assert report.lhs == 0.0
-        assert report.passed
+        assert report["lhs"] == 0.0
+        assert report["passed_flat"] and report["passed_rank"]
+
+    def test_the_six_result_columns_in_order(self):
+        report = oracle_inequality_check(
+            self.fam, self.scheme, self.x_bar, self.x_bar, lam=0.01, mu=1.0,
+            sigma_lo_sq=1.0, candidates=[self.x_bar],
+        )
+        assert list(report) == ["applicable", "lhs", "margin_flat", "margin_rank", "passed_flat", "passed_rank"]
 
     def test_zero_candidate_flat_rhs_is_divergence_to_truth(self):
         zero = np.zeros((4, 4))
@@ -203,7 +239,7 @@ class TestOracleInequalityCheck:
             self.fam, self.scheme, self.x_bar, self.x_bar, lam=0.3, mu=1.0,
             sigma_lo_sq=1.0, candidates=[zero],
         )
-        assert report.rhs_flat[0] == pytest.approx(
+        assert report["lhs"] + report["margin_flat"] == pytest.approx(
             bregman_integrated(self.fam, self.scheme, zero, self.x_bar), rel=1e-12
         )
 
@@ -217,7 +253,7 @@ class TestOracleInequalityCheck:
         )
         rank = np.linalg.matrix_rank(self.x_bar)
         frob_bound = bounds(m1=4, m2=4, mu=mu, rank=rank, lam=lam, nuclear_norm_bar=1e9)["known_sampling_risk"]
-        converted = (2.0 * mu / 1.0) * report.rhs_rank[0]
+        converted = (2.0 * mu / 1.0) * (report["lhs"] + report["margin_rank"])
         assert converted == pytest.approx(frob_bound, rel=1e-12)
 
     def test_below_required_level_is_inapplicable(self):
@@ -225,8 +261,8 @@ class TestOracleInequalityCheck:
             self.fam, self.scheme, self.x_bar, self.x_bar, lam=0.01, mu=1.0,
             sigma_lo_sq=1.0, candidates=[self.x_bar], required_lambda=0.02,
         )
-        assert not report.applicable
-        assert not report.passed
+        assert not report["applicable"]
+        assert not report["passed_flat"] and not report["passed_rank"]
 
     def test_needs_candidates(self):
         with pytest.raises(ValueError):
@@ -242,5 +278,5 @@ class TestOracleInequalityCheck:
             self.fam, self.scheme, far, self.x_bar, lam=1e-6, mu=1.0,
             sigma_lo_sq=1.0, candidates=[self.x_bar],
         )
-        assert report.margin_rank < 0
-        assert not report.passed_rank
+        assert report["margin_rank"] < 0
+        assert not report["passed_rank"]

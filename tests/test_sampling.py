@@ -331,6 +331,13 @@ class TestObservationSet:
         with pytest.raises(ValueError, match="integers"):
             ObservationSet(2, 2, rows=[0, 1], cols=bad, ys=[1.0, 2.0])
 
+    def test_boolean_indices_rejected(self):
+        # An int64 cast would read [True, False] as rows 1 and 0.
+        with pytest.raises(ValueError, match="not booleans"):
+            ObservationSet(2, 2, rows=[True, False], cols=[0, 1], ys=[1.0, 2.0])
+        with pytest.raises(ValueError, match="not booleans"):
+            ObservationSet(2, 2, rows=[0, 1], cols=np.array([True, False]), ys=[1.0, 2.0])
+
     def test_integral_float_indices_accepted(self):
         obs = ObservationSet(2, 3, rows=[0.0, 1.0], cols=[2.0, 0.0], ys=[1.0, 2.0])
         assert obs.rows.dtype == obs.cols.dtype == np.int64
@@ -372,6 +379,11 @@ class TestCellSummary:
         cells = CellSummary(np.array([[0, 2], [1, 0]]), np.array([[0.0, 1.5], [-1.0, 0.0]]))
         assert (cells.m1, cells.m2, cells.n) == (2, 2, 3)
         assert cells.counts.dtype == cells.sums.dtype == np.float64
+
+    def test_boolean_counts_rejected(self):
+        # As floats, a boolean table would read as counts 1 and 0.
+        with pytest.raises(ValueError, match="not booleans"):
+            CellSummary(np.array([[True, False]]), np.array([[2.5, 0.0]]))
 
     def test_callers_arrays_stay_writeable_and_shared(self):
         counts, sums = np.array([[1.0, 0.0]]), np.array([[2.5, 0.0]])
