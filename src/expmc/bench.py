@@ -211,6 +211,12 @@ class ExperimentConfig:
             box = ParameterBox.symmetric(float_from_config(d.get("gamma", 1.0), "gamma"))
         family.variance_bounds(box)
         m1, m2 = int_from_config(d["m1"], "m1", 1), int_from_config(d["m2"], "m2", 1)
+        diameter = 2.0 * box.radius  # the risks square the distance between two matrices in the box
+        if not math.isfinite(m1 * m2 * diameter * diameter):
+            raise ValueError(
+                f"config key {'box' if 'box' in d else 'gamma'!r}: m1 * m2 * (2 * radius)^2 overflows "
+                f"at box radius {box.radius!r}"
+            )
         n_single = int_from_config(d["n"], "n", 1) if "n" in d else None
         n_grid = _typed_from_config(d.get("n_grid", [n_single] if "n" in d else []), "n_grid", list, "a list")
         n_grid = [int_from_config(v, "n_grid", 1) for v in n_grid]
@@ -226,6 +232,8 @@ class ExperimentConfig:
             lambda_mode = float_from_config(lambda_mode, "lambda_mode")
             if lambda_mode < 0:
                 raise ValueError(f"config key 'lambda_mode' must be >= 0, got {lambda_mode!r}")
+            if not math.isfinite(lambda_mode * lambda_mode):  # the bounds square the penalty level
+                raise ValueError(f"config key 'lambda_mode': its square overflows, got {lambda_mode!r}")
         elif lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be a number or one of {LAMBDA_MODES}")
         mode = d.get("mode", LIKELIHOOD)

@@ -6,12 +6,18 @@ command's CSV artifacts and returns its result line. The runner then writes
 the manifest, after those outputs, and prints the line, which starts with the
 path of the command's main output. See the README for the config schema. The
 first file written creates the output directory, so a command that fails
-before it leaves none; ``fit`` writes nothing until its fit has returned.
+before it leaves none. ``fit`` writes nothing into the output directory until
+its fit has returned: while it fits, one worker thread writes a drawn
+replicate's truth and observation CSVs into a temporary staging directory,
+from which they are copied once the fit has returned. A fit or a writer that
+raises leaves neither the output directory nor the staging directory behind.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import click
@@ -99,21 +105,37 @@ def simulate(cfg, seed, out):
     return str(out / "observations.csv")
 
 
+def _penalized_fit(cfg: bench.ExperimentConfig, truth, probe):
+    """The fit of ``probe`` at the config's penalty level."""
+    lam = bench.resolve_lambda(cfg, probe, truth.x_bar if truth else None)
+    return solve(probe.with_lambda(lam), cfg.solver)
+
+
 @_command("fit")
 def fit_cmd(cfg, seed, out):
-    """Fit the penalized estimator on observations (observations_path or simulated)."""
+    """Fit the penalized estimator on observations (observations_path or simulated).
+
+    A drawn replicate's truth.csv and observations.csv are written on one
+    worker thread into a temporary staging directory while the fit runs, and
+    copied into --out once the fit has returned."""
     cfg.constants  # computed before any draw or output, whatever the penalty mode
     if cfg.observations_path is None:
+        from concurrent.futures import ThreadPoolExecutor  # imported on use: importing the CLI does not load it
+
         truth, probe = _replicate(cfg, seed)
+        # On exit the pool waits for the worker, then the staging directory is removed.
+        with tempfile.TemporaryDirectory() as staging, ThreadPoolExecutor(max_workers=1) as worker:
+            saved = worker.submit(_save_replicate, cfg, Path(staging), truth, probe)
+            result = _penalized_fit(cfg, truth, probe)
+            saved.result()
+            out.mkdir(parents=True, exist_ok=True)
+            for staged in Path(staging).iterdir():
+                shutil.copyfile(staged, out / staged.name)
     else:
         truth, obs = _load_truth(cfg), load_observations_csv(cfg.observations_path, cfg.m1, cfg.m2)
         if cfg.lambda_mode == "oracle" and truth is None:
             raise click.UsageError("lambda_mode 'oracle' needs a truth_path")
-        probe = cfg.problem(obs)
-    lam = bench.resolve_lambda(cfg, probe, truth.x_bar if truth else None)
-    result = solve(probe.with_lambda(lam), cfg.solver)
-    if cfg.observations_path is None:
-        _save_replicate(cfg, out, truth, probe)
+        result = _penalized_fit(cfg, truth, cfg.problem(obs))
     save_matrix_csv(out / "estimate.csv", result.x_hat)
     report = {
         **bench.fit_columns(result),

@@ -192,7 +192,8 @@ def theorem_lambda(
     ``which="known_sampling"``: ``(c_gamma sigma_hi + c* l_gamma) sqrt(2 log(d) / (m n))``.
 
     Here ``d = m1 + m2``, ``m = min(m1, m2)`` and ``c*`` is the constant
-    ``1 + sqrt(3)`` (:data:`C_STAR`).
+    ``1 + sqrt(3)`` (:data:`C_STAR`). A level whose square overflows (the
+    bounds square it) is a ValueError naming ``c_gamma``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -201,10 +202,14 @@ def theorem_lambda(
     sigma_hi = math.sqrt(consts.sigma_hi_sq)
     if which == LIKELIHOOD:
         nu = scheme.nu_constant()
-        return 2.0 * c_gamma * sigma_hi * math.sqrt(2.0 * nu * math.log(d) / (m * n))
-    if which == KNOWN_SAMPLING:
-        return (c_gamma * sigma_hi + C_STAR * consts.l_gamma) * math.sqrt(2.0 * math.log(d) / (m * n))
-    raise ValueError(f"unknown lambda rule {which!r}")
+        lam = 2.0 * c_gamma * sigma_hi * math.sqrt(2.0 * nu * math.log(d) / (m * n))
+    elif which == KNOWN_SAMPLING:
+        lam = (c_gamma * sigma_hi + C_STAR * consts.l_gamma) * math.sqrt(2.0 * math.log(d) / (m * n))
+    else:
+        raise ValueError(f"unknown lambda rule {which!r}")
+    if not math.isfinite(lam * lam):
+        raise ValueError(f"solver key 'c_gamma' {c_gamma!r} gives a penalty level {lam!r} whose square overflows")
+    return lam
 
 
 def oracle_lambda(problem: CompletionProblem, x_bar: np.ndarray) -> float:

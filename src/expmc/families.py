@@ -57,10 +57,14 @@ __all__ = [
 ]
 
 # delta_gamma search: bracket of scales, bisection steps, parameters on the box grid,
-# and the largest binomial trials or Poisson intensity whose moment is summed.
+# points and steps of the search that places a peak between grid points (each step
+# shrinks its bracket tenfold, so 8 reach 2e-10 of the box), and the largest
+# binomial trials or Poisson intensity whose moment is summed.
 _DELTA_BRACKET = (1e-6, 1e6)
 _DELTA_BISECT_ITERS = 60
 _DELTA_GRID_POINTS = 101
+_PEAK_POINTS = 21
+_PEAK_STEPS = 8
 _MAX_COUNT = 200_000
 
 
@@ -292,18 +296,52 @@ class ExponentialFamily:
         bisection: the smallest scale in ``[1e-6, 1e6]`` (within bisection
         resolution) at which
         ``E[exp(|Y - G'(x)| / delta)] <= e`` holds on a uniform grid of 101
-        parameters spanning the box. Binomial ``trials`` above 200,000, or a
+        parameters spanning the box and at the moment's peaks between grid
+        points. The binomial moment has such peaks: it is smooth between the
+        kinks where the mean ``trials * p`` is an integer, and it can peak
+        inside any of those pieces. Binomial ``trials`` above 200,000, or a
         Poisson box whose largest intensity ``e^hi`` exceeds 200,000, is a
         ``ValueError``, raised before any other work on the box.
         """
         lo_sq, hi_sq = self.variance_bounds(box)
+        grid = np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS)
         with np.errstate(over="ignore"):
-            moment = self._abs_exp_moment(np.linspace(box.lo, box.hi, _DELTA_GRID_POINTS))
+            moment = self._abs_exp_moment(grid)
             l_gamma = float(np.abs(self._g1(np.array([box.lo, box.hi]))).max())
         if not math.isfinite(l_gamma):
             raise ValueError(f"sup |G'| is not finite for box [{box.lo}, {box.hi}]")
         delta = _solve_delta(moment, box)
+        # A peak between grid points moves with the scale: place the peaks at the
+        # grid's constant and, if the moment there exceeds e, take the constant of
+        # the peaks alone (the bisection is monotone in where the moment crosses e,
+        # so that is the constant over grid and peaks); then place them again at it.
+        for _ in range(2):
+            peaks = self._peaks_between(grid, moment(delta), delta)
+            if peaks.size == 0:
+                break
+            with np.errstate(over="ignore"):
+                at_peaks = self._abs_exp_moment(peaks)
+                if at_peaks(delta).max() <= math.e:
+                    break
+            delta = _solve_delta(at_peaks, box)
         return IntervalConstants(lo_sq, hi_sq, delta, l_gamma)
+
+    def _peaks_between(self, grid: np.ndarray, values: np.ndarray, scale: float) -> np.ndarray:
+        """Where the moment at ``scale`` peaks near each interior local maximum of its
+        ``values`` on ``grid``. The maximum's grid neighbours bracket the peak; each
+        step lays ``_PEAK_POINTS`` points across every bracket at once and keeps the
+        neighbours of the largest as the next bracket."""
+        i = np.flatnonzero((values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])) + 1
+        if i.size == 0:
+            return grid[i]
+        a, b = grid[i - 1], grid[i + 1]
+        rows, t = np.arange(i.size), np.linspace(0.0, 1.0, _PEAK_POINTS)
+        for _ in range(_PEAK_STEPS):
+            x = a[:, None] + (b - a)[:, None] * t
+            with np.errstate(over="ignore"):
+                best = np.clip(self._abs_exp_moment(x)(scale).argmax(axis=1), 1, _PEAK_POINTS - 2)
+            a, b = x[rows, best - 1], x[rows, best + 1]
+        return 0.5 * (a + b)
 
 
 def _solve_delta(moment, box: ParameterBox) -> float:

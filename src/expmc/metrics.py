@@ -138,6 +138,8 @@ def bound_value(
     ks_first = 2.0 * _HALF_ONE_PLUS_SQRT2_SQ * m1 * m2 / sigma_lo_sq**2 * lam**2 * rank
     ks_second = 4.0 / (mu * sigma_lo_sq) * lam * nuclear_norm_bar
     core = (c_gamma * math.sqrt(sigma_hi_sq) + l_gamma) / sigma_lo_sq
+    if not math.isfinite(core * core):
+        raise ValueError(f"solver key 'c_gamma' {c_gamma!r} is too large: the known-sampling bound overflows")
     return {
         "likelihood_risk": mu**2 * max(main, edge),
         "likelihood_risk_main": mu**2 * main,

@@ -320,6 +320,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=pattern):
             make_cfg(**overrides)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run, overrides, pattern", [
+        (rate_sweep, {"lambda_mode": 1e300}, "config key 'lambda_mode'"),
+        (oracle_check, {"mode": "known_sampling", "solver": {"c_gamma": 1e300}}, "solver key 'c_gamma'"),
+        (lowerbound_run, {"gamma": 1e300}, "config key 'gamma'"),
+        (rate_sweep, {"gamma": 1e300}, "config key 'gamma'"),
+        (rate_sweep, {"lambda_mode": 0.1, "solver": {"c_gamma": 1e300}}, "solver key 'c_gamma'"),
+    ], ids=["sweep-lambda_mode", "oracle-c_gamma", "lower-bound-gamma", "gaussian-sweep-gamma",
+            "sweep-bound-c_gamma"])
+    def test_overflowing_values_rejected_before_any_output(self, tmp_path, run, overrides, pattern):
+        # Each escaped as an OverflowError, or as numpy's overflow warning in `dot`,
+        # from deep inside the metrics, the packing check or the truth's SVD.
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=pattern):
+            run(make_cfg(m1=6, m2=5, rank=1, n_grid=[200, 400], replicates=1, **overrides), 1, out_dir=out)
+        assert not out.exists()
+
     def test_scheme_and_constants_built_once_on_first_use(self, tmp_path, monkeypatch):
         boxes, interval_constants = [], ExponentialFamily.interval_constants
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,10 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+# Passes the config checks; the fit's start step m1 m2 / sigma^2 overflows after the draw.
+START_STEP_OVERFLOW = {"family": {"family": "gaussian", "sigma": 1e-154}, "lambda_mode": 0.1}
 
 
 def invoke(runner, args):
@@ -122,6 +127,51 @@ class TestGenSimulateFit:
         for name in ("estimate.csv", "fit.json"):
             assert (direct_out / name).read_bytes() == (files_out / name).read_bytes()
 
+    @pytest.mark.parametrize("family, box", [
+        ({"family": "gaussian", "sigma": 1.0}, {"lo": -1.0, "hi": 1.0}),
+        ({"family": "binomial", "trials": 3}, {"lo": -1.0, "hi": 1.0}),
+        ({"family": "poisson"}, {"lo": -1.0, "hi": 1.0}),
+        ({"family": "exponential"}, {"lo": -2.0, "hi": -0.5}),
+    ], ids=["gaussian", "binomial", "poisson", "exponential"])
+    def test_fit_writes_the_replicate_that_simulate_writes(self, runner, tmp_path, family, box):
+        # fit stages its truth and observation CSVs on a worker thread while it
+        # fits; both commands draw the replicate from the same stream.
+        cfg = write_cfg(tmp_path, family=family, box=box, gamma=-box["lo"], truth="factor", n=300, lambda_mode=0.1)
+        sim_out, fit_out = tmp_path / "sim", tmp_path / "fit"
+        invoke(runner, ["simulate", "--config", str(cfg), "--seed", "5", "--out", str(sim_out)])
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "5", "--out", str(fit_out)])
+        for name in ("truth.csv", "observations.csv"):
+            assert (fit_out / name).read_bytes() == (sim_out / name).read_bytes()
+
+    def test_fit_that_raises_leaves_no_out_and_no_staging(self, runner, tmp_path, monkeypatch):
+        staging_root = tmp_path / "tmp"
+        staging_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
+        staged, save_replicate = [], expmc.cli._save_replicate
+
+        def recording(cfg, out, truth, probe):
+            staged.append(out)
+            save_replicate(cfg, out, truth, probe)
+
+        monkeypatch.setattr(expmc.cli, "_save_replicate", recording)
+        cfg = write_cfg(tmp_path, n=100, **START_STEP_OVERFLOW)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert isinstance(result.exception, ValueError) and "start step" in str(result.exception)
+        assert [p.parent for p in staged] == [staging_root]  # the worker wrote into a staging directory
+        assert not out.exists() and list(staging_root.iterdir()) == []
+
+    def test_writer_error_on_the_worker_surfaces_and_leaves_no_out(self, runner, tmp_path, monkeypatch):
+        def failing_writer(path, obs):
+            raise OSError(f"cannot write {Path(path).name}")
+
+        monkeypatch.setattr(expmc.cli, "save_observations_csv", failing_writer)
+        cfg = write_cfg(tmp_path, n=100, lambda_mode=0.1)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert isinstance(result.exception, OSError) and str(result.exception) == "cannot write observations.csv"
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [
         {"mode": "known-sampling"},
         {"family": {"family": "exponential"}},
@@ -134,9 +184,10 @@ class TestGenSimulateFit:
         {"family": {"family": "gaussian", "sigma": 1e200}},
         {"family": {"family": "exponential"}, "box": {"lo": -2.0, "hi": -1e-170}, "gamma": 2.0},
         {"lambda_mode": -0.5},
-        # Passes the config checks; the fit's start step overflows after the draw.
+        # m1 * m2 * (2 * radius)^2 overflows, so the config is rejected.
         {"family": {"family": "exponential"}, "box": {"lo": -1e154, "hi": -5e153}, "gamma": 1e154,
          "truth": "factor", "lambda_mode": 0.1},
+        START_STEP_OVERFLOW,
     ])
     def test_bad_config_rejected_before_any_output(self, runner, tmp_path, bad):
         cfg = write_cfg(tmp_path, **{"n": 100, **bad})

@@ -312,6 +312,31 @@ class TestIntervalConstants:
     def test_delta_gamma_pinned(self, fam, box, delta, rel):
         assert fam.interval_constants(box).delta_gamma == pytest.approx(delta, rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson", "exponential"])
+    def test_delta_gamma_covers_the_whole_box(self, family):
+        # The constant is no smaller than on a 100,001-point grid, on random boxes
+        # that hold the middle x = 0 of the domain (the exponential's lie within
+        # [-3.5, -0.5]): the binomial moment peaks between the 101 grid points near
+        # there (at x = 0 for odd trials, off it for even ones), where the grid
+        # alone came out low. Two Poisson boxes, as its fine grid takes 0.6 s a box.
+        from expmc.families import _solve_delta
+
+        rng = np.random.default_rng(["gaussian", "binomial", "poisson", "exponential"].index(family))
+        for _ in range(2 if family == "poisson" else 4):
+            lo, hi = -rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)
+            if family == "gaussian":
+                fam = Gaussian(sigma=float(rng.uniform(0.5, 2.0)))
+            elif family == "binomial":
+                fam = Binomial(trials=int(rng.integers(1, 13)))
+            elif family == "poisson":
+                fam = Poisson()
+            else:
+                fam, lo, hi = Exponential(), -2.0 + lo, -2.0 + 0.95 * hi
+            box = ParameterBox(float(lo), float(hi))
+            with np.errstate(over="ignore"):
+                fine = _solve_delta(fam._abs_exp_moment(np.linspace(box.lo, box.hi, 100_001)), box)
+            assert fam.interval_constants(box).delta_gamma >= fine, (fam, box)
+
     def test_delta_moment_matches_monte_carlo(self):
         # Independent simulation check of the closed-form/series moments.
         rng = np.random.default_rng(9)
