@@ -13,9 +13,13 @@ carries the config hash.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +70,9 @@ __all__ = [
 LAMBDA_MODES = ("oracle", "theorem_likelihood", "theorem_known_sampling")
 _LAMBDA_FLOOR = 1e-12  # keeps emitted penalty levels positive on noiseless data
 _RADEMACHER_REPS = 25  # random-sign draws behind each sweep row's norm estimate
+# A forked child runs beside its parent only on Linux: Windows has no fork, and
+# macOS's Accelerate BLAS is not fork-safe.
+_FORK = sys.platform == "linux"
 # Every top-level key some command reads; any other key is a mistake.
 _CONFIG_KEYS = frozenset({
     "family", "sampling", "m1", "m2", "rank", "gamma", "box", "n_grid", "n",
@@ -487,6 +494,11 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
     log_d = math.log(cfg.m1 + cfg.m2)
     n_threshold = sample_size_threshold(consts, scheme)
     chash = cfg.hash
+    lo_sq_sq = consts.sigma_lo_sq * consts.sigma_lo_sq
+    if not (lo_sq_sq > 0.0 and 1.0 / lo_sq_sq < math.inf):  # the bounds divide by it
+        key = (f"family key 'sigma' {cfg.family.sigma!r}" if isinstance(cfg.family, Gaussian)
+               else f"config key {'box' if 'box' in cfg.raw else 'gamma'!r} [{cfg.box.lo}, {cfg.box.hi}]")
+        raise ValueError(f"{key}: the curvature bound sigma_lo^2 = {consts.sigma_lo_sq!r} squared underflows")
 
     rows = []
     for i_n, n in enumerate(cfg.n_grid):
@@ -591,6 +603,60 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
     return OracleCheckResult(rows=rows, all_passed=all_passed)
 
 
+@contextlib.contextmanager
+def _in_child(fn, *args):
+    """Call ``fn(*args)``, which returns a float, in a forked child while the
+    ``with`` body runs, and yield the function that waits for the child and
+    returns that float, bit for bit (or raises a RuntimeError that carries the
+    child's traceback). A body that raises kills and reaps the child first; no
+    child outlives the block. Where :data:`_FORK` is false, or another thread
+    runs (a forked child gets a copy of the locks those threads hold, and no
+    thread to release them), the call is made in-process, before the body."""
+    if not (_FORK and threading.active_count() == 1):
+        value = fn(*args)
+        yield lambda: value
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child leaves only by os._exit, which flushes no buffer and runs no
+        # atexit handler, and it never unwinds into the parent's copied stack.
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = "ok " + float(fn(*args)).hex()
+            except Exception:
+                import traceback
+
+                reply = traceback.format_exc()
+            with os.fdopen(write_fd, "w") as pipe:
+                pipe.write(reply)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pipe, running = os.fdopen(read_fd), [pid]
+
+    def join() -> float:
+        reply = pipe.read()
+        status = os.waitpid(running.pop(), 0)[1]
+        if not reply.startswith("ok "):
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"{fn.__name__} failed in its child process (exit code {code}):\n{reply}")
+        return float.fromhex(reply[3:])
+
+    try:
+        yield join
+    finally:
+        pipe.close()
+        if running:
+            import signal  # imported on the error path only
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 @dataclass(eq=False)
 class ConcentrationResult:
     rows: list[dict]
@@ -609,6 +675,11 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     the exceedance frequency with target ``1/d``. The score reads only the
     per-cell counts and sums, so each replicate draws them through
     :func:`simulate_cells`: its ``n`` cells, then one sum per observed cell.
+
+    The two chains draw from independent generators, so on Linux the
+    random-sign chain runs in a forked child process while this process runs
+    the score chain (see :func:`_in_child`). The outputs do not depend on
+    where it ran: its value comes back bit for bit.
     """
     scheme = cfg.scheme
     n = cfg.n_single
@@ -621,7 +692,6 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     sigma_z = math.sqrt(nu / m)
     rad_bound = C_STAR * sigma_z * math.sqrt(2.0 * math.e * math.log(d) / n)
     level = theorem_lambda(LIKELIHOOD, cfg.constants, scheme, n, cfg.solver.c_gamma) / 2.0
-    rad_est = rademacher_norm_estimate(scheme, n, cfg.reps, np.random.default_rng([seed, 1]))
 
     def row(metric: str, replicate: int, value: float, reference: float) -> dict:
         return {
@@ -630,20 +700,22 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
             "satisfied": value <= reference, "precondition_ok": precondition_ok,
         }
 
-    rows = [row("rademacher_norm", -1, rad_est, rad_bound)]
-
-    truth = cfg.truth(np.random.default_rng([seed, 2]))
-    exceed = 0
-    grad_rng = np.random.default_rng([seed, 3])
-    for rep in range(cfg.reps):
-        cells = simulate_cells(truth, cfg.family, scheme, n, grad_rng, noiseless=cfg.noiseless)
-        probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
-        gnorm = operator_norm(gradient(probe, truth.x_bar))
-        if gnorm > level:
-            exceed += 1
-        rows.append(row("grad_norm", rep, gnorm, level))
+    rad_rng = np.random.default_rng([seed, 1])
+    with _in_child(rademacher_norm_estimate, scheme, n, cfg.reps, rad_rng) as rademacher:
+        truth = cfg.truth(np.random.default_rng([seed, 2]))
+        exceed = 0
+        grad_rows = []
+        grad_rng = np.random.default_rng([seed, 3])
+        for rep in range(cfg.reps):
+            cells = simulate_cells(truth, cfg.family, scheme, n, grad_rng, noiseless=cfg.noiseless)
+            probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
+            gnorm = operator_norm(gradient(probe, truth.x_bar))
+            if gnorm > level:
+                exceed += 1
+            grad_rows.append(row("grad_norm", rep, gnorm, level))
+        rad_est = rademacher()
     freq = exceed / cfg.reps
-    rows.append(row("grad_exceedance", -1, freq, 1.0 / d))
+    rows = [row("rademacher_norm", -1, rad_est, rad_bound), *grad_rows, row("grad_exceedance", -1, freq, 1.0 / d)]
 
     if out_dir is not None:
         write_rows_csv(Path(out_dir) / "concentration.csv", rows)

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from expmc.bench import (
     simulate,
     simulate_cells,
 )
+import expmc.bench
 from expmc.io import load_matrix_csv, save_matrix_csv
+from expmc.sampling import rademacher_norm_estimate
 
 BOX1 = ParameterBox.symmetric(1.0)
 
@@ -337,6 +342,22 @@ class TestConfig:
             run(make_cfg(m1=6, m2=5, rank=1, n_grid=[200, 400], replicates=1, **overrides), 1, out_dir=out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, pattern", [
+        ({"family": {"family": "gaussian", "sigma": 1e-150}}, "family key 'sigma' 1e-150"),
+        ({"family": {"family": "poisson"}, "box": {"lo": -400.0, "hi": 1.0}, "gamma": 400.0},
+         r"config key 'box' \[-400.0, 1.0\]"),
+    ], ids=["gaussian-sigma", "poisson-box"])
+    def test_curvature_whose_square_underflows_rejected_before_any_fit(self, tmp_path, monkeypatch, overrides,
+                                                                       pattern):
+        # sigma_lo^2 squared underflowed to 0, and the bounds of the first row divided by it.
+        fits = []
+        monkeypatch.setattr(expmc.bench, "fit", lambda *args: fits.append(args))
+        cfg = make_cfg(m1=6, m2=5, rank=1, n_grid=[200, 400], replicates=1, lambda_mode=0.1, **overrides)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=pattern):
+            rate_sweep(cfg, 1, out_dir=out)
+        assert not fits and not out.exists()
+
     def test_scheme_and_constants_built_once_on_first_use(self, tmp_path, monkeypatch):
         boxes, interval_constants = [], ExponentialFamily.interval_constants
 
@@ -542,6 +563,98 @@ class TestConcentration:
         high = concentration_check(make_cfg(solver={"c_gamma": 3.0}, **kwargs), seed=44)
         assert high.exceedance_frequency <= low.exceedance_frequency
         assert low.exceedance_frequency > 0  # tiny level is exceeded in noise
+
+
+# Small concentration configs of the four families.
+CONCENTRATION_FAMILIES = {
+    "gaussian": {},
+    "binomial": {"family": {"family": "binomial", "trials": 3}},
+    "poisson": {"family": {"family": "poisson"}},
+    "exponential": {"family": {"family": "exponential"}, "box": {"lo": -2.0, "hi": -0.5}, "gamma": 2.0,
+                    "truth": "factor"},
+}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls to os.fork made while the test runs."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+class TestConcentrationChild:
+    """The random-sign chain runs in a forked child on Linux; the rows do not depend on it."""
+
+    @pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
+    def test_random_sign_row_is_the_in_process_estimate_bit_for_bit(self, family, forks):
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=12, **CONCENTRATION_FAMILIES[family])
+        rows = concentration_check(cfg, seed=61).rows
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        expected = rademacher_norm_estimate(cfg.scheme, 300, 12, np.random.default_rng([61, 1]))
+        assert rows[0]["metric"] == "rademacher_norm" and rows[0]["value"].hex() == expected.hex()
+        assert [row["metric"] for row in rows] == ["rademacher_norm"] + ["grad_norm"] * 12 + ["grad_exceedance"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
+    def test_rows_identical_with_the_fork_off(self, family, tmp_path, monkeypatch):
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=12, **CONCENTRATION_FAMILIES[family])
+        forked = concentration_check(cfg, seed=62, out_dir=tmp_path / "forked")
+        monkeypatch.setattr(expmc.bench, "_FORK", False)
+        in_process = concentration_check(cfg, seed=62, out_dir=tmp_path / "in_process")
+        assert forked.rows == in_process.rows
+        csv = [(tmp_path / d / "concentration.csv").read_bytes() for d in ("forked", "in_process")]
+        assert csv[0] == csv[1]
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=12)
+        alone = concentration_check(cfg, seed=65).rows
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            beside_a_thread = concentration_check(cfg, seed=65).rows
+        finally:
+            release.set()
+            other.join(timeout=10.0)
+        assert not other.is_alive()
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert beside_a_thread == alone
+
+    def test_child_error_raised_in_the_parent_with_its_text(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise ValueError("no signs today")
+
+        monkeypatch.setattr(expmc.bench, "rademacher_norm_estimate", failing)
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=5)
+        with pytest.raises(RuntimeError if expmc.bench._FORK else ValueError, match="no signs today"):
+            concentration_check(cfg, seed=63, out_dir=tmp_path)
+        assert not (tmp_path / "concentration.csv").exists()
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not expmc.bench._FORK, reason="the chain runs in-process, before the score loop")
+    def test_score_loop_error_kills_the_child_and_propagates(self, tmp_path, monkeypatch):
+        def slow(*args):
+            time.sleep(60.0)
+            return 0.0
+
+        def failing(*args):
+            raise ArithmeticError("score loop failed")
+
+        monkeypatch.setattr(expmc.bench, "rademacher_norm_estimate", slow)
+        monkeypatch.setattr(expmc.bench, "gradient", failing)
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=5)
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="score loop failed"):
+            concentration_check(cfg, seed=64, out_dir=tmp_path)
+        assert time.perf_counter() - t0 < 30.0  # the child was killed, not waited out
+        assert not (tmp_path / "concentration.csv").exists()
+        assert_no_child_left()
 
 
 class TestLowerBoundRun:

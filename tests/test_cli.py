@@ -482,6 +482,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # The concentration check forks with a bare os.fork: multiprocessing's imports alone add about 1.1 MB of RSS.
+    code = "import sys, expmc.cli; print(sorted(m for m in sys.modules if m.startswith(" \
+        "('multiprocessing', 'concurrent.futures.process'))))"
+    src = str(Path(expmc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_fits_of_every_family_import_no_scipy(tmp_path):
     base = {"m1": 8, "m2": 8, "rank": 2, "gamma": 1.0, "n": 200, "truth": "flat"}
     configs = {

@@ -17,6 +17,13 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
   wrote, solver iterations, median Frobenius risk and the failed share of
   ops.
 
+On Linux, ``expmc concentration`` runs its random-sign chain in a forked
+child process, whose tracer spans stay in the child's memory. So a traced
+``concentration_pois100`` pass reads 0 for
+``sampling.rademacher_norm_estimate.*``; only counters kept by the library
+itself (ROADMAP item 6) would bring them back. No other counter moves: the
+chain's operator norms and cell draws were never wrapped.
+
 The machine block is the one the runs recorded; runs with differing
 machine blocks are refused. That does not tell two builds of one checkout
 apart: ``run.py`` records the checkout's HEAD also for uncommitted changes,
