@@ -70,6 +70,7 @@ __all__ = [
 LAMBDA_MODES = ("oracle", "theorem_likelihood", "theorem_known_sampling")
 _LAMBDA_FLOOR = 1e-12  # keeps emitted penalty levels positive on noiseless data
 _RADEMACHER_REPS = 25  # random-sign draws behind each sweep row's norm estimate
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the fit's extrapolation history is float32
 # A forked child runs beside its parent only on Linux: Windows has no fork, and
 # macOS's Accelerate BLAS is not fork-safe.
 _FORK = sys.platform == "linux"
@@ -218,11 +219,13 @@ class ExperimentConfig:
             box = ParameterBox.symmetric(float_from_config(d.get("gamma", 1.0), "gamma"))
         family.variance_bounds(box)
         m1, m2 = int_from_config(d["m1"], "m1", 1), int_from_config(d["m2"], "m2", 1)
-        diameter = 2.0 * box.radius  # the risks square the distance between two matrices in the box
-        if not math.isfinite(m1 * m2 * diameter * diameter):
+        # The risks square the distance between two matrices in the box, and the fit's
+        # extrapolation takes inner products of float32 differences of its iterates.
+        diameter = 2.0 * box.radius
+        if not m1 * m2 * diameter * diameter <= _FLOAT32_MAX:
             raise ValueError(
-                f"config key {'box' if 'box' in d else 'gamma'!r}: m1 * m2 * (2 * radius)^2 overflows "
-                f"at box radius {box.radius!r}"
+                f"config key {'box' if 'box' in d else 'gamma'!r}: m1 * m2 * (2 * radius)^2 exceeds "
+                f"the float32 range ({_FLOAT32_MAX:.3g}) at box radius {box.radius!r}"
             )
         n_single = int_from_config(d["n"], "n", 1) if "n" in d else None
         n_grid = _typed_from_config(d.get("n_grid", [n_single] if "n" in d else []), "n_grid", list, "a list")

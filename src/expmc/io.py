@@ -366,12 +366,14 @@ def write_manifest(out_dir, command: str, config: dict, seed: int) -> Path:
     import platform
 
     from . import __version__
+    from .matops import gram_eigensolver
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "blas": {
             "name": blas.get("name"),
             "version": blas.get("version"),
+            "svt_eigensolver": gram_eigensolver(),
             **{key: os.environ.get(key) for key in _THREAD_SETTINGS},
         },
         "command": command,

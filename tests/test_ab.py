@@ -12,9 +12,10 @@ TOOL = ROOT / "tools" / "ab.py"
 
 # A stand-in for perfbench/run.py: its wall_s is the number in speed.txt, its
 # op0 writes payload.txt, whose digest it records for every pass, and its
-# second pass is cut short before op1.
+# second pass is cut short before op1. It logs the tree it ran from, and
+# whether that tree holds a file untracked.txt, to the file $AB_TREES_LOG.
 FAKE_RUN = """
-import argparse, hashlib, json, pathlib
+import argparse, hashlib, json, os, pathlib
 ap = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     ap.add_argument(flag)
@@ -30,6 +31,8 @@ result = {
     "pass_digests": [{"op0": {"payload.txt": digest}, "op1": {}}, {"op0": {"payload.txt": digest}}],
 }
 (out / "result.json").write_text(json.dumps(result))
+with open(os.environ["AB_TREES_LOG"], "a") as log:
+    log.write(f"{root} {(root / 'untracked.txt').exists()}\\n")
 """
 
 BENCHMARK = {
@@ -62,13 +65,24 @@ def toy(tmp_path):
 def run_ab(repo, tmp_path, *args):
     tmp = tmp_path / "tmpdir"
     tmp.mkdir(exist_ok=True)
+    log = tmp_path / "trees.log"
+    log.unlink(missing_ok=True)
+    (repo / "untracked.txt").write_text("not in either tree\n")
     proc = subprocess.run(
         [sys.executable, str(repo / "tools" / "ab.py"), "HEAD", "--pairs", "3", "--seconds", "0.1", *args],
-        cwd=repo, capture_output=True, text=True, env={**os.environ, "TMPDIR": str(tmp)}, timeout=120,
+        cwd=repo, capture_output=True, text=True, env={**os.environ, "TMPDIR": str(tmp), "AB_TREES_LOG": str(log)},
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert list(tmp.iterdir()) == []  # the temporary worktree directory is gone
-    assert len(git(repo, "worktree", "list").splitlines()) == 1  # and so is the worktree
+    # Both builds ran from two temporary trees, neither of them this checkout,
+    # and neither holds the untracked file.
+    runs = [line.rsplit(" ", 1) for line in log.read_text().splitlines()]
+    trees = {Path(tree) for tree, _ in runs}
+    assert len(runs) == 6 and len(trees) == 2 and {seen for _, seen in runs} == {"False"}
+    assert all(tree.parent.parent == tmp for tree in trees)
+    assert list(tmp.iterdir()) == []  # the temporary directory is gone, with both trees in it
+    assert len(git(repo, "worktree", "list").splitlines()) == 1  # and so are the worktrees
+    assert git(repo, "stash", "list") == ""  # the snapshot left no stash entry
     return proc.stdout
 
 
@@ -87,7 +101,8 @@ def test_a_changed_output_and_a_faster_build_are_reported(toy, tmp_path):
     (toy / ".perfbench_out" / "stale").mkdir(parents=True)
     out = run_ab(toy, tmp_path, "--seed", "5")
     assert "seeds [5, 6, 7]" in out
-    assert "outputs: op0 digests differ at seeds [5, 6, 7]" in out
+    assert "outputs: op0 digests differ at seeds [5, 6, 7], in payload.txt" in out
     wall = next(line for line in out.splitlines() if line.strip().startswith("wall_s"))
     assert wall.split()[1:3] == ["2", "[2,"] and wall.split()[-2:] == ["3/3", "0.500"]
-    assert sorted(p.name for p in (toy / ".perfbench_out").iterdir()) == [f"toy-seed{s}-trace0" for s in (5, 6, 7)]
+    # The runs were made and removed in the temporary trees; this checkout's results are not touched.
+    assert [p.name for p in (toy / ".perfbench_out").iterdir()] == ["stale"]

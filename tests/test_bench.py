@@ -332,15 +332,32 @@ class TestConfig:
         (lowerbound_run, {"gamma": 1e300}, "config key 'gamma'"),
         (rate_sweep, {"gamma": 1e300}, "config key 'gamma'"),
         (rate_sweep, {"lambda_mode": 0.1, "solver": {"c_gamma": 1e300}}, "solver key 'c_gamma'"),
+        (rate_sweep, {"gamma": 1e19}, "config key 'gamma'"),
+        (rate_sweep, {"gamma": 1e30}, "config key 'gamma'"),
+        (rate_sweep, {"gamma": 1e40}, "config key 'gamma'"),
+        (rate_sweep, {"gamma": 1e60}, "config key 'gamma'"),
+        (rate_sweep, {"gamma": 1e150}, "config key 'gamma'"),
     ], ids=["sweep-lambda_mode", "oracle-c_gamma", "lower-bound-gamma", "gaussian-sweep-gamma",
-            "sweep-bound-c_gamma"])
+            "sweep-bound-c_gamma", "gamma-1e19", "gamma-1e30", "gamma-1e40", "gamma-1e60", "gamma-1e150"])
     def test_overflowing_values_rejected_before_any_output(self, tmp_path, run, overrides, pattern):
         # Each escaped as an OverflowError, or as numpy's overflow warning in `dot`,
-        # from deep inside the metrics, the packing check or the truth's SVD.
+        # from deep inside the metrics, the packing check or the truth's SVD. The
+        # Gaussian radii from 1e19 overflowed the fit's float32 extrapolation
+        # history: its inner products up to about 1e38 (LAPACK's "SVD did not
+        # converge" in the extrapolation's least squares), the cast past that.
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=pattern):
             run(make_cfg(m1=6, m2=5, rank=1, n_grid=[200, 400], replicates=1, **overrides), 1, out_dir=out)
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_radius_in_the_float32_range_runs(self, tmp_path):
+        # m1 * m2 * (2 * radius)^2 is 3.07e38 at radius 1.6e18 on 6x5, inside the
+        # float32 range of 3.40e38; 1.7e18 is rejected.
+        cfg = make_cfg(m1=6, m2=5, rank=1, n_grid=[200, 400], replicates=1, gamma=1.6e18)
+        assert len(rate_sweep(cfg, 1, out_dir=tmp_path / "out").rows) == 2
+        with pytest.raises(ValueError, match="config key 'gamma'.*float32 range"):
+            make_cfg(m1=6, m2=5, rank=1, gamma=1.7e18)
 
     @pytest.mark.parametrize("overrides, pattern", [
         ({"family": {"family": "gaussian", "sigma": 1e-150}}, "family key 'sigma' 1e-150"),

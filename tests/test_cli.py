@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import expmc
 from expmc import ExponentialFamily, ObservationSet
 from expmc.cli import main
+from expmc import matops
 from expmc.io import fmt_value, load_matrix_csv, load_observations_csv, save_matrix_csv, save_observations_csv
 
 
@@ -68,9 +69,16 @@ class TestGenSimulateFit:
         invoke(runner, ["gen", "--config", str(write_cfg(tmp_path)), "--seed", "7", "--out", str(out)])
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert json.loads((out / "manifest.json").read_text())["blas"] == {
-            "name": blas["name"], "version": blas["version"],
+            "name": blas["name"], "version": blas["version"], "svt_eigensolver": matops.gram_eigensolver(),
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
         }
+
+    def test_manifest_records_the_svt_eigensolver(self, runner, tmp_path, monkeypatch):
+        # Outputs may differ in their last bits between the two, so the manifest names the one that ran.
+        monkeypatch.setattr(matops, "_lapack_dsyevr", lambda: None)
+        out = tmp_path / "out"
+        invoke(runner, ["gen", "--config", str(write_cfg(tmp_path)), "--seed", "7", "--out", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["blas"]["svt_eigensolver"] == "eigh"
 
     def test_simulate_then_fit_from_files(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, n=300)

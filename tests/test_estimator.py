@@ -566,16 +566,21 @@ class TestFit:
         obs = simulate(truth, fam, uniform_scheme(300, 300), 90000, rng)
         p0 = CompletionProblem(obs=obs, family=fam, box=BOX1, lam=0.0)
         p = p0.with_lambda(oracle_lambda(p0, truth.x_bar))
-        orders = []
-        eigh = np.linalg.eigh
+        orders, grams = [], []  # the Ritz steps' eigh calls, the Gram route's decompositions
+        eigh, gram_eig = np.linalg.eigh, matops._gram_eig
 
         def recording_eigh(a):
             orders.append(a.shape[0])
             return eigh(a)
 
+        def recording_gram_eig(g, *args):
+            grams.append(g.shape[0])
+            return gram_eig(g, *args)
+
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(matops, "_gram_eig", recording_gram_eig)
         res, again = fit(p), fit(p)
-        assert orders.count(300) == 0 and len(orders) > 2 * res.iterations
+        assert not grams and orders.count(300) == 0 and len(orders) > 2 * res.iterations
         assert np.array_equal(res.x_hat, again.x_hat)
         assert (res.iterations, res.objective_trace) == (again.iterations, again.objective_trace)
         svt = matops.svt
@@ -750,8 +755,8 @@ class TestDavisYinSolver:
         assert res.objective_trace[-1] == estimator._objective(p, res.x_hat)
 
     def test_cold_first_svt_certifies_on_the_binomial_300_config(self, monkeypatch):
-        eighs, choleskys = [], []  # the order of each decomposition
-        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+        eighs, choleskys, grams = [], [], []  # the order of each decomposition
+        eigh, cholesky, gram_eig = np.linalg.eigh, np.linalg.cholesky, matops._gram_eig
 
         def recording_eigh(a):
             eighs.append(a.shape[0])
@@ -761,15 +766,20 @@ class TestDavisYinSolver:
             choleskys.append(a.shape[0])
             return cholesky(a)
 
+        def recording_gram_eig(g, *args):
+            grams.append(g.shape[0])
+            return gram_eig(g, *args)
+
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        monkeypatch.setattr(matops, "_gram_eig", recording_gram_eig)
         for seed in (1000, 1001, 1002, 1003):
             p = config_problem(BINOM300, seed)
             eighs.clear()
             choleskys.clear()
             fit(p, SolverConfig(max_iters=1))
             # Every SVT, the first included, was the warm route's and certified.
-            assert eighs and max(eighs) <= 10
+            assert not grams and eighs and max(eighs) <= 10
             assert choleskys and set(choleskys) == {300}
 
     def test_extrapolation_that_raises_the_residual_is_dropped(self, monkeypatch):

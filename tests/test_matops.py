@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +246,19 @@ class TestWarmSVT:
         return calls
 
     @staticmethod
+    def count_grams(monkeypatch):
+        """Count the Gram route's decompositions, each logged with its order."""
+        calls = []
+        fn = matops._gram_eig
+
+        def counting(g, *args):
+            calls.append(g.shape[0])
+            return fn(g, *args)
+
+        monkeypatch.setattr(matops, "_gram_eig", counting)
+        return calls
+
+    @staticmethod
     def spectrum(rng, m1, m2, k, tau):
         """Orthonormal factors and singular values: ``k`` of them in ``[1.5, 4] tau``,
         the rest in ``[0, 0.8] tau``."""
@@ -260,18 +277,21 @@ class TestWarmSVT:
         a = (u * s) @ v.T
         basis = SvtBasis()
         eighs = self.count_calls(monkeypatch, "eigh")
+        grams = self.count_grams(monkeypatch)
         for step in range(5):
             # A random walk of operator norm about 0.02 tau per step keeps the gap at tau.
             a = a + 0.02 * tau / 34.0 * rng.standard_normal(shape)
             ref = svt(a, tau)
-            n_ref = len(eighs)
+            n_eighs, n_grams = len(eighs), len(grams)
             out = svt(a, tau, basis)
             assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
             assert basis.v.shape == (min(shape), self.kept_rank(a, tau) + 5)
             # The first call starts from the cold block of 10 columns, which
             # certifies 3 kept values; at 20 it gives way to the Gram route.
-            first = 10 if k <= 5 else min(shape)
-            assert max(eighs[n_ref:]) == (first if step == 0 else k + 5)
+            if step == 0 and k > 5:
+                assert grams[n_grams:] == [min(shape)]
+            else:
+                assert grams[n_grams:] == [] and max(eighs[n_eighs:]) == (10 if step == 0 else k + 5)
 
     @pytest.mark.parametrize(
         "which", ["orthogonal_to_the_top", "narrower_than_the_rank", "missing_kept_vectors", "out_of_steps"]
@@ -294,24 +314,23 @@ class TestWarmSVT:
             "out_of_steps": np.linalg.qr(v[:, :8] + 0.1 * rng.standard_normal((300, 8)))[0],
         }[which]
         choleskys = self.count_calls(monkeypatch, "cholesky")
-        eighs = self.count_calls(monkeypatch, "eigh")
+        grams = self.count_grams(monkeypatch)
         if which == "out_of_steps":
             svt(a, tau, SvtBasis(stale.copy()))
-            assert eighs.count(300) == 0 and len(choleskys) == 1  # certified within the default steps
+            assert not grams and len(choleskys) == 1  # certified within the default steps
             monkeypatch.setattr(matops, "_WARM_MAX_STEPS", 1)
-            eighs.clear()
             choleskys.clear()
         basis = SvtBasis(stale.copy())
         out = svt(a, tau, basis)
         # The warm route gave up and the Gram route decomposed the Gram matrix once.
-        assert eighs.count(300) == 1
+        assert grams == [300]
         # The stale bases that converge on their own span reach the certificate
         # and fail it; the narrow one has no Ritz value below tau^2 to spare,
         # and the one out of steps never converges.
         assert len(choleskys) == (1 if which in ("orthogonal_to_the_top", "missing_kept_vectors") else 0)
         # Without a basis, svt takes the Gram route; the basis left is its top k + 5 eigenvectors.
         assert np.array_equal(out, svt(a, tau))
-        assert np.array_equal(basis.v, np.linalg.eigh(a.T @ a)[1][:, ::-1][:, :k + 5])
+        assert np.array_equal(basis.v, matops._gram_eig(a.T @ a, tau * tau, 5)[2])
         assert basis.v.shape == (300, k + 5)
 
     @pytest.mark.parametrize("k", [3, 20])
@@ -356,17 +375,17 @@ class TestWarmSVT:
         tau = 0.5
         u, s, v = self.spectrum(rng, 300, 300, 8, tau)
         a = (u * s) @ v.T
-        eighs = self.count_calls(monkeypatch, "eigh")
+        grams = self.count_grams(monkeypatch)
         basis = SvtBasis()
         out = svt(a, tau, basis)
-        assert eighs.count(300) == 1
+        assert grams == [300]
         ref = svt(a, tau)
         assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
         assert basis.v.shape == (300, 8 + 5) and self.kept_rank(a, tau) == 8
 
     def anchored(self, monkeypatch, seed, near=False):
         """A 300x300 input whose first warm call certifies 3 kept values densely, its
-        basis, and counters of later ``cholesky`` and ``eigh`` calls. ``near`` puts
+        basis, and counters of later ``cholesky`` calls and Gram-route decompositions. ``near`` puts
         the third value at 1.05 tau and the unkept ones in ``[0, 0.3] tau``."""
         rng = np.random.default_rng(seed)
         tau, k = 0.5, 3
@@ -378,20 +397,19 @@ class TestWarmSVT:
         basis = SvtBasis()
         assert basis.anchor is None  # a fresh basis cannot chain
         choleskys = self.count_calls(monkeypatch, "cholesky")
-        eighs = self.count_calls(monkeypatch, "eigh")
+        grams = self.count_grams(monkeypatch)
         svt(a, tau, basis)
-        assert len(choleskys) == 1 and eighs.count(300) == 0
+        assert len(choleskys) == 1 and not grams
         anchor = basis.anchor
         # The certificate proved the level halfway between the first unkept Ritz
         # value and tau^2, above sigma_{k+1} and below tau.
         assert anchor.k == k and np.array_equal(anchor.b, a)
         assert s[k] < anchor.c < tau
         choleskys.clear()
-        eighs.clear()
-        return rng, tau, u, s, v, a, basis, choleskys, eighs
+        return rng, tau, u, s, v, a, basis, choleskys, grams
 
     def test_chained_calls_factor_nothing(self, monkeypatch):
-        rng, tau, _, _, _, a, basis, choleskys, eighs = self.anchored(monkeypatch, 15)
+        rng, tau, _, _, _, a, basis, choleskys, grams = self.anchored(monkeypatch, 15)
         anchor = basis.anchor
         for _ in range(4):
             # Steps of Frobenius norm 0.01 tau leave the drift inside tau - c.
@@ -403,10 +421,10 @@ class TestWarmSVT:
             assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
             assert basis.shrunk.size == self.kept_rank(a, tau) == 3
             assert basis.anchor is anchor
-        assert not choleskys and eighs.count(300) == 4  # the four reference calls
+        assert not choleskys and grams == [300] * 4  # the four reference calls
 
     def test_drift_past_the_budget_certifies_densely(self, monkeypatch):
-        rng, tau, _, _, _, a, basis, choleskys, eighs = self.anchored(monkeypatch, 16)
+        rng, tau, _, _, _, a, basis, choleskys, grams = self.anchored(monkeypatch, 16)
         c = basis.anchor.c
         # Frobenius norm 2 (tau - c), spread over every entry: the operator norm
         # moves by about a tenth of that, and the kept rank stays 3.
@@ -414,7 +432,7 @@ class TestWarmSVT:
         a = a + 2.0 * (tau - c) * step / np.linalg.norm(step)
         assert self.kept_rank(a, tau) == 3
         out = svt(a, tau, basis)
-        assert len(choleskys) == 1 and eighs.count(300) == 0
+        assert len(choleskys) == 1 and not grams
         assert np.array_equal(basis.anchor.b, a) and basis.anchor.k == 3
         ref = svt(a, tau)
         assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
@@ -424,13 +442,13 @@ class TestWarmSVT:
         # budget, and the kept rank falls to 2. The anchor proves only
         # sigma_4 < tau, not sigma_3 < tau, so the call must not chain: a chain
         # that admitted any kept rank that did not grow would keep 2 unproved.
-        _, tau, u, s, v, a, basis, choleskys, eighs = self.anchored(monkeypatch, 17, near=True)
+        _, tau, u, s, v, a, basis, choleskys, grams = self.anchored(monkeypatch, 17, near=True)
         s[2] = 0.99 * tau
         a2 = (u * s) @ v.T
         assert self.kept_rank(a2, tau) == 2
         assert basis.anchor.c + np.linalg.norm(a2 - a) < tau
         out = svt(a2, tau, basis)
-        assert len(choleskys) == 1 and eighs.count(300) == 0
+        assert len(choleskys) == 1 and not grams
         assert basis.shrunk.size == 2 and basis.anchor.k == 2 and np.array_equal(basis.anchor.b, a2)
         ref = svt(a2, tau)
         assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
@@ -443,6 +461,171 @@ class TestWarmSVT:
         for _ in range(2):
             assert np.array_equal(svt(a, 0.5, basis), svt(a, 0.5))
         assert basis.v is None
+
+
+def without_dsyevr(monkeypatch, fn):
+    """``fn()`` with the Gram route on ``np.linalg.eigh``, as where numpy links no
+    OpenBLAS with the 64-bit-integer ``dsyevr``."""
+    with monkeypatch.context() as m:
+        m.setattr(matops, "_lapack_dsyevr", lambda: None)
+        return fn()
+
+
+needs_dsyevr = pytest.mark.skipif(matops._lapack_dsyevr() is None,
+                                  reason="numpy links no OpenBLAS with the 64-bit-integer dsyevr")
+
+
+class TestGramEig:
+    """The Gram route's eigensolver: LAPACK's ``dsyevr`` where numpy links its
+    bundled OpenBLAS, ``np.linalg.eigh`` elsewhere. Both routes keep the same
+    rank and agree to 1e-12 relative."""
+
+    @staticmethod
+    def agree(monkeypatch, a, tau, same_rank=True):
+        """``svt(a, tau)`` on both routes: the outputs agree, and so do the kept
+        ranks when ``same_rank``. Returns the kept rank of the dsyevr route."""
+
+        def run():
+            basis = SvtBasis()
+            return svt(a, tau, basis), basis.shrunk.size
+
+        fast, k_fast = run()
+        slow, k_slow = without_dsyevr(monkeypatch, run)
+        assert k_fast == k_slow or not same_rank
+        assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
+        return k_fast
+
+    @needs_dsyevr
+    def test_equal_top_singular_values(self, monkeypatch):
+        # A flat truth, as gen_truth draws it, on three column blocks of 20, with
+        # orthogonal sign patterns (Hadamard columns) on the rows: three equal
+        # singular values sqrt(64 * 20) * 0.95.
+        h = np.array([[1.0]])
+        for _ in range(6):
+            h = np.block([[h, h], [h, -h]])
+        signs = np.random.default_rng(18).choice([-1.0, 1.0], (3, 20))
+        x = 0.95 * np.hstack([np.outer(h[:, j + 1], signs[j]) for j in range(3)])
+        s = np.linalg.svd(x, compute_uv=False)
+        assert np.allclose(s[:3], 0.95 * math.sqrt(64 * 20), rtol=1e-14, atol=0.0) and s[3] < 1e-12 * s[0]
+        assert self.agree(monkeypatch, x, 0.5 * s[0]) == 3
+        noise = 0.01 * np.random.default_rng(19).standard_normal(x.shape)
+        assert self.agree(monkeypatch, x + noise, 0.5 * s[0]) == 3
+
+    @needs_dsyevr
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
+    def test_values_within_ulps_of_tau(self, monkeypatch, shape):
+        # Signed permutations make the Gram matrix diagonal, so both routes see
+        # the squares exactly: the values one and two ulps above tau are kept.
+        tau = 0.7
+        near = [tau * (1.0 + j * 2.0**-52) for j in (2, 1, -1, -2)]
+        s = np.array([3.0 * tau, 2.0 * tau, *near, *np.linspace(0.5, 0.0, 24) * tau])
+        rng = np.random.default_rng(20)
+        p = np.eye(shape[0])[rng.permutation(shape[0])][:, :30] * rng.choice([-1.0, 1.0], 30)
+        q = np.eye(shape[1])[rng.permutation(shape[1])][:, :30] * rng.choice([-1.0, 1.0], 30)
+        a = (p * s) @ q.T
+        assert self.agree(monkeypatch, a, tau) == 2 + int(np.count_nonzero(np.square(near) > tau * tau))
+        # The same spectrum turned by random orthogonal factors: each route's
+        # rounding of the squares, a few ulps of tau**2, may decide the near
+        # values differently, but they add at most 4 ulps of tau to the output.
+        assert self.agree(monkeypatch, with_singular_values(rng, *shape, s), tau, same_rank=False) in range(2, 7)
+
+    @needs_dsyevr
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (1, 30), (30, 1)], ids=["tall", "wide", "row", "column"])
+    @pytest.mark.parametrize("kept", ["none", "some", "all"])
+    def test_shapes(self, monkeypatch, shape, kept):
+        rng = np.random.default_rng([21, *shape])
+        n, tau = min(shape), 0.6
+        k = {"none": 0, "some": min(3, n), "all": n}[kept]
+        s = tau * np.concatenate([np.linspace(3.0, 1.2, k), rng.uniform(0.0, 0.9, n - k)])
+        a = with_singular_values(rng, *shape, s)
+        if k == 0:
+            assert np.array_equal(svt(a, tau), np.zeros(shape))
+            assert np.array_equal(without_dsyevr(monkeypatch, lambda: svt(a, tau)), np.zeros(shape))
+        else:
+            assert self.agree(monkeypatch, a, tau) == k
+
+    @needs_dsyevr
+    @pytest.mark.parametrize("k", [0, 3, 57, 60])
+    def test_extra_vectors_below_the_level(self, monkeypatch, k):
+        # The top k + 5 eigenvectors (fewer where the order runs out), descending,
+        # spanning what eigh's do.
+        rng = np.random.default_rng([22, k])
+        w_true = np.concatenate([rng.uniform(0.0, 0.8, 60 - k), np.linspace(1.5, 4.0, k)])
+        u = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        g = (u * w_true) @ u.T
+        g = 0.5 * (g + g.T)
+        before = g.copy()
+        fast = matops._gram_eig(g, 1.0, 5)
+        slow = without_dsyevr(monkeypatch, lambda: matops._gram_eig(g, 1.0, 5))
+        assert np.array_equal(g, before)
+        (w, v, top), (w0, v0, top0) = fast, slow
+        assert w.size == w0.size == k and v.shape == v0.shape == (60, k)
+        assert np.allclose(w, w0, rtol=1e-12, atol=0.0) and np.all(np.diff(w) >= 0.0)
+        assert np.allclose(v @ v.T, v0 @ v0.T, rtol=0.0, atol=1e-12)
+        assert top.shape == top0.shape == (60, min(k + 5, 60))
+        assert np.allclose(top.T @ top, np.eye(top.shape[1]), rtol=0.0, atol=1e-12)
+        assert np.allclose(top @ top.T, top0 @ top0.T, rtol=0.0, atol=1e-12)
+        rayleigh = np.einsum("ij,ij->j", top, g @ top)
+        assert np.all(np.diff(rayleigh) <= 0.0)
+        assert matops._gram_eig(g, 1.0, 0)[2] is None
+
+    @needs_dsyevr
+    def test_warm_fallback_basis_on_both_routes(self, monkeypatch):
+        # Eight kept values: the cold block certifies at most five, so the first
+        # warm call decomposes the Gram matrix and leaves its top 13 vectors.
+        rng = np.random.default_rng(23)
+        a = with_singular_values(rng, 300, 300, np.concatenate([np.linspace(2.0, 0.75, 8), rng.uniform(0, 0.4, 292)]))
+
+        def run():
+            basis = SvtBasis()
+            return svt(a, 0.5, basis), basis.v
+
+        (out, v), (out0, v0) = run(), without_dsyevr(monkeypatch, run)
+        assert np.linalg.norm(out - out0) <= 1e-12 * np.linalg.norm(out0)
+        assert v.shape == v0.shape == (300, 13)
+        assert np.allclose(v @ v.T, v0 @ v0.T, rtol=0.0, atol=1e-12)
+
+    def test_failed_decomposition_is_a_linalg_error(self, monkeypatch):
+        monkeypatch.setattr(matops, "_lapack_dsyevr", lambda: lambda *args: 3)  # info 3: not converged
+        with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+            svt(np.eye(4), 0.5)
+
+    @staticmethod
+    def fresh_process(code):
+        """The lines ``code`` prints, run in a new interpreter that imports this expmc."""
+        env = {**os.environ, "PYTHONPATH": str(Path(matops.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_import_binds_nothing_and_the_first_call_loads_no_module(self):
+        out = self.fresh_process(
+            "import sys, numpy as np, expmc\n"
+            "from expmc import matops\n"
+            "print(matops._lapack_dsyevr.cache_info().currsize)\n"
+            "before = set(sys.modules)\n"
+            "expmc.svt(np.eye(3), 0.5)\n"
+            "print(matops._lapack_dsyevr.cache_info().currsize)\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        assert out == ["0", "1", "[]"]
+
+    @pytest.mark.skipif(np.show_config(mode="dicts")["Build Dependencies"]["lapack"].get("name") != "scipy-openblas",
+                        reason="numpy does not link scipy-openblas")
+    def test_binding_active_on_one_copy_of_the_library(self):
+        # The binding is made, and the OpenBLAS it calls is the one numpy
+        # loaded: one file mapped, not a second copy.
+        if not Path("/proc/self/maps").exists():
+            pytest.skip("no /proc/self/maps")
+        out = self.fresh_process(
+            "import numpy as np, expmc\n"
+            "from expmc import matops\n"
+            "expmc.svt(np.eye(3), 0.5)\n"
+            "print(matops.gram_eigensolver())\n"
+            "maps = open('/proc/self/maps').read().splitlines()\n"
+            "print(len({line.split()[-1] for line in maps if 'scipy_openblas' in line}))\n"
+        )
+        assert out == ["dsyevr", "1"]
 
 
 class TestBoxClip:

@@ -2,24 +2,33 @@
 
     python3 tools/ab.py BASE [--workloads W ...] [--pairs N] [--seconds S] [--seed K]
 
-Checks BASE out with ``git worktree add`` under a temporary directory and
-empties ``.perfbench_out/`` in that tree and in this checkout (the change,
-as its files stand, committed or not). Then, per workload, it runs each
-tree's own ``perfbench/run.py --trace 0`` in pairs on the same seed, K + i
-for pair i, in ABBA order: the base first in even pairs, the change first in
-odd ones. Per end-to-end metric that this checkout's ``BENCHMARK.json``
-names, it prints the base and change medians with their quartiles, the
-pairs the change won and the worst pair ratio (change over base, the ratio
-most against the change). It applies no bound of its own; the bounds stay
-in ``BENCHMARK.json``.
+Checks out two trees with ``git worktree add`` under one temporary
+directory: BASE, and the change, which is this checkout's tracked files as
+they stand, committed or not, snapshotted by ``git stash create`` (HEAD
+when nothing differs). ``git stash create`` writes a commit object and
+leaves the checkout, its index and the stash list as they are. Untracked
+files are left out of the change tree; add them to the index first to
+include them. Both builds run from fresh trees because, when the change
+ran from this checkout, a revision against itself read ``setup_s`` 5-15%
+lower on the checkout's side, for no cause found. Then, per workload, it
+runs each tree's own
+``perfbench/run.py --trace 0`` in pairs on the same seed, K + i for pair i,
+in ABBA order: the base first in even pairs, the change first in odd ones.
+Per end-to-end metric that this checkout's ``BENCHMARK.json`` names, it
+prints the base and change medians with their quartiles, the pairs the
+change won and the worst pair ratio (change over base, the ratio most
+against the change). It applies no bound of its own; the bounds stay in
+``BENCHMARK.json``.
 
 Output identity: ``run.py`` records the SHA-256 of every output file of
 every op per pass (``pass_digests``). The tool lists the ops whose digests
-differ between the two builds on a pair's seed, or says that all agree.
+differ between the two builds on a pair's seed, with the files that differ,
+or says that all agree.
 The field ``machine.git_commit`` of ``result.json`` names the build, so it is
 left out when the two builds' machine blocks are compared; no op output
-names a commit. The worktree and its temporary directory are removed on
-exit.
+names a commit. Both worktrees and their temporary directory, with the
+runs' ``.perfbench_out/``, are removed on exit; this checkout's
+``.perfbench_out/``, which ``tools/bench_json.py`` reads, is not touched.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ".perfbench_out"
 BUILD_NAMING = ("git_commit",)  # machine fields that differ between builds by construction
+
+
+def git(*args: str) -> str:
+    """A git command in this checkout; its stripped standard output."""
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -55,19 +69,21 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def digest_differences(pairs: list[tuple[dict, dict]]) -> tuple[int, dict[str, list[int]]]:
-    """Ops compared, and the seeds at which each op's digests differ, over the
-    ops both runs of a pair ran in the same pass (a pass cut short by the
-    time limit lacks its later ops)."""
+def digest_differences(pairs: list[tuple[dict, dict]]) -> tuple[int, dict[str, tuple[list[int], set[str]]]]:
+    """Ops compared, and per op whose digests differ the seeds at which they
+    differ and the output files that differ, over the ops both runs of a pair
+    ran in the same pass (a pass cut short by the time limit lacks its later
+    ops)."""
     compared, differ = 0, {}
     for base, change in pairs:
         for a, b in zip(base["pass_digests"], change["pass_digests"]):
             for op in sorted(set(a) & set(b)):
                 compared += 1
                 if a[op] != b[op]:
-                    seeds = differ.setdefault(op, [])
+                    seeds, files = differ.setdefault(op, ([], set()))
                     if base["seed"] not in seeds:
                         seeds.append(base["seed"])
+                    files.update(f for f in set(a[op]) | set(b[op]) if a[op].get(f) != b[op].get(f))
     return compared, differ
 
 
@@ -87,8 +103,8 @@ def report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) -
                      f"{f'{won}/{len(pairs)}':<5} {worst:.3f}")
     compared, differ = digest_differences(pairs)
     if differ:
-        for op, at in differ.items():
-            lines.append(f"  outputs: {op} digests differ at seeds {at}")
+        for op, (at, files) in differ.items():
+            lines.append(f"  outputs: {op} digests differ at seeds {at}, in {', '.join(sorted(files))}")
     else:
         lines.append(f"  outputs: all {compared} op digests equal")
     strip = [{k: v for k, v in run["machine"].items() if k not in BUILD_NAMING} for pair in pairs for run in pair]
@@ -112,23 +128,24 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
 
+    change = git("stash", "create") or git("rev-parse", "HEAD")
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
-    base_tree = tmp / "base"
-    subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base_tree), args.base],
-                   cwd=ROOT, check=True)
+    base_tree, change_tree = tmp / "base", tmp / "change"
     try:
-        for tree in (base_tree, ROOT):
-            shutil.rmtree(tree / OUT, ignore_errors=True)
+        for tree, rev in ((base_tree, args.base), (change_tree, change)):
+            git("worktree", "add", "--detach", "--quiet", str(tree), rev)
         for workload in workloads:
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
-                order = [base_tree, ROOT] if i % 2 == 0 else [ROOT, base_tree]
+                order = [base_tree, change_tree] if i % 2 == 0 else [change_tree, base_tree]
                 runs = {tree: run_once(tree, workload, seed, args.seconds) for tree in order}
-                pairs.append((runs[base_tree], runs[ROOT]))
+                pairs.append((runs[base_tree], runs[change_tree]))
             print("\n".join(report(workload, pairs, bench["end_to_end"])), flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT, check=False)
+        for tree in (base_tree, change_tree):
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False,
+                           capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
     return 0
