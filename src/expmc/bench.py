@@ -6,14 +6,14 @@ A parsed config owns its sampling scheme and the box constants, each built
 once, on first use, and every replicate is drawn through
 :meth:`ExperimentConfig.replicate`: the truth, the observations and the
 problem at penalty level zero. Replicates use derived seeds ``(seed,
-n_index, replicate)``, so a run is reproducible from its config and seed
-alone: identical inputs produce byte-identical CSV output. Every emitted row
-carries the config hash.
+n_index, replicate)``, and the concentration check's score replicates
+``(seed, 3, replicate)``, so a run is reproducible from its config and seed
+alone, whichever process computes a replicate: identical inputs produce
+byte-identical CSV output. Every emitted row carries the config hash.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import numbers
@@ -606,20 +606,33 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
     return OracleCheckResult(rows=rows, all_passed=all_passed)
 
 
-@contextlib.contextmanager
-def _in_child(fn, *args):
-    """Call ``fn(*args)``, which returns a float, in a forked child while the
-    ``with`` body runs, and yield the function that waits for the child and
-    returns that float, bit for bit (or raises a RuntimeError that carries the
-    child's traceback). A body that raises kills and reaps the child first; no
-    child outlives the block. Where :data:`_FORK` is false, or another thread
-    runs (a forked child gets a copy of the locks those threads hold, and no
-    thread to release them), the call is made in-process, before the body."""
+def _shared_with_child(first, item, count: int) -> tuple[float, list[float]]:
+    """Return ``first()`` and ``[item(0), ..., item(count - 1)]``, floats bit
+    for bit, with the work shared between this process and one forked child.
+
+    The child calls ``first``, then claims indices; this process claims them
+    from the start. The claim is one 8-byte token in a pipe, holding the next
+    index: a process reads it and writes back index + 1 at once, so neither
+    holds it while it works (a pipe reads and writes 8 bytes, at most
+    ``PIPE_BUF``, atomically). The child sends back ``first()`` and its
+    ``(index, value)`` pairs, so ``item`` must depend on its index alone, not
+    on which process calls it or in what order. A child that fails or dies
+    is a RuntimeError here, carrying its traceback; an error here kills and
+    reaps the child first. No child outlives the call. Where :data:`_FORK` is
+    false, or another thread runs (a forked child gets a copy of the locks
+    those threads hold, and no thread to release them), everything runs
+    in-process: ``first``, then each item in order."""
     if not (_FORK and threading.active_count() == 1):
-        value = fn(*args)
-        yield lambda: value
-        return
+        return first(), [item(i) for i in range(count)]
+    token_r, token_w = os.pipe()
+    os.write(token_w, bytes(8))
     read_fd, write_fd = os.pipe()
+
+    def claim() -> int:
+        index = int.from_bytes(os.read(token_r, 8), "little")
+        os.write(token_w, (index + 1).to_bytes(8, "little"))
+        return index
+
     pid = os.fork()
     if pid == 0:
         # The child leaves only by os._exit, which flushes no buffer and runs no
@@ -628,7 +641,10 @@ def _in_child(fn, *args):
         try:
             os.close(read_fd)
             try:
-                reply = "ok " + float(fn(*args)).hex()
+                parts = ["ok", float(first()).hex()]
+                while (index := claim()) < count:
+                    parts.append(f"{index}:{float(item(index)).hex()}")
+                reply = " ".join(parts)
             except Exception:
                 import traceback
 
@@ -639,25 +655,36 @@ def _in_child(fn, *args):
         finally:
             os._exit(status)
     os.close(write_fd)
-    pipe, running = os.fdopen(read_fd), [pid]
-
-    def join() -> float:
-        reply = pipe.read()
-        status = os.waitpid(running.pop(), 0)[1]
-        if not reply.startswith("ok "):
-            code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(f"{fn.__name__} failed in its child process (exit code {code}):\n{reply}")
-        return float.fromhex(reply[3:])
-
+    pipe, running, values = os.fdopen(read_fd), True, {}
     try:
-        yield join
+        import select  # imported where a child runs only
+
+        ready = select.poll()
+        ready.register(token_r, select.POLLIN)
+        ready.register(read_fd, select.POLLIN)
+        # The child replies after its last claim, or on an error, or it dies:
+        # either way, stop claiming once the reply pipe is readable.
+        while read_fd not in dict(ready.poll()) and (index := claim()) < count:
+            values[index] = item(index)
+        reply = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        running = False
     finally:
         pipe.close()
+        os.close(token_r)
+        os.close(token_w)
         if running:
             import signal  # imported on the error path only
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if status != 0 or not reply.startswith("ok "):
+        raise RuntimeError(f"the forked child process failed (exit code {status}):\n{reply}")
+    head, *pairs = reply[3:].split(" ")
+    for pair in pairs:
+        index, value = pair.split(":")
+        values[int(index)] = float.fromhex(value)
+    return float.fromhex(head), [values[i] for i in range(count)]
 
 
 @dataclass(eq=False)
@@ -679,10 +706,13 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     per-cell counts and sums, so each replicate draws them through
     :func:`simulate_cells`: its ``n`` cells, then one sum per observed cell.
 
-    The two chains draw from independent generators, so on Linux the
-    random-sign chain runs in a forked child process while this process runs
-    the score chain (see :func:`_in_child`). The outputs do not depend on
-    where it ran: its value comes back bit for bit.
+    Score replicate ``rep`` draws from its own generator, ``(seed, 3,
+    rep)``, independent of the random-sign chain's. So on Linux a forked
+    child runs the random-sign chain and then shares the score replicates
+    with this process, each claiming the next one when it is free (see
+    :func:`_shared_with_child`). The outputs do not depend on the split:
+    every value comes back bit for bit and the rows are merged in replicate
+    order.
     """
     scheme = cfg.scheme
     n = cfg.n_single
@@ -704,21 +734,23 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
         }
 
     rad_rng = np.random.default_rng([seed, 1])
-    with _in_child(rademacher_norm_estimate, scheme, n, cfg.reps, rad_rng) as rademacher:
-        truth = cfg.truth(np.random.default_rng([seed, 2]))
-        exceed = 0
-        grad_rows = []
-        grad_rng = np.random.default_rng([seed, 3])
-        for rep in range(cfg.reps):
-            cells = simulate_cells(truth, cfg.family, scheme, n, grad_rng, noiseless=cfg.noiseless)
-            probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
-            gnorm = operator_norm(gradient(probe, truth.x_bar))
-            if gnorm > level:
-                exceed += 1
-            grad_rows.append(row("grad_norm", rep, gnorm, level))
-        rad_est = rademacher()
-    freq = exceed / cfg.reps
-    rows = [row("rademacher_norm", -1, rad_est, rad_bound), *grad_rows, row("grad_exceedance", -1, freq, 1.0 / d)]
+    truth = cfg.truth(np.random.default_rng([seed, 2]))
+
+    def score_norm(rep: int) -> float:
+        rng = np.random.default_rng([seed, 3, rep])
+        cells = simulate_cells(truth, cfg.family, scheme, n, rng, noiseless=cfg.noiseless)
+        probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
+        return operator_norm(gradient(probe, truth.x_bar))
+
+    rad_est, gnorms = _shared_with_child(
+        lambda: rademacher_norm_estimate(scheme, n, cfg.reps, rad_rng), score_norm, cfg.reps
+    )
+    freq = sum(gnorm > level for gnorm in gnorms) / cfg.reps
+    rows = [
+        row("rademacher_norm", -1, rad_est, rad_bound),
+        *(row("grad_norm", rep, gnorm, level) for rep, gnorm in enumerate(gnorms)),
+        row("grad_exceedance", -1, freq, 1.0 / d),
+    ]
 
     if out_dir is not None:
         write_rows_csv(Path(out_dir) / "concentration.csv", rows)

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import math
 import os
+import signal
 import threading
 import time
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from expmc import (
+    LIKELIHOOD,
     Binomial,
     CompletionProblem,
     DomainError,
@@ -31,7 +34,9 @@ from expmc.bench import (
     simulate_cells,
 )
 import expmc.bench
+from expmc.estimator import gradient
 from expmc.io import load_matrix_csv, save_matrix_csv
+from expmc.matops import operator_norm
 from expmc.sampling import rademacher_norm_estimate
 
 BOX1 = ParameterBox.symmetric(1.0)
@@ -597,6 +602,22 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def within(seconds: int):
+    """Raise TimeoutError in the block after ``seconds``, so a deadlock fails
+    the test instead of hanging it (a forked child inherits no alarm)."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The calls to os.fork made while the test runs."""
@@ -606,7 +627,8 @@ def forks(monkeypatch):
 
 
 class TestConcentrationChild:
-    """The random-sign chain runs in a forked child on Linux; the rows do not depend on it."""
+    """On Linux a forked child runs the random-sign chain, then shares the score
+    replicates with the parent; the rows do not depend on the split."""
 
     @pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
     def test_random_sign_row_is_the_in_process_estimate_bit_for_bit(self, family, forks):
@@ -627,6 +649,61 @@ class TestConcentrationChild:
         assert forked.rows == in_process.rows
         csv = [(tmp_path / d / "concentration.csv").read_bytes() for d in ("forked", "in_process")]
         assert csv[0] == csv[1]
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_process"])
+    @pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
+    def test_score_rows_are_the_per_replicate_recomputation_bit_for_bit(self, family, fork, forks, monkeypatch):
+        monkeypatch.setattr(expmc.bench, "_FORK", expmc.bench._FORK and fork)
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=40, **CONCENTRATION_FAMILIES[family])
+        rows = [row for row in concentration_check(cfg, seed=66).rows if row["metric"] == "grad_norm"]
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert_no_child_left()
+        truth = cfg.truth(np.random.default_rng([66, 2]))
+        for rep, row in enumerate(rows):
+            cells = simulate_cells(truth, cfg.family, cfg.scheme, 300, np.random.default_rng([66, 3, rep]))
+            probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
+            assert row["replicate"] == rep
+            assert row["value"].hex() == operator_norm(gradient(probe, truth.x_bar)).hex()
+
+    @pytest.mark.skipif(not expmc.bench._FORK, reason="the replicates run in-process")
+    def test_child_reply_larger_than_a_pipe_holds(self, forks, monkeypatch):
+        parent, score, parent_calls = os.getpid(), expmc.bench.gradient, []
+
+        def parent_waits_first(*args):
+            if os.getpid() == parent and not parent_calls:
+                time.sleep(1.0)  # the child claims most replicates meanwhile
+            parent_calls.append(os.getpid() == parent)
+            return score(*args)
+
+        monkeypatch.setattr(expmc.bench, "gradient", parent_waits_first)
+        cfg = make_cfg(m1=3, m2=3, rank=1, n_grid=[20], reps=6000)
+        with within(60):
+            rows = concentration_check(cfg, seed=67).rows
+        assert [row["replicate"] for row in rows] == [-1, *range(6000), -1]
+        assert all(math.isfinite(row["value"]) for row in rows)
+        # Each child pair takes at least 20 bytes of the reply ("index:hex").
+        assert (6000 - sum(parent_calls)) * 20 > 64 * 1024
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not expmc.bench._FORK, reason="the replicates run in-process")
+    def test_child_that_dies_without_replying_is_an_error(self, tmp_path, monkeypatch):
+        parent, score = os.getpid(), expmc.bench.gradient
+
+        def dies_in_the_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            time.sleep(0.01)
+            return score(*args)
+
+        monkeypatch.setattr(expmc.bench, "gradient", dies_in_the_child)
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=1000)
+        t0 = time.perf_counter()
+        with within(60), pytest.raises(RuntimeError, match="exit code 3"):
+            concentration_check(cfg, seed=68, out_dir=tmp_path)
+        assert time.perf_counter() - t0 < 5.0  # not the 10 s of every replicate in the parent
+        assert not (tmp_path / "concentration.csv").exists()
+        assert_no_child_left()
 
     def test_no_fork_while_another_thread_runs(self, forks):
         cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=12)

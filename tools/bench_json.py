@@ -18,11 +18,15 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
   ops.
 
 On Linux, ``expmc concentration`` runs its random-sign chain in a forked
-child process, whose tracer spans stay in the child's memory. So a traced
+child process, which then shares the score replicates with its parent; the
+child's tracer spans stay in its memory. So a traced
 ``concentration_pois100`` pass reads 0 for
-``sampling.rademacher_norm_estimate.*``; only counters kept by the library
-itself (ROADMAP item 6) would bring them back. No other counter moves: the
-chain's operator norms and cell draws were never wrapped.
+``sampling.rademacher_norm_estimate.*`` (the chain's own operator norms and
+cell draws were never wrapped), and its ``families.sample``,
+``estimator.gradient`` and ``matops.operator_norm`` counters hold only the
+parent's share of the score replicates, a share that varies from run to
+run (about three quarters of the 500 on two cores). Only counters kept by
+the library itself (ROADMAP item 6) would bring the rest back.
 
 The machine block is the one the runs recorded; runs with differing
 machine blocks are refused. That does not tell two builds of one checkout
