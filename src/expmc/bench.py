@@ -474,6 +474,111 @@ def sample_size_threshold(consts, scheme: SamplingScheme) -> float:
     return 2.0 * math.log(d) * m * max(lead, 1.0 / 9.0) / nu
 
 
+def _beside_child(child, main=lambda: None, item=None, count: int = 0):
+    """Return ``child()``, ``main()`` and ``[item(0), ..., item(count - 1)]``,
+    with ``child`` run in one forked child while this process runs ``main``.
+
+    ``child`` returns floats, or None for none; they come back bit for bit, as
+    hex. Once done, each process claims items: the child after ``child``, this
+    process after ``main``. The claim is one 8-byte token in a pipe, holding
+    the next index: a process reads it and writes back index + 1 at once, so
+    neither holds it while it works (a pipe reads and writes 8 bytes, at most
+    ``PIPE_BUF``, atomically). The child sends back its ``(index, value)``
+    pairs, so ``item`` must depend on its index alone, not on which process
+    calls it or in what order.
+
+    An exception in the child is raised here, with the child's traceback as its
+    cause: the exception itself when it survives pickling, else a RuntimeError.
+    A child that dies without replying is a RuntimeError naming its exit code.
+    An error here kills and reaps the child first. No child outlives the call,
+    and the child leaves only by ``os._exit``, so it runs none of this
+    process's cleanup. Where :data:`_FORK` is false, or another thread runs (a
+    forked child gets a copy of the locks those threads hold, and no thread to
+    release them), everything runs in-process: ``child``, ``main``, then each
+    item in order."""
+    if not (_FORK and threading.active_count() == 1):
+        return [float(v) for v in child() or ()], main(), [float(item(i)) for i in range(count)]
+    token_r, token_w = os.pipe()
+    os.write(token_w, bytes(8))
+    read_fd, write_fd = os.pipe()
+
+    def claim() -> int:
+        index = int.from_bytes(os.read(token_r, 8), "little")
+        os.write(token_w, (index + 1).to_bytes(8, "little"))
+        return index
+
+    pid = os.fork()
+    if pid == 0:
+        # The child leaves only by os._exit, which flushes no buffer and runs no
+        # atexit handler, and it never unwinds into the parent's copied stack.
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                parts = ["ok", *(float(v).hex() for v in child() or ())]
+                while (index := claim()) < count:
+                    parts.append(f"{index}:{float(item(index)).hex()}")
+                reply = " ".join(parts).encode()
+            except Exception as exc:
+                import pickle
+                import traceback
+
+                try:  # the exception itself, when it comes back out of a pickle
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = None
+                reply = b"error " + pickle.dumps((traceback.format_exc(), exc))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(reply)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pipe, running, values = os.fdopen(read_fd, "rb"), True, {}
+    try:
+        import select  # imported where a child runs only
+
+        result = main()
+        ready = select.poll()
+        ready.register(token_r, select.POLLIN)
+        ready.register(read_fd, select.POLLIN)
+        # The child replies after its last claim, or on an error, or it dies:
+        # either way, stop claiming once the reply pipe is readable.
+        while read_fd not in dict(ready.poll()) and (index := claim()) < count:
+            values[index] = float(item(index))
+        reply = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        running = False
+    finally:
+        pipe.close()
+        os.close(token_r)
+        os.close(token_w)
+        if running:
+            import signal  # imported on the error path only
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    kind, _, body = reply.partition(b" ")
+    if status == 0 and kind == b"error":
+        import pickle
+
+        text, exc = pickle.loads(body)
+        if exc is None:
+            raise RuntimeError(f"the forked child process failed:\n{text}")
+        raise exc from RuntimeError(f"in the forked child process:\n{text}")
+    if status != 0 or kind != b"ok":
+        text = reply.decode(errors="replace")
+        raise RuntimeError(f"the forked child process failed (exit code {status}):\n{text}")
+    firsts = []
+    for token in body.decode().split():
+        index, _, value = token.rpartition(":")
+        if index:
+            values[int(index)] = float.fromhex(value)
+        else:
+            firsts.append(float.fromhex(value))
+    return firsts, result, [values[i] for i in range(count)]
+
+
 @dataclass(eq=False)
 class RateSweepResult:
     rows: list[dict]
@@ -489,6 +594,14 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
     expressions and the rate predictor ``max(m1,m2) rank log(m1+m2) / n``,
     plus the fitted log-log slope of the per-n median risk against the
     predictor (non-convergent fits are excluded from the slope).
+
+    The likelihood bound reads the random-sign norm estimate of each n, from
+    its own generator ``(seed, 7001, n_index)``, and no fit. So on Linux a
+    forked child computes the estimates while this process draws and fits
+    every replicate (see :func:`_beside_child`), keeping of each fit only
+    its row and the two scalars its bound columns need, the penalty level
+    and the truth's nuclear norm; the bound columns are filled in once the
+    estimates have come back, bit for bit. The rows do not depend on it.
     """
     scheme, consts = cfg.scheme, cfg.constants
     mu = scheme.mu_constant()
@@ -503,32 +616,43 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
                else f"config key {'box' if 'box' in cfg.raw else 'gamma'!r} [{cfg.box.lo}, {cfg.box.hi}]")
         raise ValueError(f"{key}: the curvature bound sigma_lo^2 = {consts.sigma_lo_sq!r} squared underflows")
 
-    rows = []
-    for i_n, n in enumerate(cfg.n_grid):
-        rad_rng = np.random.default_rng([seed, 7001, i_n])
-        rad = rademacher_norm_estimate(scheme, n, _RADEMACHER_REPS, rad_rng)
-        for rep in range(cfg.replicates):
-            rng = np.random.default_rng([seed, i_n, rep])
-            truth, problem, result = _fit_replicate(cfg, n, rng)
-            bounds = bound_value(
-                m1=cfg.m1, m2=cfg.m2, n=n, rank=cfg.rank, gamma=cfg.gamma,
-                mu=mu, nu=nu, lam=problem.lam,
-                sigma_lo_sq=consts.sigma_lo_sq, sigma_hi_sq=consts.sigma_hi_sq,
-                l_gamma=consts.l_gamma, c_gamma=cfg.solver.c_gamma,
-                rademacher_norm=rad, nuclear_norm_bar=nuclear_norm(truth.x_bar),
-            )
-            rows.append({
-                "config_hash": chash,
-                "family": cfg.family_label,
-                "mode": cfg.mode,
-                "m1": cfg.m1, "m2": cfg.m2, "rank": cfg.rank, "gamma": cfg.gamma,
-                "n": n, "replicate": rep,
-                "lambda_mode": cfg.lambda_mode, **fit_columns(result),
-                "n_condition_ok": n >= n_threshold,
-                **risk_report(cfg.family, scheme, problem.counts, result.x_hat, truth.x_bar),
-                "predictor": big_m * cfg.rank * log_d / n,
-                **{f"bound_{name}": val for name, val in bounds.items()},
-            })
+    def random_sign_norms() -> list[float]:
+        return [
+            rademacher_norm_estimate(scheme, n, _RADEMACHER_REPS, np.random.default_rng([seed, 7001, i_n]))
+            for i_n, n in enumerate(cfg.n_grid)
+        ]
+
+    def fitted_rows() -> tuple[list[dict], list[tuple]]:
+        # Each row without its bound columns, and the scalars they need besides.
+        rows, held = [], []
+        for i_n, n in enumerate(cfg.n_grid):
+            for rep in range(cfg.replicates):
+                rng = np.random.default_rng([seed, i_n, rep])
+                truth, problem, result = _fit_replicate(cfg, n, rng)
+                rows.append({
+                    "config_hash": chash,
+                    "family": cfg.family_label,
+                    "mode": cfg.mode,
+                    "m1": cfg.m1, "m2": cfg.m2, "rank": cfg.rank, "gamma": cfg.gamma,
+                    "n": n, "replicate": rep,
+                    "lambda_mode": cfg.lambda_mode, **fit_columns(result),
+                    "n_condition_ok": n >= n_threshold,
+                    **risk_report(cfg.family, scheme, problem.counts, result.x_hat, truth.x_bar),
+                    "predictor": big_m * cfg.rank * log_d / n,
+                })
+                held.append((i_n, problem.lam, nuclear_norm(truth.x_bar)))
+        return rows, held
+
+    rads, (rows, held), _ = _beside_child(random_sign_norms, fitted_rows)
+    for row, (i_n, lam, nuclear_norm_bar) in zip(rows, held):
+        bounds = bound_value(
+            m1=cfg.m1, m2=cfg.m2, n=row["n"], rank=cfg.rank, gamma=cfg.gamma,
+            mu=mu, nu=nu, lam=lam,
+            sigma_lo_sq=consts.sigma_lo_sq, sigma_hi_sq=consts.sigma_hi_sq,
+            l_gamma=consts.l_gamma, c_gamma=cfg.solver.c_gamma,
+            rademacher_norm=rads[i_n], nuclear_norm_bar=nuclear_norm_bar,
+        )
+        row.update({f"bound_{name}": val for name, val in bounds.items()})
 
     medians: dict[int, float] = {}
     for n in cfg.n_grid:
@@ -606,87 +730,6 @@ def oracle_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> OracleCheckR
     return OracleCheckResult(rows=rows, all_passed=all_passed)
 
 
-def _shared_with_child(first, item, count: int) -> tuple[float, list[float]]:
-    """Return ``first()`` and ``[item(0), ..., item(count - 1)]``, floats bit
-    for bit, with the work shared between this process and one forked child.
-
-    The child calls ``first``, then claims indices; this process claims them
-    from the start. The claim is one 8-byte token in a pipe, holding the next
-    index: a process reads it and writes back index + 1 at once, so neither
-    holds it while it works (a pipe reads and writes 8 bytes, at most
-    ``PIPE_BUF``, atomically). The child sends back ``first()`` and its
-    ``(index, value)`` pairs, so ``item`` must depend on its index alone, not
-    on which process calls it or in what order. A child that fails or dies
-    is a RuntimeError here, carrying its traceback; an error here kills and
-    reaps the child first. No child outlives the call. Where :data:`_FORK` is
-    false, or another thread runs (a forked child gets a copy of the locks
-    those threads hold, and no thread to release them), everything runs
-    in-process: ``first``, then each item in order."""
-    if not (_FORK and threading.active_count() == 1):
-        return first(), [item(i) for i in range(count)]
-    token_r, token_w = os.pipe()
-    os.write(token_w, bytes(8))
-    read_fd, write_fd = os.pipe()
-
-    def claim() -> int:
-        index = int.from_bytes(os.read(token_r, 8), "little")
-        os.write(token_w, (index + 1).to_bytes(8, "little"))
-        return index
-
-    pid = os.fork()
-    if pid == 0:
-        # The child leaves only by os._exit, which flushes no buffer and runs no
-        # atexit handler, and it never unwinds into the parent's copied stack.
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                parts = ["ok", float(first()).hex()]
-                while (index := claim()) < count:
-                    parts.append(f"{index}:{float(item(index)).hex()}")
-                reply = " ".join(parts)
-            except Exception:
-                import traceback
-
-                reply = traceback.format_exc()
-            with os.fdopen(write_fd, "w") as pipe:
-                pipe.write(reply)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    pipe, running, values = os.fdopen(read_fd), True, {}
-    try:
-        import select  # imported where a child runs only
-
-        ready = select.poll()
-        ready.register(token_r, select.POLLIN)
-        ready.register(read_fd, select.POLLIN)
-        # The child replies after its last claim, or on an error, or it dies:
-        # either way, stop claiming once the reply pipe is readable.
-        while read_fd not in dict(ready.poll()) and (index := claim()) < count:
-            values[index] = item(index)
-        reply = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        running = False
-    finally:
-        pipe.close()
-        os.close(token_r)
-        os.close(token_w)
-        if running:
-            import signal  # imported on the error path only
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if status != 0 or not reply.startswith("ok "):
-        raise RuntimeError(f"the forked child process failed (exit code {status}):\n{reply}")
-    head, *pairs = reply[3:].split(" ")
-    for pair in pairs:
-        index, value = pair.split(":")
-        values[int(index)] = float.fromhex(value)
-    return float.fromhex(head), [values[i] for i in range(count)]
-
-
 @dataclass(eq=False)
 class ConcentrationResult:
     rows: list[dict]
@@ -710,7 +753,7 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
     rep)``, independent of the random-sign chain's. So on Linux a forked
     child runs the random-sign chain and then shares the score replicates
     with this process, each claiming the next one when it is free (see
-    :func:`_shared_with_child`). The outputs do not depend on the split:
+    :func:`_beside_child`). The outputs do not depend on the split:
     every value comes back bit for bit and the rows are merged in replicate
     order.
     """
@@ -742,8 +785,8 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
         probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
         return operator_norm(gradient(probe, truth.x_bar))
 
-    rad_est, gnorms = _shared_with_child(
-        lambda: rademacher_norm_estimate(scheme, n, cfg.reps, rad_rng), score_norm, cfg.reps
+    (rad_est,), _, gnorms = _beside_child(
+        lambda: [rademacher_norm_estimate(scheme, n, cfg.reps, rad_rng)], item=score_norm, count=cfg.reps
     )
     freq = sum(gnorm > level for gnorm in gnorms) / cfg.reps
     rows = [

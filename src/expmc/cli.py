@@ -7,10 +7,12 @@ the manifest, after those outputs, and prints the line, which starts with the
 path of the command's main output. See the README for the config schema. The
 first file written creates the output directory, so a command that fails
 before it leaves none. ``fit`` writes nothing into the output directory until
-its fit has returned: while it fits, one worker thread writes a drawn
-replicate's truth and observation CSVs into a temporary staging directory,
-from which they are copied once the fit has returned. A fit or a writer that
-raises leaves neither the output directory nor the staging directory behind.
+its fit has returned: while it fits, a forked child writes a drawn replicate's
+truth and observation CSVs into a temporary staging directory, from which they
+are copied once the fit has returned (in-process before the fit where no child
+can be forked; see ``bench._beside_child``). A fit or a writer that raises
+leaves neither the output directory nor the staging directory behind, and no
+child process.
 """
 
 from __future__ import annotations
@@ -115,19 +117,18 @@ def _penalized_fit(cfg: bench.ExperimentConfig, truth, probe):
 def fit_cmd(cfg, seed, out):
     """Fit the penalized estimator on observations (observations_path or simulated).
 
-    A drawn replicate's truth.csv and observations.csv are written on one
-    worker thread into a temporary staging directory while the fit runs, and
+    A drawn replicate's truth.csv and observations.csv are written by a
+    forked child into a temporary staging directory while the fit runs, and
     copied into --out once the fit has returned."""
     cfg.constants  # computed before any draw or output, whatever the penalty mode
     if cfg.observations_path is None:
-        from concurrent.futures import ThreadPoolExecutor  # imported on use: importing the CLI does not load it
-
         truth, probe = _replicate(cfg, seed)
-        # On exit the pool waits for the worker, then the staging directory is removed.
-        with tempfile.TemporaryDirectory() as staging, ThreadPoolExecutor(max_workers=1) as worker:
-            saved = worker.submit(_save_replicate, cfg, Path(staging), truth, probe)
-            result = _penalized_fit(cfg, truth, probe)
-            saved.result()
+        # The writer's child is reaped before the staging directory is removed.
+        with tempfile.TemporaryDirectory() as staging:
+            _, result, _ = bench._beside_child(
+                lambda: _save_replicate(cfg, Path(staging), truth, probe),
+                lambda: _penalized_fit(cfg, truth, probe),
+            )
             out.mkdir(parents=True, exist_ok=True)
             for staged in Path(staging).iterdir():
                 shutil.copyfile(staged, out / staged.name)

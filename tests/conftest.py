@@ -1,3 +1,8 @@
+import contextlib
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,3 +40,46 @@ def power_iteration_norm(a: np.ndarray, iters: int = 2000, seed: int = 0) -> flo
             return 0.0
         v = w / nw
     return float(np.sqrt(v @ (a.T @ (a @ v))))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Raise TimeoutError in the block after ``seconds``, so a deadlock fails
+    the test instead of hanging it (a forked child inherits no alarm)."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls to os.fork made while the test runs."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@contextlib.contextmanager
+def beside_another_thread():
+    """Run the block while a second thread waits, so no child may be forked."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        release.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()

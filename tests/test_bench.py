@@ -1,13 +1,12 @@
-import contextlib
 import hashlib
 import math
 import os
-import signal
-import threading
 import time
 
 import numpy as np
 import pytest
+
+from conftest import assert_no_child_left, beside_another_thread, within
 
 from expmc import (
     LIKELIHOOD,
@@ -36,7 +35,8 @@ from expmc.bench import (
 import expmc.bench
 from expmc.estimator import gradient
 from expmc.io import load_matrix_csv, save_matrix_csv
-from expmc.matops import operator_norm
+from expmc.matops import nuclear_norm, operator_norm
+from expmc.metrics import bound_value
 from expmc.sampling import rademacher_norm_estimate
 
 BOX1 = ParameterBox.symmetric(1.0)
@@ -597,35 +597,6 @@ CONCENTRATION_FAMILIES = {
 }
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def within(seconds: int):
-    """Raise TimeoutError in the block after ``seconds``, so a deadlock fails
-    the test instead of hanging it (a forked child inherits no alarm)."""
-    def expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The calls to os.fork made while the test runs."""
-    calls, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-    return calls
-
-
 class TestConcentrationChild:
     """On Linux a forked child runs the random-sign chain, then shares the score
     replicates with the parent; the rows do not depend on the split."""
@@ -708,25 +679,35 @@ class TestConcentrationChild:
     def test_no_fork_while_another_thread_runs(self, forks):
         cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=12)
         alone = concentration_check(cfg, seed=65).rows
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
+        with beside_another_thread():
             beside_a_thread = concentration_check(cfg, seed=65).rows
-        finally:
-            release.set()
-            other.join(timeout=10.0)
-        assert not other.is_alive()
         assert len(forks) == (1 if expmc.bench._FORK else 0)
         assert beside_a_thread == alone
 
-    def test_child_error_raised_in_the_parent_with_its_text(self, tmp_path, monkeypatch):
+    def test_child_error_raised_in_the_parent_with_its_text(self, tmp_path, monkeypatch, forks):
         def failing(*args):
             raise ValueError("no signs today")
 
         monkeypatch.setattr(expmc.bench, "rademacher_norm_estimate", failing)
         cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=5)
-        with pytest.raises(RuntimeError if expmc.bench._FORK else ValueError, match="no signs today"):
+        with pytest.raises(ValueError, match="no signs today") as raised:
+            concentration_check(cfg, seed=63, out_dir=tmp_path)
+        if forks:  # the child's traceback is the cause
+            assert isinstance(raised.value.__cause__, RuntimeError)
+            assert "Traceback" in str(raised.value.__cause__) and "no signs today" in str(raised.value.__cause__)
+        assert not (tmp_path / "concentration.csv").exists()
+        assert_no_child_left()
+
+    def test_child_error_that_cannot_be_pickled_is_a_runtime_error_with_its_text(self, tmp_path, monkeypatch):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def failing(*args):
+            raise LocalError("no signs from a local class")
+
+        monkeypatch.setattr(expmc.bench, "rademacher_norm_estimate", failing)
+        cfg = make_cfg(m1=10, m2=9, n_grid=[300], reps=5)
+        with pytest.raises(RuntimeError if expmc.bench._FORK else LocalError, match="no signs from a local class"):
             concentration_check(cfg, seed=63, out_dir=tmp_path)
         assert not (tmp_path / "concentration.csv").exists()
         assert_no_child_left()
@@ -748,6 +729,84 @@ class TestConcentrationChild:
             concentration_check(cfg, seed=64, out_dir=tmp_path)
         assert time.perf_counter() - t0 < 30.0  # the child was killed, not waited out
         assert not (tmp_path / "concentration.csv").exists()
+        assert_no_child_left()
+
+
+class TestSweepChild:
+    """On Linux a forked child computes the sweep's random-sign norm estimates
+    while the parent fits every replicate; the rows do not depend on it."""
+
+    def test_rows_identical_with_the_fork_off(self, tmp_path, monkeypatch, forks):
+        cfg, one_fork = make_cfg(n_grid=[300, 600, 1200]), [1] if expmc.bench._FORK else []
+        forked = rate_sweep(cfg, seed=70, out_dir=tmp_path / "forked")
+        assert forks == one_fork
+        monkeypatch.setattr(expmc.bench, "_FORK", False)
+        in_process = rate_sweep(cfg, seed=70, out_dir=tmp_path / "in_process")
+        assert forks == one_fork
+        assert forked.rows == in_process.rows
+        for name in ("rate_sweep.csv", "rate_sweep_slope.csv"):
+            assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_process"])
+    def test_bound_columns_are_the_in_process_recomputation_bit_for_bit(self, fork, forks, monkeypatch):
+        monkeypatch.setattr(expmc.bench, "_FORK", expmc.bench._FORK and fork)
+        cfg = make_cfg(n_grid=[300, 600, 1200], lambda_mode="theorem_likelihood")
+        rows = rate_sweep(cfg, seed=71).rows
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert_no_child_left()
+        scheme, consts = cfg.scheme, cfg.constants
+        assert [(row["n"], row["replicate"]) for row in rows] == [(n, rep) for n in cfg.n_grid for rep in (0, 1)]
+        for row in rows:
+            i_n = cfg.n_grid.index(row["n"])
+            rad = rademacher_norm_estimate(
+                scheme, row["n"], expmc.bench._RADEMACHER_REPS, np.random.default_rng([71, 7001, i_n])
+            )
+            truth, probe = cfg.replicate(row["n"], np.random.default_rng([71, i_n, row["replicate"]]))
+            bounds = bound_value(
+                m1=cfg.m1, m2=cfg.m2, n=row["n"], rank=cfg.rank, gamma=cfg.gamma,
+                mu=scheme.mu_constant(), nu=scheme.nu_constant(), lam=resolve_lambda(cfg, probe, truth.x_bar),
+                sigma_lo_sq=consts.sigma_lo_sq, sigma_hi_sq=consts.sigma_hi_sq,
+                l_gamma=consts.l_gamma, c_gamma=cfg.solver.c_gamma,
+                rademacher_norm=rad, nuclear_norm_bar=nuclear_norm(truth.x_bar),
+            )
+            for name, value in bounds.items():
+                assert row[f"bound_{name}"].hex() == value.hex(), name
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        cfg = make_cfg(n_grid=[300, 600])
+        alone = rate_sweep(cfg, seed=73).rows
+        with beside_another_thread():
+            beside_a_thread = rate_sweep(cfg, seed=73).rows
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert beside_a_thread == alone
+
+    def test_chain_error_raised_in_the_parent_with_its_text(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise ValueError("no signs today")
+
+        monkeypatch.setattr(expmc.bench, "rademacher_norm_estimate", failing)
+        with pytest.raises(ValueError, match="no signs today"):
+            rate_sweep(make_cfg(), seed=74, out_dir=tmp_path)
+        assert not (tmp_path / "rate_sweep.csv").exists()
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not expmc.bench._FORK, reason="the chain runs in-process, before the fits")
+    def test_fit_error_kills_the_child_and_propagates(self, tmp_path, monkeypatch):
+        def slow(*args):
+            time.sleep(60.0)
+            return 0.0
+
+        def failing(*args):
+            raise ArithmeticError("fit failed")
+
+        monkeypatch.setattr(expmc.bench, "rademacher_norm_estimate", slow)
+        monkeypatch.setattr(expmc.bench, "fit", failing)
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="fit failed"):
+            rate_sweep(make_cfg(), seed=75, out_dir=tmp_path)
+        assert time.perf_counter() - t0 < 30.0  # the child was killed, not waited out
+        assert not (tmp_path / "rate_sweep.csv").exists()
         assert_no_child_left()
 
 

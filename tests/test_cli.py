@@ -4,13 +4,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import assert_no_child_left, beside_another_thread
+
 import expmc
+import expmc.bench
 from expmc import ExponentialFamily, ObservationSet
 from expmc.cli import main
 from expmc import matops
@@ -142,8 +146,8 @@ class TestGenSimulateFit:
         ({"family": "exponential"}, {"lo": -2.0, "hi": -0.5}),
     ], ids=["gaussian", "binomial", "poisson", "exponential"])
     def test_fit_writes_the_replicate_that_simulate_writes(self, runner, tmp_path, family, box):
-        # fit stages its truth and observation CSVs on a worker thread while it
-        # fits; both commands draw the replicate from the same stream.
+        # fit's forked child stages its truth and observation CSVs while the
+        # parent fits; both commands draw the replicate from the same stream.
         cfg = write_cfg(tmp_path, family=family, box=box, gamma=-box["lo"], truth="factor", n=300, lambda_mode=0.1)
         sim_out, fit_out = tmp_path / "sim", tmp_path / "fit"
         invoke(runner, ["simulate", "--config", str(cfg), "--seed", "5", "--out", str(sim_out)])
@@ -151,34 +155,103 @@ class TestGenSimulateFit:
         for name in ("truth.csv", "observations.csv"):
             assert (fit_out / name).read_bytes() == (sim_out / name).read_bytes()
 
-    def test_fit_that_raises_leaves_no_out_and_no_staging(self, runner, tmp_path, monkeypatch):
+    def test_fit_that_raises_leaves_no_out_and_no_staging(self, runner, tmp_path, monkeypatch, forks):
         staging_root = tmp_path / "tmp"
         staging_root.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
-        staged, save_replicate = [], expmc.cli._save_replicate
+        record, save_replicate, solve = tmp_path / "staged.txt", expmc.cli._save_replicate, expmc.cli.solve
 
         def recording(cfg, out, truth, probe):
-            staged.append(out)
+            # Recorded in a file, renamed into place whole: the writer runs in a forked child.
+            (tmp_path / "staged.part").write_text(f"{os.getpid()} {out}")
+            os.replace(tmp_path / "staged.part", record)
             save_replicate(cfg, out, truth, probe)
 
+        def after_the_writer_starts(*args):
+            deadline = time.monotonic() + 30.0
+            while not record.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return solve(*args)
+
         monkeypatch.setattr(expmc.cli, "_save_replicate", recording)
+        monkeypatch.setattr(expmc.cli, "solve", after_the_writer_starts)
         cfg = write_cfg(tmp_path, n=100, **START_STEP_OVERFLOW)
         out = tmp_path / "out"
         result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert isinstance(result.exception, ValueError) and "start step" in str(result.exception)
-        assert [p.parent for p in staged] == [staging_root]  # the worker wrote into a staging directory
+        pid, staged = record.read_text().split(" ", 1)
+        assert Path(staged).parent == staging_root  # the writer wrote into a staging directory
+        assert (int(pid) != os.getpid()) == bool(forks) and len(forks) == (1 if expmc.bench._FORK else 0)
         assert not out.exists() and list(staging_root.iterdir()) == []
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not expmc.bench._FORK, reason="the writer runs in-process, before the fit")
+    def test_fit_that_raises_kills_the_writer(self, runner, tmp_path, monkeypatch):
+        def slow_writer(path, obs):
+            time.sleep(60.0)
+
+        staging_root = tmp_path / "tmp"
+        staging_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
+        monkeypatch.setattr(expmc.cli, "save_observations_csv", slow_writer)
+        cfg = write_cfg(tmp_path, n=100, **START_STEP_OVERFLOW)
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert isinstance(result.exception, ValueError) and "start step" in str(result.exception)
+        assert time.perf_counter() - t0 < 30.0  # the writer was killed, not waited out
+        assert not out.exists() and list(staging_root.iterdir()) == []
+        assert_no_child_left()
 
     def test_writer_error_on_the_worker_surfaces_and_leaves_no_out(self, runner, tmp_path, monkeypatch):
         def failing_writer(path, obs):
             raise OSError(f"cannot write {Path(path).name}")
 
+        staging_root = tmp_path / "tmp"
+        staging_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
         monkeypatch.setattr(expmc.cli, "save_observations_csv", failing_writer)
         cfg = write_cfg(tmp_path, n=100, lambda_mode=0.1)
         out = tmp_path / "out"
         result = runner.invoke(main, ["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert isinstance(result.exception, OSError) and str(result.exception) == "cannot write observations.csv"
-        assert not out.exists()
+        assert not out.exists() and list(staging_root.iterdir()) == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("family, box", [
+        ({"family": "gaussian", "sigma": 1.0}, {"lo": -1.0, "hi": 1.0}),
+        ({"family": "poisson"}, {"lo": -1.0, "hi": 1.0}),
+    ], ids=["gaussian", "poisson"])
+    def test_fit_outputs_identical_with_the_fork_off(self, runner, tmp_path, monkeypatch, forks, family, box):
+        cfg = write_cfg(tmp_path, family=family, box=box, gamma=1.0, n=300, lambda_mode="oracle")
+        one_fork = [1] if expmc.bench._FORK else []
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "6", "--out", str(tmp_path / "forked")])
+        assert forks == one_fork
+        assert_no_child_left()
+        monkeypatch.setattr(expmc.bench, "_FORK", False)
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "6", "--out", str(tmp_path / "in_process")])
+        assert forks == one_fork
+        names = ("estimate.csv", "fit.json", "observations.csv", "truth.csv")
+        for name in names:
+            assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == sorted(names + ("manifest.json",))
+
+    def test_fit_on_an_observations_file_forks_nothing(self, runner, tmp_path, forks):
+        sim_out = tmp_path / "sim"
+        invoke(runner, ["simulate", "--config", str(write_cfg(tmp_path, n=300)), "--seed", "3", "--out", str(sim_out)])
+        cfg = write_cfg(tmp_path, name="fit.json", n=300, lambda_mode=0.02,
+                        observations_path=str(sim_out / "observations.csv"))
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "fit")])
+        assert forks == []
+
+    def test_no_fork_while_another_thread_runs(self, runner, tmp_path, forks):
+        cfg = write_cfg(tmp_path, n=300, lambda_mode=0.1)
+        invoke(runner, ["fit", "--config", str(cfg), "--seed", "8", "--out", str(tmp_path / "alone")])
+        with beside_another_thread():
+            invoke(runner, ["fit", "--config", str(cfg), "--seed", "8", "--out", str(tmp_path / "beside")])
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        for name in ("estimate.csv", "fit.json", "observations.csv", "truth.csv"):
+            assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "beside" / name).read_bytes()
 
     @pytest.mark.parametrize("bad", [
         {"mode": "known-sampling"},
@@ -491,7 +564,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # The concentration check forks with a bare os.fork: multiprocessing's imports alone add about 1.1 MB of RSS.
+    # Every fork (the rate sweep, fit and the concentration check) is a bare os.fork:
+    # multiprocessing's imports alone add about 1.1 MB of RSS.
     code = "import sys, expmc.cli; print(sorted(m for m in sys.modules if m.startswith(" \
         "('multiprocessing', 'concurrent.futures.process'))))"
     src = str(Path(expmc.__file__).resolve().parents[1])

@@ -17,16 +17,29 @@ Reads every ``result.json`` under the ``.perfbench_out/`` that
   wrote, solver iterations, median Frobenius risk and the failed share of
   ops.
 
-On Linux, ``expmc concentration`` runs its random-sign chain in a forked
-child process, which then shares the score replicates with its parent; the
-child's tracer spans stay in its memory. So a traced
-``concentration_pois100`` pass reads 0 for
-``sampling.rademacher_norm_estimate.*`` (the chain's own operator norms and
-cell draws were never wrapped), and its ``families.sample``,
-``estimator.gradient`` and ``matops.operator_norm`` counters hold only the
-parent's share of the score replicates, a share that varies from run to
-run (about three quarters of the 500 on two cores). Only counters kept by
-the library itself (ROADMAP item 6) would bring the rest back.
+Traced counters count the parent process only. On Linux, every
+``expmc concentration`` and ``expmc rate-sweep`` call and every ``expmc
+fit`` on a drawn replicate forks one child process, whose tracer spans stay
+in its memory:
+
+* ``concentration_pois100``: the child runs the random-sign chain and then
+  shares the score replicates with its parent. So the pass reads 0 for
+  ``sampling.rademacher_norm_estimate.*`` (the chain's own operator norms
+  and cell draws were never wrapped), and its ``families.sample``,
+  ``estimator.gradient`` and ``matops.operator_norm`` counters hold only
+  the parent's share of the score replicates, a share that varies from run
+  to run (about three quarters of the 500 on two cores).
+* ``rate_sweep_g60``: the child computes the four random-sign norm
+  estimates while the parent fits. So the pass reads 0 for
+  ``sampling.rademacher_norm_estimate.*``, and ``matops.operator_norm.calls``
+  is short of the chain's 100 operator norms (4 n, 25 draws each).
+* ``fit_binom300`` and ``fit_ks_g60``: the child writes the drawn truth and
+  observation CSVs while the parent fits. So the passes read 0 for
+  ``io.save_observations_csv.*``, and ``io.save_matrix_csv`` and
+  ``io.bytes_written`` cover only what the parent writes, the estimate.
+
+Only counters kept by the library itself (ROADMAP item 6) would bring the
+rest back.
 
 The machine block is the one the runs recorded; runs with differing
 machine blocks are refused. That does not tell two builds of one checkout
