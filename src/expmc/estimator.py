@@ -237,15 +237,15 @@ def _objective(problem: CompletionProblem, x: np.ndarray) -> float:
     return neg_loglik(problem, x) + problem.lam * (nuclear_norm(x) if x.any() else 0.0)
 
 
-def _sufficient_decrease(problem: CompletionProblem, y, g, z, step: float) -> bool:
-    """``f(z) <= f(y) + <g, z - y> + ||z - y||^2 / (2 step)`` for the data term
-    ``f`` with ``g = grad f(y)``; a ``z`` outside the model domain fails.
+def _sufficient_decrease(problem: CompletionProblem, y, g, z, d, step: float, kappa_box: float) -> bool:
+    """``f(z) <= f(y) + <g, d> + ||d||^2 / (2 step)`` for the data term ``f`` with
+    ``g = grad f(y)`` and ``d = z - y``; a ``z`` outside the model domain fails.
 
-    A curvature bound settles the test first when it can (:func:`_curvature_proves`);
-    only otherwise is ``f`` evaluated at ``z`` and ``y``.
+    A curvature bound settles the test first when it can (:func:`_curvature_proves`,
+    with ``kappa_box`` the largest G'' over the problem's box); only otherwise is
+    ``f`` evaluated at ``z`` and ``y``.
     """
-    d = z - y
-    if _curvature_proves(problem, z, d, step):
+    if _curvature_proves(problem, z, d, step, kappa_box):
         return True
     try:
         f_z = neg_loglik(problem, z)
@@ -254,9 +254,24 @@ def _sufficient_decrease(problem: CompletionProblem, y, g, z, step: float) -> bo
     return f_z <= neg_loglik(problem, y) + float((g * d).sum() + (d * d).sum() / (2.0 * step))
 
 
-def _curvature_proves(problem: CompletionProblem, z, d, step: float) -> bool:
+def _curvature(problem: CompletionProblem, z, kappa_box: float) -> float | None:
+    """The largest G'' over the problem's box widened to hold ``z``, or ``None`` where
+    that box leaves the model domain or the bound is not finite. A ``z`` inside the
+    box widens nothing, and its bound is ``kappa_box``, the one over the box itself,
+    which :func:`fit` holds already."""
+    box = problem.box
+    lo, hi = float(z.min()), float(z.max())
+    if box.lo <= lo and hi <= box.hi:
+        return kappa_box
+    try:
+        return problem.family.variance_bounds(ParameterBox(min(box.lo, lo), max(box.hi, hi)))[1]
+    except ValueError:  # DomainError included
+        return None
+
+
+def _curvature_proves(problem: CompletionProblem, z, d, step: float, kappa_box: float) -> bool:
     """Whether ``kappa sum_c w_c d_c^2 / div <= ||d||^2 / step`` for ``d = z - y``,
-    with ``kappa`` the largest G'' over the box widened to hold ``z``.
+    with ``kappa`` the largest G'' over the box widened to hold ``z`` (:func:`_curvature`).
 
     That box holds every segment ``[y_c, z_c]``, as ``y`` lies in the problem's
     box, so by Taylor's theorem ``f(z) - f(y) - <grad f(y), d>`` is at most
@@ -265,11 +280,8 @@ def _curvature_proves(problem: CompletionProblem, z, d, step: float) -> bool:
     box outside the model domain, or one over which ``kappa`` is not finite,
     proves nothing.
     """
-    box = problem.box
-    try:
-        wide = ParameterBox(min(box.lo, float(z.min())), max(box.hi, float(z.max())))
-        kappa = problem.family.variance_bounds(wide)[1]
-    except ValueError:  # DomainError included
+    kappa = _curvature(problem, z, kappa_box)
+    if kappa is None:
         return False
     dc = d.reshape(-1)[problem._cells]
     return kappa * float(np.dot(problem._weights * dc, dc)) / problem._divisor <= float(np.vdot(d, d)) / step
@@ -280,16 +292,50 @@ _RELAXATION = 1.35
 _MEMORY = 5  # past moves each extrapolation combines
 
 
-def _extrapolate(w_next: np.ndarray, r: np.ndarray, history: list) -> np.ndarray:
+class _History:
+    """The Anderson history of :func:`fit` at one step.
+
+    ``last`` is the last pair ``(w_next, r)``, ``None`` after :meth:`clear`. The
+    float32 differences of up to ``_MEMORY + 1`` consecutive pairs sit in the rows
+    ``[:k]`` of ``d_w`` and ``d_r``, two preallocated ``(_MEMORY, m1 m2)``
+    buffers; a new difference overwrites the oldest row, and the rows are in no
+    particular order, which the combination does not depend on. ``gram`` holds
+    the inner products of the ``d_r`` rows, kept between iterations: a new
+    difference adds its row and column in one product.
+    """
+
+    def __init__(self, shape: tuple[int, int]):
+        size = shape[0] * shape[1]
+        self.d_w = np.empty((_MEMORY, size), np.float32)
+        self.d_r = np.empty((_MEMORY, size), np.float32)
+        self.gram = np.empty((_MEMORY, _MEMORY))
+        self.clear()
+
+    def clear(self) -> None:
+        self.last, self.k, self.slot = None, 0, 0  # slot: the row written next
+
+    def push(self, w_next: np.ndarray, r: np.ndarray) -> None:
+        if self.last is not None:  # single precision: the differences only steer the extrapolation
+            s = self.slot
+            np.subtract(w_next.reshape(-1), self.last[0].reshape(-1), out=self.d_w[s])
+            np.subtract(r.reshape(-1), self.last[1].reshape(-1), out=self.d_r[s])
+            self.k = k = min(self.k + 1, _MEMORY)
+            self.gram[s, :k] = self.gram[:k, s] = self.d_r[:k] @ self.d_r[s]
+            self.slot = (s + 1) % _MEMORY
+        self.last = w_next, r
+
+
+def _extrapolate(w_next: np.ndarray, r: np.ndarray, history: _History) -> np.ndarray:
     """Anderson extrapolation of ``w -> w_next = w + r``: the affine combination
-    of recent ``w_next`` whose moves ``r`` combine least in norm, from their
-    differences in ``history``, each a float32 ``[dw, dr]`` pair, oldest first
-    (Walker & Ni, SIAM J. Numer. Anal. 2011). The Gram matrix of the ``dr`` is
-    built here, each entry from the ``np.vdot`` of its older pair with its newer."""
-    dr, k = [d[1] for d in history], len(history)
-    gram = np.array([[np.vdot(dr[min(i, j)], dr[max(i, j)]) for j in range(k)] for i in range(k)])
-    coef = np.linalg.lstsq(gram, [np.vdot(d, r) for d in dr], rcond=None)[0]
-    return w_next - sum(c * d[0] for c, d in zip(coef, history))
+    of recent ``w_next`` whose moves ``r`` combine least in norm, from their float32
+    differences and the Gram matrix of the move differences that ``history`` keeps
+    (Walker & Ni, SIAM J. Numer. Anal. 2011). The right-hand side is one float32
+    product of the move differences with ``r``, and the combination one product of
+    the coefficients, in float32, with the ``w_next`` differences."""
+    k = history.k
+    rhs = history.d_r[:k] @ r.reshape(-1).astype(np.float32)
+    coef = np.linalg.lstsq(history.gram[:k, :k], rhs, rcond=None)[0]
+    return w_next - (coef.astype(np.float32) @ history.d_w[:k]).reshape(w_next.shape)
 
 
 def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitResult:
@@ -328,9 +374,12 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     SVD runs at the exit; any other fit ends at the last ``y``, whose nuclear
     norm takes an SVD. The estimate is that end point or the start point,
     whichever has the lower objective; ``objective_trace`` holds the
-    objectives of the start point and the estimate. The Anderson history is
-    a list of the last 5 float32 differences, and each extrapolation builds
-    its Gram matrix afresh. Every SVT shares one
+    objectives of the start point and the estimate. The Anderson history
+    keeps the last 5 float32 differences in two preallocated ring buffers,
+    and their Gram matrix between iterations, so a new difference adds one
+    product to it; a halved step or a dropped extrapolation empties it. The
+    difference ``z - y`` is formed once per SVT, for the decrease test, the
+    residual and the move. Every SVT shares one
     :class:`~expmc.matops.SvtBasis`, so at ``min(m1, m2) >= 200`` most of
     them start from the last one's subspace and chain its rank certificate
     instead of factoring a new one.
@@ -350,7 +399,7 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
     safe_step = 1.0 / (sigma_hi_sq * weight)
     y = w = x0
     basis = matops.SvtBasis()  # each SVT starts from the last one's right singular subspace
-    history, last = [], None  # float32 differences of recent (w_next, r) at this step; the last pair
+    history = _History(shape)  # float32 differences of recent (w_next, r) at this step
     residual = last_residual = math.inf
     iterations, converged = 0, False
 
@@ -358,24 +407,26 @@ def fit(problem: CompletionProblem, config: SolverConfig | None = None) -> FitRe
         y = box_clip(w, box)
         g = gradient(problem, y)
         z = matops.svt(2.0 * y - w - step * g, step * lam, basis)
-        while step > safe_step and not _sufficient_decrease(problem, y, g, z, step):
+        d = z - y
+        while step > safe_step and not _sufficient_decrease(problem, y, g, z, d, step, sigma_hi_sq):
             step *= 0.5
-            w, history, last = 0.5 * (y + w), [], None
+            w = 0.5 * (y + w)
+            history.clear()
             z = matops.svt(2.0 * y - w - step * g, step * lam, basis)
-        residual = float(np.linalg.norm(z - y)) / step
+            d = z - y
+        residual = float(np.linalg.norm(d)) / step
         if residual <= cfg.tol:
             converged = True
             break
-        if history and residual > last_residual:  # w was extrapolated: step from last w_next instead
-            w, history, last = last[0], [], None
+        if history.k and residual > last_residual:  # w was extrapolated: step from last w_next instead
+            w = history.last[0]
+            history.clear()
             continue
         last_residual = residual
-        r = _RELAXATION * (z - y)
+        r = _RELAXATION * d
         w_next = w + r
-        if last is not None:  # single precision: the differences only steer the extrapolation
-            history = history[1 - _MEMORY:] + [np.array([w_next - last[0], r - last[1]], np.float32)]
-        last = w_next, r
-        w = _extrapolate(w_next, r, history) if history else w_next
+        history.push(w_next, r)
+        w = _extrapolate(w_next, r, history) if history.k else w_next
 
     if converged and basis.shrunk is not None and box.contains(z):
         x_end, f_end = z, neg_loglik(problem, z) + lam * float(basis.shrunk.sum())

@@ -19,11 +19,11 @@ thresholds what the route kept and leaves the thresholded values on the
 holder, so the caller reads the output's nuclear norm without another SVD.
 The Gram route computes only the kept eigenpairs, with LAPACK's ``dsyevr``
 called through ctypes from the OpenBLAS that numpy's wheels bundle; where
-numpy links another LAPACK it decomposes the Gram matrix in full with
-``np.linalg.eigh``. The two agree to rounding, not bit for bit, so run
-manifests record which one ran (:func:`gram_eigensolver`). The ``svt``
-docstring gives the identities, the certificates, the cold start, the
-measured crossovers and the accuracy.
+numpy links another LAPACK, and on the warm route's fallback, it decomposes
+the Gram matrix in full with ``np.linalg.eigh``. The two agree to rounding,
+not bit for bit, so run manifests record which one ran
+(:func:`gram_eigensolver`). The ``svt`` docstring gives the identities, the
+certificates, the cold start, the measured crossovers and the accuracy.
 """
 
 from __future__ import annotations
@@ -178,6 +178,8 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     output rank. The eigensolve (``_gram_eig``) is LAPACK's ``dsyevr`` asked for
     the eigenvalues in ``(tau**2, 2 trace(G)]`` only: a tridiagonal reduction,
     then bisection and inverse iteration for the kept pairs, not all of them.
+    The warm route's fallback, which also needs ``_WARM_EXTRA`` vectors past
+    the kept rank, decomposes ``G`` in full with ``np.linalg.eigh``.
     Per call at order 60 on one core of a 2-vCPU VM (interleaved medians,
     ``dsyevr`` against ``np.linalg.eigh`` and a mask) it took 0.20 against
     0.36 ms keeping 3 values, 0.25 against 0.34 ms at 5, 0.34 against
@@ -247,24 +249,26 @@ def svt(a: np.ndarray, tau: float, basis: SvtBasis | None = None) -> np.ndarray:
     that keeps more than ``_WARM_EXTRA`` values, or whose block does not
     converge, decomposes ``G`` as the Gram route does. In the ``fit`` of
     each of 32 300×300 binomial problems (``n = 120,000``, oracle penalty)
-    the first call certified; on one core of a 2-vCPU VM it took 8.2 ms in
-    the median against 13.7 ms on the Gram route.
+    the first call certified; on one core of a 2-vCPU VM it took 1.64 ms in
+    the median against 1.67 ms on the Gram route, and it leaves the anchor
+    that later calls chain from.
 
     Measured on one core of a 2-vCPU VM, per call, on sequences whose steps
     add noise of operator norm ``0.002 tau`` to spectra with ``k`` values in
-    ``[1.5, 4] tau`` and the rest in ``[0, 0.8] tau`` (eigendecomposition ->
-    warm route, 13 steps a call): order 200 4.9 -> 3.0 ms at ``k = 5``,
-    6.1 -> 4.7 ms at 10 and 6.1 -> 7.5 ms at 20; order 300 15.5 -> 10.4 ms
-    at 10 and 13.2 -> 17.2 ms at 25; order 1000 317 -> 159 ms at 30,
-    307 -> 214 ms at 61 and 272 -> 277 ms at 95. So the warm route wins
-    while its basis is at most about a tenth of the order. No width limit
-    is applied, as no fit measured comes near it: the kept rank was at
-    most 2% of ``min(m1, m2)`` in binomial 300×300, 200×200 (known
-    sampling) and 1000×1000 fits and a Poisson 300×200 fit, and no
-    benchmark workload keeps a wider basis. At rank 3 the warm route
-    still wins at order 150 (2.3 -> 1.6 ms) and loses at 100
-    (1.06 -> 1.24 ms) and 60 (0.37 -> 0.90 ms), where its fixed costs
-    dominate; the floor of 200 keeps a margin. In the ``fit`` of a
+    ``[1.5, 4] tau`` and the rest in ``[0, 0.8] tau`` (Gram route on
+    ``dsyevr`` -> warm route, the median over three sequences of 13 calls):
+    order 200 0.84 -> 0.55 ms at ``k = 5``, 1.11 -> 0.97 ms at 10 and
+    1.61 -> 1.66 ms at 20; order 300 2.29 -> 2.05 ms at 10 and
+    3.43 -> 3.59 ms at 25; order 1000 45 -> 32 ms at 30, 54 -> 52 ms at 61
+    and 63 -> 81 ms at 95. So the warm route wins while its basis is well
+    under a tenth of the order. No width limit is applied, as no fit
+    measured comes near it: the kept rank was at most 2% of
+    ``min(m1, m2)`` in binomial 300×300, 200×200 (known sampling) and
+    1000×1000 fits and a Poisson 300×200 fit, and no benchmark workload
+    keeps a wider basis. At rank 3 the warm route wins at order 200
+    (0.72 -> 0.59 ms) and loses at 150 (0.44 -> 0.48 ms), 100
+    (0.21 -> 0.32 ms) and 60 (0.10 -> 0.28 ms), where its fixed costs
+    dominate; the floor of 200 sits at that crossover. In the ``fit`` of a
     300×300 binomial problem the inputs settle, and a call takes 1 to 11
     steps, 7 in the median. The warm route agrees with the Gram route to
     1e-11 relative on such sequences.
@@ -308,47 +312,48 @@ def _gram_eig(g: np.ndarray, level: float, extra: int):
     ``k + extra`` largest eigenvalues in descending order (``None`` otherwise),
     with ``k`` the count above ``level``. ``g`` is not written.
 
-    Where numpy links its bundled OpenBLAS, LAPACK's ``dsyevr`` computes only the
-    eigenpairs in ``(level, 2 trace(g)]``, which holds every eigenvalue above
-    ``level`` of a positive semidefinite ``g``; a second call by index range
-    gives the ``k + extra`` vectors. Elsewhere ``np.linalg.eigh`` decomposes
-    ``g`` in full. A failed decomposition is a LinAlgError on both paths.
+    With ``extra == 0``, where numpy links its bundled OpenBLAS, LAPACK's
+    ``dsyevr`` computes only the eigenpairs in ``(level, 2 trace(g)]``, which
+    holds every eigenvalue above ``level`` of a positive semidefinite ``g``.
+    Otherwise ``np.linalg.eigh`` decomposes ``g`` in full, once. The ``k``
+    that fixes how many vectors ``extra > 0`` asks for is known only after a
+    decomposition, and a second ``dsyevr`` call by index range for them was
+    slower than one ``eigh`` (at order 200 keeping 10, 2.07 against 1.51 ms
+    on one core of a 2-vCPU VM). A failed decomposition is a LinAlgError on
+    both paths.
     """
     dsyevr = _lapack_dsyevr()
-    if dsyevr is None:
+    if dsyevr is None or extra:
         w, v = np.linalg.eigh(g)
         keep = w > level
         top = v[:, ::-1][:, :np.count_nonzero(keep) + extra].copy() if extra else None
         return w[keep], v[:, keep], top
-    n = g.shape[0]
     hi = 2.0 * float(np.trace(g))
-    w, v = _dsyevr(dsyevr, g, b"V", level, hi, 0, 0) if hi > level else (np.empty(0), np.empty((n, 0)))
-    top = None
-    if extra:
-        top = _dsyevr(dsyevr, g, b"I", 0.0, 0.0, max(1, n - w.size - extra + 1), n)[1][:, ::-1].copy()
-    return w, v, top
+    if not hi > level:
+        return np.empty(0), np.empty((g.shape[0], 0)), None
+    return (*_dsyevr(dsyevr, g, level, hi), None)
 
 
 def gram_eigensolver() -> str:
     """Which eigensolver the Gram route of :func:`svt` runs in this process:
     ``"dsyevr"`` or ``"eigh"``. Outputs may differ between the two in their last
-    bits, so run manifests record it."""
+    bits, so run manifests record it. The warm route's Gram fallback runs
+    ``np.linalg.eigh`` either way."""
     return "eigh" if _lapack_dsyevr() is None else "dsyevr"
 
 
-def _dsyevr(dsyevr, g: np.ndarray, select: bytes, vl: float, vu: float, il: int, iu: int):
+def _dsyevr(dsyevr, g: np.ndarray, vl: float, vu: float):
     """One LAPACKE ``dsyevr`` call on a copy of ``g``: the eigenpairs with values in
-    ``(vl, vu]`` (``select`` ``b"V"``) or with 1-based ascending indices ``il..iu``
-    (``b"I"``), ascending. The column-major layout makes LAPACKE copy nothing;
+    ``(vl, vu]``, ascending. The column-major layout makes LAPACKE copy nothing;
     ``g`` is symmetric, so its C-order buffer is the same matrix, and ``"U"`` reads
     the triangle that ``np.linalg.eigh`` reads."""
     n = g.shape[0]
     a = np.array(g, dtype=np.float64, order="C")  # dsyevr overwrites its input
     w = np.empty(n)
-    z = np.empty((n if select == b"V" else iu - il + 1, n))  # row j is eigenvector j
+    z = np.empty((n, n))  # row j is eigenvector j
     isuppz = np.empty(2 * n, np.int64)
     m = ctypes.c_int64()
-    info = dsyevr(_COL_MAJOR, b"V", select, b"U", n, a.ctypes.data, n, vl, vu, il, iu, 0.0,
+    info = dsyevr(_COL_MAJOR, b"V", b"V", b"U", n, a.ctypes.data, n, vl, vu, 0, 0, 0.0,
                   ctypes.byref(m), w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")

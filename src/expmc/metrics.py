@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .families import ExponentialFamily
-from .matops import numerical_rank, nuclear_norm
+from .matops import _rank, numerical_rank, nuclear_norm
 from .sampling import SamplingScheme
 
 __all__ = [
@@ -43,15 +43,18 @@ def risk_report(
     counts: np.ndarray,
     x_hat: np.ndarray,
     x_bar: np.ndarray,
+    s_bar: np.ndarray | None = None,
 ) -> dict[str, float]:
     """The three risks of one fit and the truth's numerical rank, keyed by name
-    in column order; ``counts`` is the fit's per-cell count table. A negative
+    in column order; ``counts`` is the fit's per-cell count table. The rank is
+    read from ``s_bar``, the singular values of ``x_bar`` in descending order,
+    when the caller has them, and from an SVD of ``x_bar`` otherwise. A negative
     risk is a ValueError."""
     report = {
         "frob_risk": frobenius_risk(x_hat, x_bar),
         "kl_integrated": bregman_integrated(family, scheme, x_hat, x_bar),
         "kl_empirical": bregman_empirical(family, counts, x_hat, x_bar),
-        "rank_bar": numerical_rank(x_bar),
+        "rank_bar": numerical_rank(x_bar) if s_bar is None else _rank(s_bar),
     }
     if report["frob_risk"] < 0 or report["kl_integrated"] < -1e-15 or report["kl_empirical"] < -1e-15:
         raise ValueError("risks must be nonnegative")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shutil
@@ -12,7 +13,8 @@ TOOL = ROOT / "tools" / "ab.py"
 
 # A stand-in for perfbench/run.py: its wall_s is the number in speed.txt, its
 # op0 writes payload.txt, whose digest it records for every pass, and its
-# second pass is cut short before op1. It logs the tree it ran from, and
+# second pass is cut short before op1. Its one op's objective is the length
+# of payload.txt. It logs the tree it ran from, and
 # whether that tree holds a file untracked.txt, to the file $AB_TREES_LOG.
 FAKE_RUN = """
 import argparse, hashlib, json, os, pathlib
@@ -29,6 +31,7 @@ result = {
     "machine": {"nproc": 2, "git_commit": str(root)},
     "end_to_end": {"wall_s": float((root / "speed.txt").read_text()), "peak_rss_mb": 40.0},
     "pass_digests": [{"op0": {"payload.txt": digest}, "op1": {}}, {"op0": {"payload.txt": digest}}],
+    "ops": [{"seed": int(args.seed), "objective": float(len((root / "payload.txt").read_bytes()))}],
 }
 (out / "result.json").write_text(json.dumps(result))
 with open(os.environ["AB_TREES_LOG"], "a") as log:
@@ -102,7 +105,41 @@ def test_a_changed_output_and_a_faster_build_are_reported(toy, tmp_path):
     out = run_ab(toy, tmp_path, "--seed", "5")
     assert "seeds [5, 6, 7]" in out
     assert "outputs: op0 digests differ at seeds [5, 6, 7], in payload.txt" in out
+    assert "objectives: largest relative difference 0.0769, op seed 5 at pair seed 5" in out  # 12 against 13
     wall = next(line for line in out.splitlines() if line.strip().startswith("wall_s"))
     assert wall.split()[1:3] == ["2", "[2,"] and wall.split()[-2:] == ["3/3", "0.500"]
     # The runs were made and removed in the temporary trees; this checkout's results are not touched.
     assert [p.name for p in (toy / ".perfbench_out").iterdir()] == ["stale"]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("ab_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(seed, ops, digest="d"):
+    """A synthetic ``result.json`` of one run: one pass whose op0 digest is ``digest``,
+    and ``ops`` as ``(CLI seed, objective)`` pairs."""
+    return {"seed": seed, "correct": True, "machine": {"nproc": 2}, "end_to_end": {"wall_s": 1.0},
+            "pass_digests": [{"op0": {"out.csv": digest}}],
+            "ops": [{"seed": s, "objective": obj} for s, obj in ops]}
+
+
+def test_largest_objective_difference_matched_by_pair_and_op():
+    ab = load_tool()
+    pairs = [
+        (result(0, [(1000, -0.25), (1001, 2.0), (1002, None)]),
+         result(0, [(1000, -0.25), (1001, 2.0 + 4e-9), (1002, -1.0)])),
+        (result(1, [(1003, 1.0), (1004, -0.5)]),
+         result(1, [(1003, 1.0 - 1e-8), (1004, -0.5 * (1 + 3e-9)), (1005, 7.0)])),  # a third op the base lacks
+    ]
+    rel, pair_seed, op_seed = ab.objective_difference(pairs)
+    assert (pair_seed, op_seed) == (1, 1003) and rel == pytest.approx(1e-8, rel=1e-6)
+    lines = ab.report("toy", [(result(0, [(7, 1.0)]), result(0, [(7, 1.5)], "e"))], [])
+    assert "  objectives: largest relative difference 0.333, op seed 7 at pair seed 0" in lines
+    # Equal digests print no objective line, and runs without objectives say so.
+    assert not any("objectives" in line for line in ab.report("toy", [(result(0, [(7, 1.0)]),) * 2], []))
+    lines = ab.report("toy", [(result(0, [(7, None)]), result(0, [(7, None)], "e"))], [])
+    assert "  objectives: none reported by both builds" in lines

@@ -35,7 +35,7 @@ from expmc.bench import (
 import expmc.bench
 from expmc.estimator import gradient
 from expmc.io import load_matrix_csv, save_matrix_csv
-from expmc.matops import nuclear_norm, operator_norm
+from expmc.matops import nuclear_norm, numerical_rank, operator_norm
 from expmc.metrics import bound_value
 from expmc.sampling import rademacher_norm_estimate
 
@@ -480,6 +480,24 @@ class TestRateSweep:
             assert row["bound_likelihood_risk"] == max(
                 row["bound_likelihood_risk_main"], row["bound_likelihood_risk_edge"]
             )
+
+    def test_each_truth_decomposed_once(self, monkeypatch):
+        # One singular-value SVD of each replicate's truth gives both its rank
+        # and the nuclear norm of its bound columns.
+        monkeypatch.setattr(expmc.bench, "_FORK", False)
+        cfg, inputs, svd = make_cfg(), [], np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            inputs.append(np.array(a, copy=True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        rows = rate_sweep(cfg, seed=24).rows
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for row in rows:
+            truth, _ = cfg.replicate(row["n"], np.random.default_rng([24, cfg.n_grid.index(row["n"]), row["replicate"]]))
+            assert sum(np.array_equal(a, truth.x_bar) for a in inputs) == 1
+            assert row["rank_bar"] == numerical_rank(truth.x_bar)
 
     def test_predictor_values(self):
         cfg = make_cfg()

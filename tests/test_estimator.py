@@ -790,8 +790,8 @@ class TestDavisYinSolver:
         ref = fit(p)
         extrapolations = []
 
-        def useless(w_next, *history):
-            extrapolations.append(1)
+        def useless(w_next, r, history):
+            extrapolations.append(history.k)
             return w_next + 100.0
 
         monkeypatch.setattr(estimator, "_extrapolate", useless)
@@ -799,6 +799,89 @@ class TestDavisYinSolver:
         self.assert_sound(p, res)
         assert len(extrapolations) > 10
         assert res.objective_trace[-1] == pytest.approx(ref.objective_trace[-1], abs=1e-9)
+        # Each drop emptied the history: every extrapolation combines one difference.
+        assert set(extrapolations) == {1}
+
+    def test_a_halved_step_empties_the_history(self, monkeypatch):
+        # The backtracking problem above: the first extrapolation after each
+        # halving combines one difference, from the two moves made at the new step.
+        rng = np.random.default_rng(1)
+        rows, cols = uniform_scheme(8, 8).draw(128, rng)
+        obs = ObservationSet(m1=8, m2=8, rows=rows, cols=cols, ys=rng.exponential(2.5, 128))
+        p = CompletionProblem(obs=obs, family=Exponential(), box=ParameterBox(-2.0, -0.4), lam=0.01)
+        events = self.record(monkeypatch, p)
+        extrapolate = estimator._extrapolate
+
+        def recording(w_next, r, history):
+            events.append(("extrapolate", history.k))
+            return extrapolate(w_next, r, history)
+
+        monkeypatch.setattr(estimator, "_extrapolate", recording)
+        self.assert_sound(p, fit(p))
+        svts = [(i, step) for i, (kind, step) in enumerate(events) if kind == "svt"]
+        halvings = [i for (_, before), (i, after) in zip(svts, svts[1:]) if after < before]
+        assert halvings
+        for i in halvings:
+            assert next(k for kind, k in events[i:] if kind == "extrapolate") == 1
+
+
+class TestAndersonHistory:
+    """The extrapolation's float32 ring buffers and the Gram matrix kept between iterations."""
+
+    SHAPE = (7, 6)
+
+    @staticmethod
+    def moves(seed, count):
+        rng = np.random.default_rng(seed)
+        return [(rng.standard_normal(TestAndersonHistory.SHAPE), rng.standard_normal(TestAndersonHistory.SHAPE))
+                for _ in range(count)]
+
+    @staticmethod
+    def differences(pairs, which, k):
+        """The float32 differences of the last ``k + 1`` pairs' ``which`` member, in float64."""
+        return np.array([(b[which] - a[which]).reshape(-1).astype(np.float32).astype(float)
+                         for a, b in zip(pairs[-k - 1:-1], pairs[-k:])])
+
+    def test_extrapolation_equals_a_float64_reference_before_and_after_the_wrap(self):
+        pairs, history = self.moves(31, 7), estimator._History(self.SHAPE)
+        for i, (w_next, r) in enumerate(pairs):
+            history.push(w_next, r)
+            k = min(i, estimator._MEMORY)
+            assert history.k == k
+            if not k:
+                continue
+            dw, dr = self.differences(pairs[:i + 1], 0, k), self.differences(pairs[:i + 1], 1, k)
+            coef = np.linalg.lstsq(dr @ dr.T, dr @ r.reshape(-1), rcond=None)[0]
+            ref = w_next - (coef @ dw).reshape(self.SHAPE)
+            out = estimator._extrapolate(w_next, r, history)
+            assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_kept_gram_is_that_of_the_live_slots(self):
+        pairs, history = self.moves(32, 7), estimator._History(self.SHAPE)
+        for i, (w_next, r) in enumerate(pairs):
+            history.push(w_next, r)
+            k = history.k
+            assert k == min(i, estimator._MEMORY)
+            if not k:
+                continue
+            live = history.d_r[:k].astype(float)
+            gram = live @ live.T
+            assert np.abs(history.gram[:k, :k] - gram).max() <= 1e-6 * np.abs(gram).max()
+            # The live slots hold the last k differences, in some order.
+            assert sorted(map(tuple, live)) == sorted(map(tuple, self.differences(pairs[:i + 1], 1, k)))
+
+    def test_clear_empties_the_history(self):
+        pairs, history = self.moves(33, 4), estimator._History(self.SHAPE)
+        for w_next, r in pairs[:3]:
+            history.push(w_next, r)
+        assert history.k == 2
+        history.clear()
+        assert history.k == 0 and history.last is None
+        history.push(*pairs[3])
+        assert history.k == 0 and all(x is y for x, y in zip(history.last, pairs[3]))
+        history.push(*pairs[0])
+        assert history.k == 1
+        assert np.array_equal(history.d_r[0], (pairs[0][1] - pairs[3][1]).reshape(-1).astype(np.float32))
 
 
 class TestDecreaseShortcuts:
@@ -819,20 +902,40 @@ class TestDecreaseShortcuts:
         family, box = family_case
         rng = np.random.default_rng([21, len(family.name), int(mode == LIKELIHOOD)])
         p, _ = random_problem(rng, family, box, mode=mode)
+        kappa_box = family.variance_bounds(box)[1]
         passed = failed = 0
         for _ in range(40):
             y = rng.uniform(box.lo, box.hi, p.shape)
             g = gradient(p, y)
             z = y + rng.choice([0.01, 0.1, 0.5]) * rng.standard_normal(p.shape)
+            d = z - y
             for step in np.geomspace(0.3, 300.0, 9):
-                if estimator._curvature_proves(p, z, z - y, step):
+                decrease = estimator._sufficient_decrease(p, y, g, z, d, step, kappa_box)
+                if estimator._curvature_proves(p, z, d, step, kappa_box):
                     passed += 1
                     assert self.exact_test(p, y, g, z, step)
-                    assert estimator._sufficient_decrease(p, y, g, z, step)
+                    assert decrease
                 else:
                     failed += 1
-                    assert estimator._sufficient_decrease(p, y, g, z, step) == self.exact_test(p, y, g, z, step)
+                    assert decrease == self.exact_test(p, y, g, z, step)
         assert passed >= 40 and failed >= 40
+
+    def test_curvature_inside_the_box_is_the_box_bound_without_a_new_box(self, family_case, monkeypatch):
+        family, box = family_case
+        rng = np.random.default_rng([23, len(family.name)])
+        p, _ = random_problem(rng, family, box)
+        kappa_box = family.variance_bounds(box)[1]
+        boxes = []
+        monkeypatch.setattr(estimator, "ParameterBox", lambda lo, hi: boxes.append((lo, hi)) or ParameterBox(lo, hi))
+        z = rng.uniform(box.lo, box.hi, p.shape)
+        z[0, 0], z[0, 1] = box.lo, box.hi
+        widened = ParameterBox(min(box.lo, float(z.min())), max(box.hi, float(z.max())))
+        assert estimator._curvature(p, z, kappa_box).hex() == family.variance_bounds(widened)[1].hex()
+        assert boxes == []
+        # A z past the box falls through to the widened box.
+        z[1, 1] = box.hi + 0.05
+        assert estimator._curvature(p, z, kappa_box) == family.variance_bounds(ParameterBox(box.lo, box.hi + 0.05))[1]
+        assert boxes == [(box.lo, box.hi + 0.05)]
 
     # Acceptance 1's rate sweep (pinned seed 2024): two of its 40 fits once
     # failed the exact test at their last iterations, where f(z) - f(y) sinks

@@ -328,8 +328,9 @@ class TestWarmSVT:
         # and fail it; the narrow one has no Ritz value below tau^2 to spare,
         # and the one out of steps never converges.
         assert len(choleskys) == (1 if which in ("orthogonal_to_the_top", "missing_kept_vectors") else 0)
-        # Without a basis, svt takes the Gram route; the basis left is its top k + 5 eigenvectors.
-        assert np.array_equal(out, svt(a, tau))
+        # Without a basis, svt takes the Gram route, which gives the same output on
+        # eigh, the fallback's eigensolver; the basis left is its top k + 5 eigenvectors.
+        assert np.array_equal(out, without_dsyevr(monkeypatch, lambda: svt(a, tau)))
         assert np.array_equal(basis.v, matops._gram_eig(a.T @ a, tau * tau, 5)[2])
         assert basis.v.shape == (300, k + 5)
 
@@ -568,6 +569,25 @@ class TestGramEig:
         rayleigh = np.einsum("ij,ij->j", top, g @ top)
         assert np.all(np.diff(rayleigh) <= 0.0)
         assert matops._gram_eig(g, 1.0, 0)[2] is None
+
+    def test_extra_vectors_from_one_decomposition_in_both_orders(self, monkeypatch):
+        # With extra > 0 one eigh gives the kept pairs ascending and the basis
+        # descending; each pair matches an independent eigh's to 1e-12.
+        rng = np.random.default_rng(24)
+        w_true = np.concatenate([np.linspace(0.0, 0.8, 52), np.linspace(1.5, 4.0, 8)])
+        u = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        g = (u * w_true) @ u.T
+        g = 0.5 * (g + g.T)
+        w0, v0 = np.linalg.eigh(g)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        monkeypatch.setattr(matops, "_dsyevr", lambda *args: pytest.fail("dsyevr called"))
+        w, v, top = matops._gram_eig(g, 1.0, 5)
+        assert calls == [(60, 60)]
+        assert np.allclose(w, w0[-8:], rtol=1e-12, atol=0.0)
+        for got, ref in ((v, v0[:, -8:]), (top, v0[:, ::-1][:, :13])):
+            assert got.shape == ref.shape
+            assert np.allclose(got * np.sign(np.einsum("ij,ij->j", got, ref)), ref, rtol=0.0, atol=1e-12)
 
     @needs_dsyevr
     def test_warm_fallback_basis_on_both_routes(self, monkeypatch):

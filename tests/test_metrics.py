@@ -210,6 +210,16 @@ class TestRiskReport:
         assert report["kl_empirical"] == pytest.approx(0.005, rel=1e-12)
         assert report["rank_bar"] == 1
 
+    def test_rank_from_given_singular_values(self, monkeypatch):
+        # A caller holding the truth's singular values gets the same rank without another SVD.
+        rng = np.random.default_rng(6)
+        x_bar = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5))
+        args = (Gaussian(sigma=1.0), uniform_scheme(4, 5), np.ones((4, 5)), x_bar + 0.1, x_bar)
+        ref = risk_report(*args)
+        s_bar = np.linalg.svd(x_bar, compute_uv=False)
+        monkeypatch.setattr(expmc.metrics, "numerical_rank", lambda a: pytest.fail("decomposed again"))
+        assert risk_report(*args, s_bar) == ref and ref["rank_bar"] == 2
+
 
 class TestOracleInequalityCheck:
     def setup_method(self):

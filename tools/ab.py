@@ -23,7 +23,11 @@ against the change). It applies no bound of its own; the bounds stay in
 Output identity: ``run.py`` records the SHA-256 of every output file of
 every op per pass (``pass_digests``). The tool lists the ops whose digests
 differ between the two builds on a pair's seed, with the files that differ,
-or says that all agree.
+or says that all agree. Where they differ it also prints the largest
+relative difference ``|a - b| / max(|a|, |b|)`` between the objectives the
+two builds report for one op (``result.json`` ``ops[].objective``, matched by
+pair seed and op index), so a change that moves last bits can state by how
+much.
 The field ``machine.git_commit`` of ``result.json`` names the build, so it is
 left out when the two builds' machine blocks are compared; no op output
 names a commit. Both worktrees and their temporary directory, with the
@@ -87,6 +91,24 @@ def digest_differences(pairs: list[tuple[dict, dict]]) -> tuple[int, dict[str, t
     return compared, differ
 
 
+def objective_difference(pairs: list[tuple[dict, dict]]) -> tuple[float, int, int] | None:
+    """The largest relative difference between the objectives two builds report for
+    one op, with the pair seed and the op's CLI seed, or ``None`` when no op has an
+    objective in both runs. A run lists its ops in order, so the i-th op of a pair's
+    two runs is the same op; ops with no objective, such as a concentration op's,
+    are left out."""
+    worst = None
+    for base, change in pairs:
+        for a, b in zip(base["ops"], change["ops"]):
+            x, y = a["objective"], b["objective"]
+            if x is None or y is None or a["seed"] != b["seed"]:
+                continue
+            rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+            if worst is None or rel > worst[0]:
+                worst = (rel, base["seed"], a["seed"])
+    return worst
+
+
 def report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     seeds = [base["seed"] for base, _ in pairs]
     lines = [f"{workload}: {len(pairs)} pairs, seeds {seeds}, ABBA order",
@@ -105,6 +127,10 @@ def report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) -
     if differ:
         for op, (at, files) in differ.items():
             lines.append(f"  outputs: {op} digests differ at seeds {at}, in {', '.join(sorted(files))}")
+        worst = objective_difference(pairs)
+        lines.append("  objectives: none reported by both builds" if worst is None else
+                     f"  objectives: largest relative difference {worst[0]:.3g}, op seed {worst[2]} "
+                     f"at pair seed {worst[1]}")
     else:
         lines.append(f"  outputs: all {compared} op digests equal")
     strip = [{k: v for k, v in run["machine"].items() if k not in BUILD_NAMING} for pair in pairs for run in pair]
