@@ -18,6 +18,7 @@ import functools
 import math
 import numbers
 import os
+import pickle
 import sys
 import threading
 from dataclasses import dataclass
@@ -169,14 +170,17 @@ def scheme_from_config(spec: dict, m1: int, m2: int) -> SamplingScheme:
 
     ``{"sampling": "uniform"}`` is the uniform table; ``{"sampling":
     "table", "path": "pi.csv"}`` loads a headerless CSV table, which must
-    have shape ``(m1, m2)``.
+    have shape ``(m1, m2)``; every error names the file.
     """
     if _sampling_kind(spec) == "uniform":
         return uniform_scheme(m1, m2)
     pi = load_matrix_csv(spec["path"])
     if pi.shape != (m1, m2):
         raise ValueError(f"sampling table {spec['path']} has shape {pi.shape}, expected {(m1, m2)}")
-    return SamplingScheme(pi)
+    try:
+        return SamplingScheme(pi)
+    except ValueError as exc:
+        raise ValueError(f"sampling table {spec['path']}: {exc}") from None
 
 
 def solver_from_config(spec: dict) -> SolverConfig:
@@ -482,14 +486,16 @@ def _beside_child(child, main=lambda: None, item=None, count: int = 0):
     """Return ``child()``, ``main()`` and ``[item(0), ..., item(count - 1)]``,
     with ``child`` run in one forked child while this process runs ``main``.
 
-    ``child`` returns floats, or None for none; they come back bit for bit, as
-    hex. Once done, each process claims items: the child after ``child``, this
+    Once done, each process claims items: the child after ``child``, this
     process after ``main``. The claim is one 8-byte token in a pipe, holding
     the next index: a process reads it and writes back index + 1 at once, so
     neither holds it while it works (a pipe reads and writes 8 bytes, at most
-    ``PIPE_BUF``, atomically). The child sends back its ``(index, value)``
-    pairs, so ``item`` must depend on its index alone, not on which process
-    calls it or in what order.
+    ``PIPE_BUF``, atomically). The child replies once, with one pickle of
+    ``child()``'s value, its ``{index: value}`` items and its error, so
+    ``item`` must depend on its index alone, not on which process calls it or
+    in what order. ``child`` and ``item`` may return any picklable value; it
+    comes back equal, a float bit for bit. In the child, a value that does not
+    pickle is an exception.
 
     An exception in the child is raised here, with the child's traceback as its
     cause: the exception itself when it survives pickling, else a RuntimeError.
@@ -501,7 +507,7 @@ def _beside_child(child, main=lambda: None, item=None, count: int = 0):
     release them), everything runs in-process: ``child``, ``main``, then each
     item in order."""
     if not (_FORK and threading.active_count() == 1):
-        return [float(v) for v in child() or ()], main(), [float(item(i)) for i in range(count)]
+        return child(), main(), [item(i) for i in range(count)]
     token_r, token_w = os.pipe()
     os.write(token_w, bytes(8))
     read_fd, write_fd = os.pipe()
@@ -519,19 +525,18 @@ def _beside_child(child, main=lambda: None, item=None, count: int = 0):
         try:
             os.close(read_fd)
             try:
-                parts = ["ok", *(float(v).hex() for v in child() or ())]
+                value, items = child(), {}
                 while (index := claim()) < count:
-                    parts.append(f"{index}:{float(item(index)).hex()}")
-                reply = " ".join(parts).encode()
+                    items[index] = item(index)
+                reply = pickle.dumps((value, items, None))
             except Exception as exc:
-                import pickle
                 import traceback
 
                 try:  # the exception itself, when it comes back out of a pickle
                     pickle.loads(pickle.dumps(exc))
                 except Exception:
                     exc = None
-                reply = b"error " + pickle.dumps((traceback.format_exc(), exc))
+                reply = pickle.dumps((None, {}, (traceback.format_exc(), exc)))
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(reply)
             status = 0
@@ -549,7 +554,7 @@ def _beside_child(child, main=lambda: None, item=None, count: int = 0):
         # The child replies after its last claim, or on an error, or it dies:
         # either way, stop claiming once the reply pipe is readable.
         while read_fd not in dict(ready.poll()) and (index := claim()) < count:
-            values[index] = float(item(index))
+            values[index] = item(index)
         reply = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         running = False
@@ -562,25 +567,16 @@ def _beside_child(child, main=lambda: None, item=None, count: int = 0):
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    kind, _, body = reply.partition(b" ")
-    if status == 0 and kind == b"error":
-        import pickle
-
-        text, exc = pickle.loads(body)
+    if status != 0 or not reply:
+        raise RuntimeError(f"the forked child process failed (exit code {status})")
+    value, items, error = pickle.loads(reply)
+    if error is not None:
+        text, exc = error
         if exc is None:
             raise RuntimeError(f"the forked child process failed:\n{text}")
         raise exc from RuntimeError(f"in the forked child process:\n{text}")
-    if status != 0 or kind != b"ok":
-        text = reply.decode(errors="replace")
-        raise RuntimeError(f"the forked child process failed (exit code {status}):\n{text}")
-    firsts = []
-    for token in body.decode().split():
-        index, _, value = token.rpartition(":")
-        if index:
-            values[int(index)] = float.fromhex(value)
-        else:
-            firsts.append(float.fromhex(value))
-    return firsts, result, [values[i] for i in range(count)]
+    values.update(items)
+    return value, result, [values[i] for i in range(count)]
 
 
 @dataclass(eq=False)
@@ -603,9 +599,9 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
     its own generator ``(seed, 7001, n_index)``, and no fit. So on Linux a
     forked child computes the estimates while this process draws and fits
     every replicate (see :func:`_beside_child`), keeping of each fit only
-    its row and the two scalars its bound columns need, the penalty level
-    and the truth's nuclear norm; the bound columns are filled in once the
-    estimates have come back, bit for bit. The rows do not depend on it.
+    its row, which holds the penalty level, and the truth's nuclear norm;
+    the bound columns are filled in once the estimates have come back, bit
+    for bit. The rows do not depend on it.
     """
     scheme, consts = cfg.scheme, cfg.constants
     mu = scheme.mu_constant()
@@ -627,7 +623,7 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
         ]
 
     def fitted_rows() -> tuple[list[dict], list[tuple]]:
-        # Each row without its bound columns, and the scalars they need besides.
+        # Each row without its bound columns, and its n index and truth's nuclear norm besides.
         rows, held = [], []
         for i_n, n in enumerate(cfg.n_grid):
             for rep in range(cfg.replicates):
@@ -645,14 +641,14 @@ def rate_sweep(cfg: ExperimentConfig, seed: int, out_dir=None) -> RateSweepResul
                     **risk_report(cfg.family, scheme, problem.counts, result.x_hat, truth.x_bar, s_bar),
                     "predictor": big_m * cfg.rank * log_d / n,
                 })
-                held.append((i_n, problem.lam, float(s_bar.sum())))
+                held.append((i_n, float(s_bar.sum())))
         return rows, held
 
     rads, (rows, held), _ = _beside_child(random_sign_norms, fitted_rows)
-    for row, (i_n, lam, nuclear_norm_bar) in zip(rows, held):
+    for row, (i_n, nuclear_norm_bar) in zip(rows, held):
         bounds = bound_value(
             m1=cfg.m1, m2=cfg.m2, n=row["n"], rank=cfg.rank, gamma=cfg.gamma,
-            mu=mu, nu=nu, lam=lam,
+            mu=mu, nu=nu, lam=row["lambda"],
             sigma_lo_sq=consts.sigma_lo_sq, sigma_hi_sq=consts.sigma_hi_sq,
             l_gamma=consts.l_gamma, c_gamma=cfg.solver.c_gamma,
             rademacher_norm=rads[i_n], nuclear_norm_bar=nuclear_norm_bar,
@@ -790,8 +786,8 @@ def concentration_check(cfg: ExperimentConfig, seed: int, out_dir=None) -> Conce
         probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
         return operator_norm(gradient(probe, truth.x_bar))
 
-    (rad_est,), _, gnorms = _beside_child(
-        lambda: [rademacher_norm_estimate(scheme, n, cfg.reps, rad_rng)], item=score_norm, count=cfg.reps
+    rad_est, _, gnorms = _beside_child(
+        lambda: rademacher_norm_estimate(scheme, n, cfg.reps, rad_rng), item=score_norm, count=cfg.reps
     )
     freq = sum(gnorm > level for gnorm in gnorms) / cfg.reps
     rows = [

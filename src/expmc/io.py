@@ -287,8 +287,25 @@ def save_matrix_csv(path, a: np.ndarray) -> None:
             _write_rows(fh, text)
 
 
+def _load_numbers(path, skiprows: int = 0) -> np.ndarray:
+    """The comma-separated numbers of ``path`` after ``skiprows`` lines, as a
+    2-d array with no rows when there are none; a ragged row or a field that
+    is not a number is a ValueError naming ``path``."""
+    with warnings.catch_warnings():
+        # The callers refuse a file without numbers, in place of this warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"CSV {path}: {exc}") from None
+
+
 def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    """A headerless CSV matrix; an empty file is a ValueError naming ``path``."""
+    a = _load_numbers(path)
+    if a.size == 0:
+        raise ValueError(f"CSV {path} has no numbers")
+    return a
 
 
 _OBS_HEADER = "i,row,col,y"
@@ -320,10 +337,7 @@ def load_observations_csv(path, m1: int, m2: int) -> ObservationSet:
         header = fh.readline().strip()
     if header != _OBS_HEADER:
         raise ValueError(f"observations CSV must have the header {_OBS_HEADER}, got {header!r}")
-    with warnings.catch_warnings():
-        # A file of the header alone is refused below, in place of this warning.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
+    raw = _load_numbers(path, skiprows=1)
     if raw.shape[0] == 0:
         raise ValueError(f"observations CSV {path} has no observations, only the header")
     if raw.shape[1] != 4:

@@ -82,7 +82,7 @@ class SamplingScheme:
         if np.any(pi < 0) or not np.all(np.isfinite(pi)):
             raise ValueError("pi entries must be finite and nonnegative")
         if abs(pi.sum() - 1.0) > _TABLE_TOL:
-            raise ValueError(f"pi must sum to 1 within {_TABLE_TOL:g}, got {pi.sum()!r}")
+            raise ValueError(f"pi must sum to 1 within {_TABLE_TOL:g}, got {float(pi.sum())!r}")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         cdf = np.append(np.cumsum(pi.reshape(-1)), np.inf)

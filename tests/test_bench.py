@@ -1,6 +1,8 @@
 import hashlib
 import math
 import os
+import pickle
+import struct
 import time
 
 import numpy as np
@@ -29,6 +31,7 @@ from expmc.bench import (
     oracle_check,
     rate_sweep,
     resolve_lambda,
+    scheme_from_config,
     simulate,
     simulate_cells,
 )
@@ -55,6 +58,22 @@ def make_cfg(**overrides):
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+@pytest.mark.parametrize("text, pattern", [
+    ("", "has no numbers"),
+    ("0.5,0.5\n0.5\n", "number of columns changed from 2 to 1"),
+    ("0.5,a\n0.25,0.25\n", "could not convert string 'a'"),
+    ("nan,0.5\n0.25,0.25\n", "pi entries must be finite and nonnegative"),
+    ("-0.1,0.6\n0.25,0.25\n", "pi entries must be finite and nonnegative"),
+    ("0.2,0.2\n0.2,0.2\n", r"pi must sum to 1 within 1e-\d+, got 0.8"),
+], ids=["empty", "ragged", "text", "nan", "negative", "total"])
+def test_bad_sampling_table_is_an_error_naming_it(tmp_path, text, pattern):
+    path = tmp_path / "pi.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=pattern) as raised:
+        scheme_from_config({"sampling": "table", "path": str(path)}, 2, 2)
+    assert str(path) in str(raised.value)
 
 
 class TestGenTruth:
@@ -605,6 +624,76 @@ class TestConcentration:
         assert low.exceedance_frequency > 0  # tiny level is exceeded in noise
 
 
+def float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# -0.0, inf and a negative NaN with a payload: float.hex writes every NaN as "nan".
+ODD_FLOATS = [-0.0, math.inf, struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000123))[0]]
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_process"])
+class TestBesideChild:
+    """``_beside_child`` returns what ``child``, ``main`` and ``item`` return,
+    forked or in-process."""
+
+    @pytest.fixture(autouse=True)
+    def fork_or_not(self, fork, monkeypatch):
+        monkeypatch.setattr(expmc.bench, "_FORK", expmc.bench._FORK and fork)
+
+    def test_reply_larger_than_a_pipe_holds(self, forks):
+        big = os.urandom(1 << 20)
+        with within(60):
+            value, result, items = expmc.bench._beside_child(lambda: big, lambda: "main", lambda i: i, 3)
+        assert value == big and result == "main" and items == [0, 1, 2]
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert_no_child_left()
+
+    def test_odd_floats_come_back_bit_for_bit(self, forks):
+        with within(60):
+            value, _, items = expmc.bench._beside_child(
+                lambda: ODD_FLOATS, item=lambda i: ODD_FLOATS[i % 3], count=300
+            )
+        assert [float_bits(v) for v in value] == [float_bits(v) for v in ODD_FLOATS]
+        assert [float_bits(v) for v in items] == [float_bits(ODD_FLOATS[i % 3]) for i in range(300)]
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert_no_child_left()
+
+    def test_none_tuples_and_dicts_come_back_equal(self, forks):
+        values = [None, (1, "a", (2.5, None)), {"k": [1, 2], 3: {"x": (0.1,)}}]
+        with within(60):
+            value, result, items = expmc.bench._beside_child(
+                lambda: values, lambda: (1, {2: 3}), lambda i: values[i % 3], 60
+            )
+        assert value == values and result == (1, {2: 3}) and items == [values[i % 3] for i in range(60)]
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert_no_child_left()
+
+    def test_item_that_does_not_pickle(self, forks):
+        def local():
+            return 0
+
+        if expmc.bench._FORK:  # raised in the parent, though only the child computed it
+            parent, (read_fd, write_fd) = os.getpid(), os.pipe()
+
+            def item(index):  # the parent's main waits for the child's first item
+                if os.getpid() != parent:
+                    os.write(write_fd, b"x")
+                    return local
+                return 1
+
+            try:
+                with within(60), pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+                    expmc.bench._beside_child(lambda: 0.0, lambda: os.read(read_fd, 1), item, 4)
+            finally:
+                os.close(read_fd)
+                os.close(write_fd)
+        else:  # in-process, nothing is pickled
+            assert expmc.bench._beside_child(lambda: 0.0, item=lambda i: local, count=4)[2] == [local] * 4
+        assert len(forks) == (1 if expmc.bench._FORK else 0)
+        assert_no_child_left()
+
+
 # Small concentration configs of the four families.
 CONCENTRATION_FAMILIES = {
     "gaussian": {},
@@ -653,27 +742,6 @@ class TestConcentrationChild:
             probe = CompletionProblem(obs=cells, family=cfg.family, box=cfg.box, lam=0.0, mode=LIKELIHOOD)
             assert row["replicate"] == rep
             assert row["value"].hex() == operator_norm(gradient(probe, truth.x_bar)).hex()
-
-    @pytest.mark.skipif(not expmc.bench._FORK, reason="the replicates run in-process")
-    def test_child_reply_larger_than_a_pipe_holds(self, forks, monkeypatch):
-        parent, score, parent_calls = os.getpid(), expmc.bench.gradient, []
-
-        def parent_waits_first(*args):
-            if os.getpid() == parent and not parent_calls:
-                time.sleep(1.0)  # the child claims most replicates meanwhile
-            parent_calls.append(os.getpid() == parent)
-            return score(*args)
-
-        monkeypatch.setattr(expmc.bench, "gradient", parent_waits_first)
-        cfg = make_cfg(m1=3, m2=3, rank=1, n_grid=[20], reps=6000)
-        with within(60):
-            rows = concentration_check(cfg, seed=67).rows
-        assert [row["replicate"] for row in rows] == [-1, *range(6000), -1]
-        assert all(math.isfinite(row["value"]) for row in rows)
-        # Each child pair takes at least 20 bytes of the reply ("index:hex").
-        assert (6000 - sum(parent_calls)) * 20 > 64 * 1024
-        assert len(forks) == 1
-        assert_no_child_left()
 
     @pytest.mark.skipif(not expmc.bench._FORK, reason="the replicates run in-process")
     def test_child_that_dies_without_replying_is_an_error(self, tmp_path, monkeypatch):

@@ -354,6 +354,34 @@ def test_header_only_file_rejected(tmp_path):
             load_observations_csv(path, M1, M2)
 
 
+@pytest.mark.parametrize("text, pattern", [
+    ("", "has no numbers"),
+    ("\n\n", "has no numbers"),
+    ("0.5,0.5\n0.5\n", "number of columns changed from 2 to 1"),
+    ("0.5,a\n", "could not convert string 'a'"),
+], ids=["empty", "blank-lines", "ragged", "text"])
+def test_bad_matrix_csv_is_an_error_naming_it(tmp_path, text, pattern):
+    # An empty file once leaked numpy's "input contained no data" warning, and a
+    # ragged or text row raised numpy's message without the path.
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=pattern) as raised:
+        io.load_matrix_csv(path)
+    assert str(path) in str(raised.value)
+
+
+@pytest.mark.parametrize("body, pattern", [
+    ("1,1,1,0.5\n2,2,3\n", "number of columns changed from 4 to 3"),
+    ("1,1,1,0.5\n2,2,x,1.5\n", "could not convert string 'x'"),
+], ids=["ragged", "text"])
+def test_bad_observations_body_is_an_error_naming_it(tmp_path, body, pattern):
+    path = tmp_path / "obs.csv"
+    path.write_text("i,row,col,y\n" + body)
+    with pytest.raises(ValueError, match=pattern) as raised:
+        load_observations_csv(path, M1, M2)
+    assert str(path) in str(raised.value)
+
+
 def test_hand_written_file_loads(tmp_path):
     path = tmp_path / "obs.csv"
     write_obs(path, "i,row,col,y", [(1, 1, 2, 0.5), (2, 5, 4, -1.25), (3, 1, 2, 3)])
